@@ -23,10 +23,10 @@ from .linalg import (
     DimensionMismatchError,
     HermitianEigenResult,
     LinAlgError,
-    NoConvergenceError,
     NotHermitianError,
     StepUnderflowError,
     hermitian_eigen,
+    hermitian_eigenvalues,
     integrate_linear_ode,
 )
 from .model import (

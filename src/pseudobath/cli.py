@@ -23,7 +23,7 @@ from .config import (
     config_to_dict,
     parse_config,
 )
-from .linalg import LinAlgError, hermitian_eigen
+from .linalg import LinAlgError
 from .model import TimeGrid, lorentz_correlation
 from .pseudomode import DilationReport
 
@@ -33,6 +33,9 @@ EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
 
 _FLOAT_FMT = "%.17g"
+
+#: Rows of the density-matrix stack validated and formatted at a time.
+_BLOCK_ROWS = 256
 
 
 def _fmt(x: float) -> str:
@@ -93,57 +96,66 @@ def _run_trajectory(cfg: RunConfig, grid: TimeGrid, renormalize_init: bool):
     )
 
 
-def _validate_rho(rho: dynamics.ReducedDensityMatrix, t: float) -> float:
-    """Check the density-matrix invariants; returns the minimum eigenvalue."""
-    m = rho.matrix
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > rho.HERMITICITY_TOL:
-        raise LinAlgError(f"rho at t={t} not Hermitian (defect {asym:.3e})")
-    trace_dev = abs(float(np.trace(m).real) - 1.0)
-    if trace_dev > rho.TRACE_TOL:
-        raise LinAlgError(f"rho at t={t} trace deviates by {trace_dev:.3e}")
-    min_eig = float(hermitian_eigen(m).eigenvalues[0])
-    if min_eig < -rho.PSD_TOL:
-        raise LinAlgError(f"rho at t={t} not PSD (min eigenvalue {min_eig:.3e})")
-    return min_eig
+def _row_template(cols: int) -> str:
+    """``template % row`` equals the comma-joined ``_fmt`` of each entry."""
+    return ",".join([_FLOAT_FMT] * cols)
+
+
+def _first_failure(ok: np.ndarray, t: np.ndarray, values: np.ndarray, what: str):
+    """Raise LinAlgError at the first t where ``ok`` is false."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise LinAlgError(f"rho at t={float(t[bad[0]])} " + what.format(values[bad[0]]))
+
+
+def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[float, float]:
+    """Check the density-matrix invariants on a (T, N+1, N+1) stack; return
+    the largest trace deviation and the smallest eigenvalue.  NaN entries
+    fail the Hermiticity check, so eigvalsh never sees them."""
+    tol = dynamics.ReducedDensityMatrix
+    asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    _first_failure(asym <= tol.HERMITICITY_TOL, t, asym, "not Hermitian (defect {:.3e})")
+    trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
+    _first_failure(trace_dev <= tol.TRACE_TOL, t, trace_dev, "trace deviates by {:.3e}")
+    min_eig = np.linalg.eigvalsh(rho)[:, 0]
+    _first_failure(min_eig >= -tol.PSD_TOL, t, min_eig, "not PSD (min eigenvalue {:.3e})")
+    return float(trace_dev.max()), float(min_eig.min())
 
 
 def _simulate(cfg: RunConfig, out_dir: str, renormalize_init: bool) -> dict:
     grid = TimeGrid.uniform(cfg.t_max, cfg.output_points)
     traj = _run_trajectory(cfg, grid, renormalize_init)
     dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
-    obs = dynamics.observables(traj, cfg.initial)
+    excited, rho = dynamics.observables(traj, cfg.initial)
 
-    n = cfg.system.n
-    header = ["t"]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            header.append(f"rho_{i}_{j}_re")
-            header.append(f"rho_{i}_{j}_im")
-    header.append("excited_population")
+    levels = range(cfg.system.n + 1)
+    rho_cols = [f"rho_{i}_{j}_{part}" for i in levels for j in levels for part in ("re", "im")]
+    header = ["t", *rho_cols, "excited_population"]
 
+    # Validate and format in blocks of rows so that temporaries stay small.
+    t = grid.points
+    template = _row_template(len(header))
     lines = [",".join(header)]
     min_rho_eig = np.inf
     max_trace_dev = 0.0
-    for t, excited, _ground, rho in obs:
-        min_rho_eig = min(min_rho_eig, _validate_rho(rho, t))
-        max_trace_dev = max(max_trace_dev, abs(float(np.trace(rho.matrix).real) - 1.0))
-        row = [_fmt(t)]
-        for i in range(n + 1):
-            for j in range(n + 1):
-                z = rho.matrix[i, j]
-                row.append(_fmt(z.real))
-                row.append(_fmt(z.imag))
-        row.append(_fmt(excited))
-        lines.append(",".join(row))
+    for lo in range(0, len(t), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        t_block, rho_block = t[block], rho[block]
+        trace_dev, min_eig = _validate_rho(t_block, rho_block)
+        max_trace_dev = max(max_trace_dev, trace_dev)
+        min_rho_eig = min(min_rho_eig, min_eig)
+        table = np.column_stack(
+            (t_block, rho_block.reshape(len(t_block), -1).view(float), excited[block])
+        )
+        lines.extend(template % tuple(row) for row in table.tolist())
 
     report = {
         "config": config_to_dict(cfg),
         "dilation": _dilation_dict(dilation),
         "trajectory": {
             "points": len(grid),
-            "final_excited_population": obs[-1][1],
-            "final_ground_population": obs[-1][2],
+            "final_excited_population": float(excited[-1]),
+            "final_ground_population": 1.0 - float(excited[-1]),
             "max_trace_deviation": max_trace_dev,
             "min_rho_eigenvalue": float(min_rho_eig),
         },

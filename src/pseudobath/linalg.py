@@ -1,9 +1,9 @@
 """Dense complex linear algebra and linear-ODE integration.
 
-Everything here operates on plain numpy arrays (complex128).  Matrices are
-small ((K+1)N with N, K in the single digits for typical runs), so the
-Hermitian eigensolver is a cyclic Jacobi iteration: robust, dependency-free
-and exact enough for certification work.
+Everything here operates on plain numpy arrays (complex128).  Hermitian
+eigenproblems go to LAPACK through numpy, behind a Hermiticity check that is
+stricter than any solver tolerance; the linear ODE is integrated by scipy's
+DOP853 and returned as one (T, dim) array.
 """
 
 from dataclasses import dataclass
@@ -20,10 +20,6 @@ class NotHermitianError(LinAlgError):
     """Input matrix fails the Hermiticity check."""
 
 
-class NoConvergenceError(LinAlgError):
-    """Jacobi sweeps exceeded the iteration cap."""
-
-
 class DimensionMismatchError(LinAlgError):
     """Operands have incompatible shapes."""
 
@@ -35,8 +31,6 @@ class StepUnderflowError(LinAlgError):
 #: Relative Hermiticity tolerance, deliberately stricter than any solver
 #: tolerance so that symmetry errors and integration errors stay separable.
 HERMITICITY_RTOL = 1e-12
-
-_MAX_JACOBI_SWEEPS = 100
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -55,10 +49,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max(initial=0.0) / scale)
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    return hermiticity_defect(a) <= rtol
-
-
 @dataclass(frozen=True)
 class HermitianEigenResult:
     """Ascending eigenvalues and matching orthonormal eigenvector columns."""
@@ -67,70 +57,24 @@ class HermitianEigenResult:
     eigenvectors: np.ndarray
 
 
-def hermitian_eigen(a) -> HermitianEigenResult:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Raises NotHermitianError when the input is not Hermitian to
-    ``HERMITICITY_RTOL`` and NoConvergenceError if the off-diagonal mass
-    fails to vanish within the sweep cap (does not happen for finite
-    Hermitian input in practice).
-    """
+def _hermitian_part(a) -> np.ndarray:
+    """0.5 (A + A^dagger) of a finite square A, Hermitian to HERMITICITY_RTOL;
+    raises DimensionMismatchError, LinAlgError or NotHermitianError otherwise."""
     a = as_square_matrix(a)
-    if not is_hermitian(a):
-        raise NotHermitianError(
-            f"matrix is not Hermitian (relative defect {hermiticity_defect(a):.3e})"
-        )
-    n = a.shape[0]
-    # Work on an exactly Hermitian copy so rotations preserve symmetry.
-    w = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    off_tol = 1e-15 * (1.0 + np.abs(w).max())
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = np.abs(w - np.diag(np.diag(w))).max(initial=0.0)
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                wpq = w[p, q]
-                if abs(wpq) <= off_tol:
-                    continue
-                app = w[p, p].real
-                aqq = w[q, q].real
-                # Phase rotation makes the 2x2 subproblem real symmetric,
-                # then a real plane rotation zeroes the off-diagonal entry.
-                phase = wpq / abs(wpq)
-                theta = 0.5 * np.arctan2(2.0 * abs(wpq), app - aqq)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                # Plane rotation J: [[c, -s], [s/phase, c/phase]] on (p, q).
-                jpp, jpq = c, -s
-                jqp, jqq = s * np.conj(phase), c * np.conj(phase)
-                col_p = w[:, p].copy()
-                col_q = w[:, q].copy()
-                w[:, p] = jpp * col_p + jqp * col_q
-                w[:, q] = jpq * col_p + jqq * col_q
-                row_p = w[p, :].copy()
-                row_q = w[q, :].copy()
-                w[p, :] = np.conj(jpp) * row_p + np.conj(jqp) * row_q
-                w[q, :] = np.conj(jpq) * row_p + np.conj(jqq) * row_q
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[q, q] = w[q, q].real
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = jpp * col_p + jqp * col_q
-                v[:, q] = jpq * col_p + jqq * col_q
-    else:
-        raise NoConvergenceError(
-            f"Jacobi iteration did not converge in {_MAX_JACOBI_SWEEPS} sweeps"
-        )
-    eigenvalues = np.diag(w).real
-    order = np.argsort(eigenvalues, kind="stable")
-    return HermitianEigenResult(
-        eigenvalues=np.ascontiguousarray(eigenvalues[order]),
-        eigenvectors=np.ascontiguousarray(v[:, order]),
-    )
+    defect = hermiticity_defect(a)
+    if defect > HERMITICITY_RTOL:
+        raise NotHermitianError(f"matrix is not Hermitian (relative defect {defect:.3e})")
+    return 0.5 * (a + a.conj().T)
+
+
+def hermitian_eigen(a) -> HermitianEigenResult:
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``)."""
+    return HermitianEigenResult(*np.linalg.eigh(_hermitian_part(a)))
+
+
+def hermitian_eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (``numpy.linalg.eigvalsh``)."""
+    return np.linalg.eigvalsh(_hermitian_part(a))
 
 
 def integrate_linear_ode(
@@ -139,12 +83,13 @@ def integrate_linear_ode(
     grid,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Solve d/dt y = -i M y on a fixed output grid.
 
     Uses an adaptive high-order embedded Runge-Kutta pair (scipy DOP853)
     with dense output evaluated exactly at the grid points.  The grid must
-    be strictly increasing and start at 0.
+    be strictly increasing and start at 0.  Returns a (T, dim) array whose
+    row k is y(grid[k]).
     """
     m = as_square_matrix(m)
     y0 = np.ascontiguousarray(y0, dtype=complex).ravel()
@@ -156,7 +101,7 @@ def integrate_linear_ode(
     if t.size == 0 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0.0)):
         raise LinAlgError("time grid must be strictly increasing and start at 0")
     if t.size == 1:
-        return [y0.copy()]
+        return y0[np.newaxis, :].copy()
     gen = -1j * m
     sol = solve_ivp(
         lambda _, y: gen @ y,
@@ -169,4 +114,4 @@ def integrate_linear_ode(
     )
     if not sol.success:
         raise StepUnderflowError(f"integration failed: {sol.message}")
-    return [np.ascontiguousarray(sol.y[:, k]) for k in range(t.size)]
+    return np.ascontiguousarray(sol.y.T)

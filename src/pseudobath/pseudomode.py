@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigen
+from .linalg import hermitian_eigenvalues
 from .model import BathModel, SystemHamiltonian
 
 
@@ -132,11 +132,10 @@ def block_decompose(h: SystemHamiltonian, bath: BathModel) -> list[EffectiveBloc
     effective Hamiltonian.
     """
     f = _scale_factor(bath.eta)
-    eigen = hermitian_eigen(h.matrix)
     g = np.array([p.g for p in bath.peaks])
     diag = np.array([p.epsilon - 0.5j * p.gamma for p in bath.peaks])
     blocks = []
-    for alpha, e_alpha in enumerate(eigen.eigenvalues):
+    for alpha, e_alpha in enumerate(hermitian_eigenvalues(h.matrix)):
         m = np.zeros((bath.k + 1, bath.k + 1), dtype=complex)
         m[0, 0] = f * e_alpha
         m[0, 1:] = f * g
@@ -148,8 +147,7 @@ def block_decompose(h: SystemHamiltonian, bath: BathModel) -> list[EffectiveBloc
 
 def check_dilation_spectral(v: OpticalPotential) -> tuple[bool, float]:
     """Smallest eigenvalue of the optical potential, with the PSD verdict."""
-    eigen = hermitian_eigen(v.matrix)
-    min_eig = float(eigen.eigenvalues[0])
+    min_eig = float(hermitian_eigenvalues(v.matrix)[0])
     return min_eig >= -v.psd_tolerance, min_eig
 
 
@@ -167,7 +165,7 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
     branch short-circuits accordingly.
     """
     threshold = dilation_threshold(bath)
-    min_eig_h = float(hermitian_eigen(h_r.matrix).eigenvalues[0])
+    min_eig_h = float(hermitian_eigenvalues(h_r.matrix)[0])
     if bath.eta == 0.0:
         closed_form_pass = True
     else:
@@ -192,8 +190,7 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
     per_block = []
     for block in block_decompose(h_r, bath):
         bv = 0.5j * (block.matrix - block.matrix.conj().T)
-        eig = hermitian_eigen(bv)
-        bmin = float(eig.eigenvalues[0])
+        bmin = float(hermitian_eigenvalues(bv)[0])
         per_block.append(
             BlockResult(
                 alpha=block.alpha,

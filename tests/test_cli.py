@@ -8,6 +8,9 @@ from pseudobath.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_THRESHOLD,
+    _fmt,
+    _row_template,
+    _validate_rho,
     main,
 )
 from pseudobath.config import (
@@ -18,6 +21,7 @@ from pseudobath.config import (
     config_to_json,
     parse_config,
 )
+from pseudobath.linalg import LinAlgError
 
 
 def base_doc(**overrides):
@@ -135,6 +139,42 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text("{")
         assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+
+
+class TestRhoRows:
+    def test_row_template_matches_per_entry_format(self):
+        row = [0.0, -0.0, 1e-300, -1e-300, 3, -7, 0.1, 1.0 / 3.0, 2.5e17, 5e-324]
+        assert _row_template(len(row)) % tuple(row) == ",".join(_fmt(x) for x in row)
+
+    @staticmethod
+    def valid_stack():
+        # mixtures of |0><0| and a pure state (|0> + |1>)/sqrt(2), trace 1, PSD
+        pure = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+        ground = np.diag([1.0, 0.0]).astype(complex)
+        w = np.linspace(0.0, 1.0, 5)[:, None, None]
+        return np.linspace(0.0, 2.0, 5), w * pure + (1.0 - w) * ground
+
+    def test_valid_stack_summary(self):
+        t, rho = self.valid_stack()
+        trace_dev, min_eig = _validate_rho(t, rho)
+        assert trace_dev <= 1e-15
+        assert abs(min_eig) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "index, damage, message",
+        [
+            (3, lambda m: m + np.array([[0.0, 1e-6], [0.0, 0.0]]), r"t=1\.5 not Hermitian"),
+            (2, lambda m: m + np.diag([0.0, 1e-6]), r"t=1\.0 trace deviates"),
+            (4, lambda m: np.diag([1.5, -0.5]).astype(complex), r"t=2\.0 not PSD"),
+            (1, lambda m: m * np.nan, r"t=0\.5 not Hermitian"),
+        ],
+    )
+    def test_validator_names_first_failing_time(self, index, damage, message):
+        t, rho = self.valid_stack()
+        for k in range(index, len(rho)):
+            rho[k] = damage(rho[k])
+        with pytest.raises(LinAlgError, match=message):
+            _validate_rho(t, rho)
 
 
 class TestCheck:

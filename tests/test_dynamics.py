@@ -4,6 +4,7 @@ import pytest
 from pseudobath.dynamics import (
     ExtendedState,
     NormExceededError,
+    Trajectory,
     evolve,
     evolve_closed,
     observables,
@@ -62,6 +63,16 @@ class TestEvolve:
         assert scaled.states[0].system_part[0] == pytest.approx(f)
         assert bare.states[0].system_part[0] == pytest.approx(1.0)
 
+    def test_empty_bath_closed_evolution(self):
+        h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))
+        init = InitialState(psi=np.array([0.6, 0.8j]), psi0=0.0)
+        traj = evolve_closed(h, init, TimeGrid.uniform(2.0, 5))
+        assert traj.vectors.shape == (5, 2)
+        assert traj.k == 0
+        np.testing.assert_array_equal(traj.vectors[0], init.psi)
+        np.testing.assert_array_equal(traj.system_parts(), traj.vectors)
+        np.testing.assert_allclose(np.linalg.norm(traj.vectors, axis=1), 1.0, atol=1e-9)
+
 
 class TestReducedDensity:
     def test_theorem_substitution(self):
@@ -97,24 +108,23 @@ class TestObservables:
     def test_initial_population(self):
         heff, init = scalar_setup(0.5, 0.2)
         traj = evolve(heff, init, TimeGrid.uniform(1.0, 5))
-        obs = observables(traj, init)
-        assert obs[0][1] == pytest.approx(1.0)
-        for _, excited, ground, _ in obs:
-            assert excited + ground == pytest.approx(1.0, abs=0.0)
+        excited, rho = observables(traj, init)
+        assert excited[0] == pytest.approx(1.0)
+        for e, ground in zip(excited, rho[:, 0, 0].real):
+            assert e + ground == pytest.approx(1.0, abs=0.0)
 
     def test_closed_system_population_constant(self):
         h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))
         init = InitialState(psi=np.array([1.0, 0.0], dtype=complex), psi0=0.0)
         traj = evolve_closed(h, init, TimeGrid.uniform(10.0, 41))
-        obs = observables(traj, init)
-        pops = [o[1] for o in obs]
+        pops, _ = observables(traj, init)
         assert max(abs(p - 1.0) for p in pops) < 1e-9
 
     def test_dissipative_population_decays(self):
         heff, init = scalar_setup(0.5, 1.0)
         traj = evolve(heff, init, TimeGrid.uniform(20.0, 201))
-        obs = observables(traj, init)
-        assert obs[-1][1] < 0.05
+        excited, _ = observables(traj, init)
+        assert excited[-1] < 0.05
 
     def test_norm_non_increasing_when_dilatable(self):
         heff, init = scalar_setup(0.8, 0.5, epsilon=0.3)
@@ -125,8 +135,41 @@ class TestObservables:
     def test_rho_invariants_along_trajectory(self):
         heff, init = scalar_setup(1.0, 0.4, epsilon=-0.7, e0=0.5)
         traj = evolve(heff, init, TimeGrid.uniform(10.0, 51))
-        for _, _, _, rho in observables(traj, init):
-            m = rho.matrix
+        for m in observables(traj, init)[1]:
             assert np.abs(m - m.conj().T).max() < 1e-10
             assert abs(np.trace(m).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(m).min() > -1e-10
+
+    def test_stack_matches_per_point_formula_bitwise(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h = SystemHamiltonian(0.5 * (x + x.conj().T))
+        bath = BathModel(
+            peaks=(LorentzPeak(g=0.6, gamma=0.5, epsilon=0.2), LorentzPeak(g=0.3, gamma=1.1))
+        )
+        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        psi *= 0.8 / np.linalg.norm(psi)
+        init = InitialState(psi=psi, psi0=0.36 + 0.48j)
+        traj = evolve(build_effective_hamiltonian(h, bath), init, TimeGrid.uniform(8.0, 97))
+        excited, rho = observables(traj, init)
+        assert rho.shape == (97, 4, 4)
+        per_point = np.stack([reduced_density(s, init).matrix for s in traj.states])
+        np.testing.assert_array_equal(rho, per_point)
+        # the per-point formula written out with np.vdot and np.outer
+        for e, m, state in zip(excited, rho, traj.states):
+            psi = state.system_part
+            norm2 = float(np.vdot(psi, psi).real)
+            assert e == norm2
+            ref = np.zeros((4, 4), dtype=complex)
+            ref[0, 0] = 1.0 - norm2
+            ref[0, 1:] = init.psi0 * np.conj(psi)
+            ref[1:, 0] = np.conj(ref[0, 1:])
+            ref[1:, 1:] = np.outer(psi, np.conj(psi))
+            np.testing.assert_array_equal(m, ref)
+
+    def test_norm_overflow_names_first_point(self):
+        vectors = np.array([[1.0], [0.5], [1.1], [1.2]], dtype=complex)
+        traj = Trajectory(grid=TimeGrid.uniform(3.0, 4), n=1, k=0, vectors=vectors)
+        init = InitialState(psi=np.array([1.0]), psi0=0.0)
+        with pytest.raises(NormExceededError, match=r"at t=2\.0 exceeds 1"):
+            observables(traj, init)

@@ -6,6 +6,7 @@ from pseudobath.linalg import (
     LinAlgError,
     NotHermitianError,
     hermitian_eigen,
+    hermitian_eigenvalues,
     integrate_linear_ode,
 )
 
@@ -60,7 +61,37 @@ class TestHermitianEigen:
             hermitian_eigen(np.zeros((2, 3)))
 
 
+class TestHermitianEigenvalues:
+    def test_matches_full_diagonalization(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 3, 8):
+            a = random_hermitian(rng, n, scale=2.0)
+            np.testing.assert_array_equal(
+                hermitian_eigenvalues(a), np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+            )
+            np.testing.assert_allclose(
+                hermitian_eigenvalues(a), hermitian_eigen(a).eigenvalues, atol=1e-12
+            )
+
+    def test_same_input_checks(self):
+        with pytest.raises(NotHermitianError):
+            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DimensionMismatchError):
+            hermitian_eigenvalues(np.zeros((2, 3)))
+        with pytest.raises(LinAlgError):
+            hermitian_eigenvalues(np.array([[np.nan]]))
+
+
 class TestIntegrateLinearOde:
+    def test_returns_time_by_dim_array(self):
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        ys = integrate_linear_ode(m, np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 7))
+        assert isinstance(ys, np.ndarray)
+        assert ys.shape == (7, 2)
+        np.testing.assert_array_equal(ys[0], [1.0, 0.0])
+        single = integrate_linear_ode(m, np.array([1.0, 0.0]), np.array([0.0]))
+        assert single.shape == (1, 2)
+
     def test_zero_generator_constant(self):
         grid = np.linspace(0.0, 5.0, 21)
         ys = integrate_linear_ode(np.zeros((2, 2)), np.array([1.0, 0.0]), grid)
