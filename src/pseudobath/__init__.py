@@ -10,12 +10,10 @@ solvers cross-validate every pseudomode trajectory.
 """
 
 from .dynamics import (
-    ExtendedState,
     NormExceededError,
     ReducedDensityMatrix,
     Trajectory,
     evolve,
-    evolve_closed,
     observables,
     reduced_density,
 )
@@ -46,7 +44,6 @@ from .pseudomode import (
     DilationReport,
     EffectiveBlock,
     EffectiveHamiltonian,
-    EmptyBathError,
     OpticalPotential,
     block_decompose,
     build_effective_hamiltonian,

@@ -24,7 +24,7 @@ from .config import (
     parse_config,
 )
 from .linalg import LinAlgError
-from .model import TimeGrid, lorentz_correlation
+from .model import ModelError, TimeGrid, lorentz_correlation
 from .pseudomode import DilationReport
 
 EXIT_OK = 0
@@ -81,10 +81,6 @@ def _lorentz_kernel(bath):
 
 
 def _run_trajectory(cfg: RunConfig, grid: TimeGrid, renormalize_init: bool):
-    if cfg.bath.is_empty:
-        return dynamics.evolve_closed(
-            cfg.system, cfg.initial, grid, rtol=cfg.solver.rtol, atol=cfg.solver.atol
-        )
     heff = pseudomode.build_effective_hamiltonian(cfg.system, cfg.bath)
     return dynamics.evolve(
         heff,
@@ -356,6 +352,13 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "rb") as fh:
             cfg = parse_config(fh.read())
+        # CLI overrides go through the same validation as the file.
+        overrides = {"rtol": args.rtol, "atol": args.atol, "oracle_steps": args.oracle_steps}
+        overrides = {key: value for key, value in overrides.items() if value is not None}
+        if overrides:
+            doc = config_to_dict(cfg)
+            doc["solver"].update(overrides)
+            cfg = parse_config(json.dumps(doc))
     except OSError as exc:
         sys.stderr.write(f"cannot read config: {exc}\n")
         return EXIT_CONFIG
@@ -363,34 +366,15 @@ def main(argv=None) -> int:
         sys.stderr.write(f"invalid config: {exc}\n")
         return EXIT_CONFIG
 
-    if args.rtol is not None or args.atol is not None or args.oracle_steps is not None:
-        from dataclasses import replace
-
-        solver = replace(
-            cfg.solver,
-            **{
-                k: v
-                for k, v in {
-                    "rtol": args.rtol,
-                    "atol": args.atol,
-                    "oracle_steps": args.oracle_steps,
-                }.items()
-                if v is not None
-            },
-        )
-        cfg = replace(cfg, solver=solver)
-
     try:
         return args.func(cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"invalid config: {exc}\n")
         return EXIT_CONFIG
-    except (
-        LinAlgError,
-        dynamics.NormExceededError,
-        volterra.StepTooCoarseError,
-        pseudomode.EmptyBathError,
-    ) as exc:
+    except ModelError as exc:
+        sys.stderr.write(f"invalid input: {exc}\n")
+        return EXIT_CONFIG
+    except (LinAlgError, dynamics.NormExceededError, volterra.StepTooCoarseError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

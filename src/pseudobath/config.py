@@ -6,6 +6,7 @@ errors are directly actionable.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,8 @@ def _complex(val, path) -> complex:
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in val)
     ):
         raise ValidationError(path, "complex values must be [re, im] number pairs")
+    if not all(math.isfinite(x) for x in val):
+        raise ValidationError(path, f"complex value must be finite, got {val}")
     return complex(val[0], val[1])
 
 
@@ -151,8 +154,8 @@ def parse_config(text) -> RunConfig:
 
     time_obj = _get(doc, "time", "$", dict)
     t_max = _number(time_obj, "t_max", "$.time")
-    if t_max <= 0.0:
-        raise ValidationError("$.time.t_max", "must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValidationError("$.time.t_max", f"must be positive and finite, got {t_max}")
     points = _get(time_obj, "points", "$.time")
     if isinstance(points, bool) or not isinstance(points, int) or points < 2:
         raise ValidationError("$.time.points", "expected an integer >= 2")
@@ -163,8 +166,9 @@ def parse_config(text) -> RunConfig:
     oracle_steps = _get(solver_obj, "oracle_steps", "$.solver", required=False, default=4000)
     if isinstance(oracle_steps, bool) or not isinstance(oracle_steps, int) or oracle_steps < 10:
         raise ValidationError("$.solver.oracle_steps", "expected an integer >= 10")
-    if rtol <= 0.0 or atol <= 0.0:
-        raise ValidationError("$.solver", "tolerances must be positive")
+    for key, tol in (("rtol", rtol), ("atol", atol)):
+        if tol <= 0.0:
+            raise ValidationError(f"$.solver.{key}", f"must be positive, got {tol}")
 
     sweep = _get(doc, "sweep", "$", dict, required=False, default={})
     for key, vals in sweep.items():

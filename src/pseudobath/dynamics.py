@@ -2,7 +2,8 @@
 reconstruction.
 
 The extended state stacks the system amplitudes with one pseudomode copy per
-Lorentz peak; a trajectory keeps those states as one (T, (K+1)N) array.
+Lorentz peak; a trajectory keeps those states as one (T, (K+1)N) array.  A
+closed system (empty bath) is the K = 0 case of the same propagation.
 Tracing out the reservoirs maps the system part straight onto an
 (N+1) x (N+1) density matrix: the ground population is the missing norm.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import integrate_linear_ode
-from .model import InitialState, SystemHamiltonian, TimeGrid
+from .model import InitialState, TimeGrid
 from .pseudomode import EffectiveHamiltonian, _scale_factor
 
 
@@ -25,32 +26,10 @@ _MAX_NORM2 = (1.0 + 1e-9) ** 2
 
 
 @dataclass(frozen=True)
-class ExtendedState:
-    """System amplitudes plus K pseudomode copies, stacked as one vector."""
-
-    n: int
-    k: int
-    vector: np.ndarray
-
-    @property
-    def system_part(self) -> np.ndarray:
-        return self.vector[: self.n]
-
-    def pseudomode(self, j: int) -> np.ndarray:
-        """Amplitudes of pseudomode j (1-based, matching the bath peaks)."""
-        if not 1 <= j <= self.k:
-            raise IndexError(f"pseudomode index {j} out of range 1..{self.k}")
-        return self.vector[j * self.n : (j + 1) * self.n]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Extended states along a grid: row k of ``vectors`` is the
-    (K+1)N-vector at ``grid.points[k]``."""
+    (K+1)N-vector at ``grid.points[k]``, system amplitudes first, then
+    pseudomode j (1-based) in columns j*N .. (j+1)*N - 1."""
 
     grid: TimeGrid
     n: int
@@ -61,11 +40,6 @@ class Trajectory:
         expected = (len(self.grid), (self.k + 1) * self.n)
         if self.vectors.shape != expected:
             raise ValueError(f"state array shape {self.vectors.shape} != {expected}")
-
-    @property
-    def states(self) -> tuple[ExtendedState, ...]:
-        """Per-point ExtendedState views of the rows of ``vectors``."""
-        return tuple(ExtendedState(n=self.n, k=self.k, vector=y) for y in self.vectors)
 
     def system_parts(self) -> np.ndarray:
         """(T, N) view of the system amplitudes along the grid."""
@@ -108,19 +82,6 @@ def evolve(
     return Trajectory(grid=grid, n=heff.n, k=heff.k, vectors=ys)
 
 
-def evolve_closed(
-    h: SystemHamiltonian,
-    init: InitialState,
-    grid: TimeGrid,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-) -> Trajectory:
-    """Unitary evolution of the bare system (empty bath): ``evolve`` with no
-    pseudomodes."""
-    bare = EffectiveHamiltonian(n=h.n, k=0, eta=0.0, matrix=h.matrix)
-    return evolve(bare, init, grid, rtol=rtol, atol=atol)
-
-
 def _density_matrices(psi: np.ndarray, psi0: complex) -> tuple[np.ndarray, np.ndarray]:
     """Squared norms (T,) and density matrices (T, N+1, N+1) of the rows of
     a (T, N) array of system amplitudes.
@@ -139,9 +100,10 @@ def _density_matrices(psi: np.ndarray, psi0: complex) -> tuple[np.ndarray, np.nd
     return norm2, rho
 
 
-def reduced_density(state: ExtendedState, init: InitialState) -> ReducedDensityMatrix:
-    """Reduced density matrix of one extended state (see ``_density_matrices``)."""
-    norm2, rho = _density_matrices(state.system_part[np.newaxis, :], init.psi0)
+def reduced_density(psi: np.ndarray, init: InitialState) -> ReducedDensityMatrix:
+    """Reduced density matrix of the (N,) system amplitudes at one time, such
+    as a row of ``Trajectory.system_parts()`` (see ``_density_matrices``)."""
+    norm2, rho = _density_matrices(np.asarray(psi, dtype=complex)[np.newaxis, :], init.psi0)
     if norm2[0] > _MAX_NORM2:
         raise NormExceededError(
             f"system norm {np.sqrt(norm2[0]):.12f} exceeds 1: integration failed "
@@ -169,12 +131,10 @@ def observables(traj: Trajectory, init: InitialState) -> tuple[np.ndarray, np.nd
 
 
 __all__ = [
-    "ExtendedState",
     "NormExceededError",
     "ReducedDensityMatrix",
     "Trajectory",
     "evolve",
-    "evolve_closed",
     "observables",
     "reduced_density",
 ]

@@ -99,10 +99,6 @@ class BathModel:
     def k(self) -> int:
         return len(self.peaks)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.k == 0 and self.eta == 0.0
-
 
 @dataclass(frozen=True)
 class InitialState:

@@ -7,7 +7,8 @@ resulting (K+1)N-dimensional Schroedinger equation is local in time.  The
 anti-Hermitian part of its generator (the optical potential) certifies
 whether the reduced dynamics embeds into a GKSL semigroup on the enlarged
 space: the dilation exists iff the optical potential is non-negative
-definite.
+definite.  An empty bath (K = 0, eta = 0) is the closed system: the generator
+is H_S itself and the optical potential vanishes.
 """
 
 from dataclasses import dataclass
@@ -16,10 +17,6 @@ import numpy as np
 
 from .linalg import hermitian_eigenvalues
 from .model import BathModel, SystemHamiltonian
-
-
-class EmptyBathError(Exception):
-    """No peaks and no Ohmic term: the system is closed, integrate H_S directly."""
 
 
 def _scale_factor(eta: float) -> complex:
@@ -100,10 +97,9 @@ def build_effective_hamiltonian(h: SystemHamiltonian, bath: BathModel) -> Effect
     """Assemble the pseudomode generator for the given system and bath.
 
     For eta > 0 the input Hamiltonian is interpreted as the renormalized
-    H_S^(r) and the top block row is scaled by 1/(1 + i*eta/2).
+    H_S^(r) and the top block row is scaled by 1/(1 + i*eta/2).  An empty
+    bath gives the N x N generator H.
     """
-    if bath.is_empty:
-        raise EmptyBathError("bath has no peaks and no Ohmic part")
     n, k = h.n, bath.k
     f = _scale_factor(bath.eta)
     dim = (k + 1) * n
@@ -162,7 +158,8 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
 
     With eta = 0 the system block of the optical potential vanishes, so the
     dilation always exists regardless of the sign of H; the closed-form
-    branch short-circuits accordingly.
+    branch short-circuits accordingly.  An empty bath has a zero optical
+    potential and N trivial 1 x 1 blocks.
     """
     threshold = dilation_threshold(bath)
     min_eig_h = float(hermitian_eigenvalues(h_r.matrix)[0])
@@ -170,18 +167,6 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
         closed_form_pass = True
     else:
         closed_form_pass = min_eig_h >= threshold
-
-    if bath.is_empty:
-        # Closed system: nothing to dilate, the optical potential is zero.
-        return DilationReport(
-            spectral_pass=True,
-            min_eigenvalue_v=0.0,
-            closed_form_pass=True,
-            threshold=0.0,
-            min_eigenvalue_h=min_eig_h,
-            psd_tolerance=1e-10,
-            per_block=(),
-        )
 
     heff = build_effective_hamiltonian(h_r, bath)
     v = optical_potential(heff)
@@ -216,7 +201,6 @@ __all__ = [
     "DilationReport",
     "EffectiveBlock",
     "EffectiveHamiltonian",
-    "EmptyBathError",
     "OpticalPotential",
     "block_decompose",
     "build_effective_hamiltonian",

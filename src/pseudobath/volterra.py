@@ -4,13 +4,16 @@ pseudomode path.
 The memory equation d/dt psi = -i H psi - int_0^t G(t-s) psi(s) ds is
 integrated on a uniform grid with trapezoidal quadrature of the history
 integral and an explicit-Euler predictor / trapezoidal corrector step:
-global error O(h^2).  ``extrapolate=True`` combines runs at h and h/2 by
+global error O(h^2).  Each step sums the history once: the corrector's sum
+over the settled points, completed with the new endpoint, is the next
+predictor's memory term.  ``extrapolate=True`` combines runs at h and h/2 by
 Richardson extrapolation, which removes the leading error term and is what
 the tight cross-solver comparisons use.
 
-These solvers are deliberately transparent (O(steps^2) history sums, no
-kernel compression): their job is to certify the effective-Hamiltonian
-route, not to be fast.
+These solvers are deliberately transparent (a direct O(steps^2) history sum
+of the sampled kernel, no kernel compression and no use of the pseudomode
+structure): their job is to certify the effective-Hamiltonian route
+independently, not to be fast.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import SystemHamiltonian, ohmic_cutoff_correlation
+from .model import SystemHamiltonian, counterterm_shift, ohmic_cutoff_correlation
 
 Kernel = Callable[[np.ndarray], np.ndarray]
 
@@ -67,24 +70,17 @@ def _solve_volterra_core(
     y[0] = psi0
     a = -1j * generator
     g0 = gvals[0]
+    # trapezoid weights of y[0..k] in the history at t_{k+1}, endpoint excluded
+    w = np.ones(steps)
+    w[0] = 0.5
+    mem = np.zeros(n, dtype=complex)  # h * history integral at t_k
     for k in range(steps):
-        if k == 0:
-            mem_k = np.zeros(n, dtype=complex)
-        else:
-            w = np.ones(k + 1)
-            w[0] = 0.5
-            w[-1] = 0.5
-            mem_k = h * ((w * gvals[k::-1]) @ y[: k + 1])
-        f_k = a @ y[k] - mem_k
+        f_k = a @ y[k] - mem
         y_pred = y[k] + h * f_k
-        # history integral at t_{k+1} using the predicted endpoint
-        w = np.ones(k + 2)
-        w[0] = 0.5
-        w[-1] = 0.5
-        kern = gvals[k + 1 :: -1]
-        mem_next = h * ((w[:-1] * kern[:-1]) @ y[: k + 1] + 0.5 * g0 * y_pred)
-        f_next = a @ y_pred - mem_next
+        settled = (w[: k + 1] * gvals[k + 1 : 0 : -1]) @ y[: k + 1]
+        f_next = a @ y_pred - h * (settled + 0.5 * g0 * y_pred)
         y[k + 1] = y[k] + 0.5 * h * (f_k + f_next)
+        mem = h * (settled + 0.5 * g0 * y[k + 1])
     return y
 
 
@@ -162,31 +158,23 @@ def solve_cutoff_family(
     """Finite-cutoff runs whose large-cutoff limit is ``solve_renormalized``.
 
     For each cutoff the kernel gains the near-delta Ohmic part and the
-    Hamiltonian the counterterm shift eta*Omega/pi.  The step must resolve
-    the kernel's 1/Omega timescale: h <= 0.1/Omega.
+    Hamiltonian the counterterm shift eta*Omega/pi (``counterterm_shift``,
+    which rejects a negative eta or a non-positive Omega with ModelError).
+    The step must resolve the kernel's 1/Omega timescale: h <= 0.1/Omega.
     """
-    if eta < 0.0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
     h = t_max / steps
     out = []
     for omega in omegas:
-        if not (omega > 0.0):
-            raise ValueError(f"cutoff must be positive, got {omega}")
+        shifted = counterterm_shift(h_r, eta, omega)
         if eta > 0.0 and h > 0.1 / omega * (1.0 + 1e-12):
             raise StepTooCoarseError(
                 f"step {h:.3e} too coarse for cutoff {omega}: need h <= {0.1 / omega:.3e}"
             )
-        shifted = h_r.shifted(eta * omega / np.pi)
 
-        def combined(t, _omega=omega):
-            base = ohmic_cutoff_correlation(eta, _omega, t) if eta > 0.0 else 0.0
-            if kernel_c is not None:
-                base = base + np.asarray(kernel_c(t), dtype=complex)
-            return np.broadcast_to(np.asarray(base, dtype=complex), np.shape(t)).copy()
+        def kernel(t, omega=omega):
+            return ohmic_cutoff_correlation(eta, omega, t) + _kernel_on_grid(kernel_c, t)
 
-        out.append(
-            solve_integro_differential(shifted, combined, psi0, t_max, steps)
-        )
+        out.append(solve_integro_differential(shifted, kernel, psi0, t_max, steps))
     return out
 
 

@@ -107,7 +107,7 @@ def test_criterion_2_density_matrix_properties(cross_solver_batch):
     worst_third = 0.0
     for _, _, init, traj, _ in batch:
         rhos = np.stack(
-            [reduced_density(s, init).matrix for s in traj.states[:: 40]]
+            [reduced_density(psi, init).matrix for psi in traj.system_parts()[:: 40]]
         )
         worst_asym = max(worst_asym, np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max())
         worst_trace = max(worst_trace, np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0).max())
@@ -162,7 +162,7 @@ def test_criterion_4_norm_monotonicity(cross_solver_batch):
     for h, peaks, _, traj, _ in batch:
         report = check_dilation_closed_form(h, BathModel(peaks=peaks))
         assert report.spectral_pass
-        norms = np.array([s.norm for s in traj.states])
+        norms = np.linalg.norm(traj.vectors, axis=1)
         worst_increase = max(worst_increase, float(np.diff(norms).max()))
     rng = np.random.default_rng(99)
     count = 0
@@ -180,7 +180,7 @@ def test_criterion_4_norm_monotonicity(cross_solver_batch):
             continue
         heff = build_effective_hamiltonian(h, bath)
         traj = evolve(heff, random_initial(rng, n), TimeGrid.uniform(10.0, 201))
-        norms = np.array([s.norm for s in traj.states])
+        norms = np.linalg.norm(traj.vectors, axis=1)
         worst_increase = max(worst_increase, float(np.diff(norms).max()))
         count += 1
     ok = worst_increase <= 1e-9

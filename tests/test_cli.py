@@ -93,6 +93,45 @@ class TestParseConfig:
             apply_override(base_doc(), "bath.nope.g", 1.0)
 
 
+class TestInputErrors:
+    """Bad input from the file or the command line exits 2 naming the field."""
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["compare", "--oracle-steps", "5"], "$.solver.oracle_steps"),
+            (["simulate", "--atol", "-1"], "$.solver.atol"),
+        ],
+    )
+    def test_bad_override(self, tmp_path, capsys, argv, path):
+        cfg = write_config(tmp_path, base_doc())
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert path in capsys.readouterr().err
+
+    def test_bad_cutoff(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["bath"]["eta"] = 0.5
+        doc["solver"] = {"oracle_steps": 100}
+        argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", "-1"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "got -1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time.t_max", float("nan")),
+            ("time.t_max", float("inf")),
+            ("system.matrix[0][0]", [float("nan"), 0.0]),
+        ],
+    )
+    def test_non_finite_value(self, tmp_path, capsys, field, value):
+        doc = base_doc()
+        apply_override(doc, field, value)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"$.{field}:" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_outputs_and_initial_row(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())
@@ -131,6 +170,20 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(b)]) == EXIT_OK
         for name in ("trajectory.csv", "report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="unitary evolution: DOP853's norm drift at rtol 1e-9 (~2e-9) exceeds "
+        "the rho PSD tolerance 1e-10, so rho at t=0.8 fails the PSD check",
+    )
+    def test_closed_system_default_tolerances(self, tmp_path):
+        doc = base_doc()
+        doc["bath"] = {"peaks": [], "eta": 0.0}
+        doc["initial"] = {"psi": [[1.0, 0.0]], "psi0": [0.0, 0.0]}
+        doc["time"] = {"t_max": 10.0, "points": 101}
+        doc["solver"] = {"rtol": 1e-9, "atol": 1e-12, "oracle_steps": 4000}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from pseudobath.dynamics import (
-    ExtendedState,
     NormExceededError,
     Trajectory,
     evolve,
-    evolve_closed,
     observables,
     reduced_density,
 )
@@ -26,8 +24,8 @@ class TestEvolve:
     def test_pseudomodes_start_at_zero(self):
         heff, init = scalar_setup(0.5, 0.2)
         traj = evolve(heff, init, TimeGrid.uniform(1.0, 11))
-        assert np.linalg.norm(traj.states[0].pseudomode(1)) == 0.0
-        np.testing.assert_array_equal(traj.states[0].system_part, init.psi)
+        assert np.linalg.norm(traj.vectors[0, 1:2]) == 0.0
+        np.testing.assert_array_equal(traj.system_parts()[0], init.psi)
 
     def test_decoupled_limit_constant(self):
         heff, init = scalar_setup(1e-12, 1.0)
@@ -39,7 +37,7 @@ class TestEvolve:
         # gamma -> 0: the system-pseudomode pair is a bare two-level rotation
         heff, init = scalar_setup(1.0, 1e-9)
         traj = evolve(heff, init, TimeGrid(np.array([0.0, np.pi / 2])))
-        assert abs(np.linalg.norm(traj.states[-1].system_part) - abs(np.cos(np.pi / 2))) < 1e-4
+        assert abs(np.linalg.norm(traj.system_parts()[-1]) - abs(np.cos(np.pi / 2))) < 1e-4
 
     def test_matches_matrix_exponential(self):
         heff, init = scalar_setup(0.5, 0.2)
@@ -47,9 +45,9 @@ class TestEvolve:
         traj = evolve(heff, init, grid)
         lam, v = np.linalg.eig(heff.matrix)
         c = np.linalg.solve(v, np.array([1.0, 0.0], dtype=complex))
-        for t, state in zip(grid.points, traj.states):
+        for t, vector in zip(grid.points, traj.vectors):
             exact = v @ (np.exp(-1j * lam * t) * c)
-            assert np.abs(state.vector - exact).max() < 1e-8
+            assert np.abs(vector - exact).max() < 1e-8
 
     def test_renormalized_initial_condition(self):
         h = SystemHamiltonian(np.array([[1.0]]))
@@ -60,13 +58,13 @@ class TestEvolve:
         scaled = evolve(heff, init, grid)
         bare = evolve(heff, init, grid, renormalize_init=False)
         f = 1.0 / (1.0 + 0.5j)
-        assert scaled.states[0].system_part[0] == pytest.approx(f)
-        assert bare.states[0].system_part[0] == pytest.approx(1.0)
+        assert scaled.system_parts()[0, 0] == pytest.approx(f)
+        assert bare.system_parts()[0, 0] == pytest.approx(1.0)
 
     def test_empty_bath_closed_evolution(self):
         h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))
         init = InitialState(psi=np.array([0.6, 0.8j]), psi0=0.0)
-        traj = evolve_closed(h, init, TimeGrid.uniform(2.0, 5))
+        traj = evolve(build_effective_hamiltonian(h, BathModel()), init, TimeGrid.uniform(2.0, 5))
         assert traj.vectors.shape == (5, 2)
         assert traj.k == 0
         np.testing.assert_array_equal(traj.vectors[0], init.psi)
@@ -76,32 +74,28 @@ class TestEvolve:
 
 class TestReducedDensity:
     def test_theorem_substitution(self):
-        state = ExtendedState(n=1, k=0, vector=np.array([0.6 + 0.0j]))
         init = InitialState(psi=np.array([0.6]), psi0=0.8)
-        rho = reduced_density(state, init).matrix
+        rho = reduced_density(np.array([0.6 + 0.0j]), init).matrix
         np.testing.assert_allclose(rho, np.array([[0.64, 0.48], [0.48, 0.36]]), atol=1e-15)
         assert np.trace(rho).real == pytest.approx(1.0)
 
     def test_full_decay_is_pure_ground(self):
-        state = ExtendedState(n=2, k=0, vector=np.zeros(2, dtype=complex))
         init = InitialState(psi=np.array([1.0, 0.0]), psi0=0.0)
-        rho = reduced_density(state, init).matrix
+        rho = reduced_density(np.zeros(2, dtype=complex), init).matrix
         np.testing.assert_allclose(rho, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
 
     def test_initial_excited_state_rank_one(self):
         psi = np.array([0.6, 0.8j])
-        state = ExtendedState(n=2, k=0, vector=psi.astype(complex))
         init = InitialState(psi=psi, psi0=0.0)
-        rho = reduced_density(state, init).matrix
+        rho = reduced_density(psi.astype(complex), init).matrix
         assert rho[0, 0] == pytest.approx(0.0, abs=1e-15)
         eigs = np.sort(np.linalg.eigvalsh(rho))
         np.testing.assert_allclose(eigs, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_norm_overflow_rejected(self):
-        state = ExtendedState(n=1, k=0, vector=np.array([1.1 + 0.0j]))
         init = InitialState(psi=np.array([1.0]), psi0=0.0)
         with pytest.raises(NormExceededError):
-            reduced_density(state, init)
+            reduced_density(np.array([1.1 + 0.0j]), init)
 
 
 class TestObservables:
@@ -116,7 +110,7 @@ class TestObservables:
     def test_closed_system_population_constant(self):
         h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))
         init = InitialState(psi=np.array([1.0, 0.0], dtype=complex), psi0=0.0)
-        traj = evolve_closed(h, init, TimeGrid.uniform(10.0, 41))
+        traj = evolve(build_effective_hamiltonian(h, BathModel()), init, TimeGrid.uniform(10.0, 41))
         pops, _ = observables(traj, init)
         assert max(abs(p - 1.0) for p in pops) < 1e-9
 
@@ -129,7 +123,7 @@ class TestObservables:
     def test_norm_non_increasing_when_dilatable(self):
         heff, init = scalar_setup(0.8, 0.5, epsilon=0.3)
         traj = evolve(heff, init, TimeGrid.uniform(10.0, 101))
-        norms = np.array([s.norm for s in traj.states])
+        norms = np.linalg.norm(traj.vectors, axis=1)
         assert np.all(np.diff(norms) <= 1e-9)
 
     def test_rho_invariants_along_trajectory(self):
@@ -153,11 +147,10 @@ class TestObservables:
         traj = evolve(build_effective_hamiltonian(h, bath), init, TimeGrid.uniform(8.0, 97))
         excited, rho = observables(traj, init)
         assert rho.shape == (97, 4, 4)
-        per_point = np.stack([reduced_density(s, init).matrix for s in traj.states])
+        per_point = np.stack([reduced_density(psi, init).matrix for psi in traj.system_parts()])
         np.testing.assert_array_equal(rho, per_point)
         # the per-point formula written out with np.vdot and np.outer
-        for e, m, state in zip(excited, rho, traj.states):
-            psi = state.system_part
+        for e, m, psi in zip(excited, rho, traj.system_parts()):
             norm2 = float(np.vdot(psi, psi).real)
             assert e == norm2
             ref = np.zeros((4, 4), dtype=complex)

@@ -41,7 +41,7 @@ class TestTypes:
             BathModel(eta=-0.1)
         with pytest.raises(ModelError):
             BathModel(eta=1.0, cutoff=0.0)
-        assert BathModel().is_empty
+        assert BathModel().k == 0 and BathModel().eta == 0.0
 
     def test_initial_state_normalization(self):
         with pytest.raises(ModelError):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pseudobath.model import BathModel, LorentzPeak, SystemHamiltonian
 from pseudobath.pseudomode import (
-    EmptyBathError,
     block_decompose,
     build_effective_hamiltonian,
     check_dilation_closed_form,
@@ -63,9 +62,11 @@ class TestBuildEffectiveHamiltonian:
         assert m[0, 1] == pytest.approx(0.7 * f)
         assert m[1, 0] == pytest.approx(0.7)
 
-    def test_empty_bath_rejected(self):
-        with pytest.raises(EmptyBathError):
-            build_effective_hamiltonian(SystemHamiltonian(np.eye(2)), BathModel())
+    def test_empty_bath_generator_is_system_hamiltonian(self):
+        h = SystemHamiltonian(np.array([[0.2, 0.3 - 0.1j], [0.3 + 0.1j, -0.4]]))
+        heff = build_effective_hamiltonian(h, BathModel())
+        assert (heff.n, heff.k, heff.dim) == (2, 0, 2)
+        np.testing.assert_array_equal(heff.matrix, h.matrix)
 
     def test_anti_hermitian_part_structure(self):
         # eta = 0: H_eff - H_eff^dag = -i * (0 + gamma_1 I + ... + gamma_K I)
@@ -190,6 +191,21 @@ class TestDilation:
     def test_empty_bath_trivial_pass(self):
         report = check_dilation_closed_form(SystemHamiltonian(np.diag([-1.0])), BathModel())
         assert report.closed_form_pass and report.spectral_pass
+
+    def test_empty_bath_report(self):
+        # a closed system: zero optical potential, one trivial block per level
+        h = SystemHamiltonian(np.array([[0.5, 0.1j, 0.0], [-0.1j, -1.0, 0.3], [0.0, 0.3, 1.5]]))
+        report = check_dilation_closed_form(h, BathModel())
+        assert report.threshold == 0.0
+        assert report.min_eigenvalue_v == 0.0
+        assert report.psd_tolerance == 1e-10
+        assert len(report.per_block) == 3
+        np.testing.assert_allclose(
+            [b.e_alpha for b in report.per_block], np.linalg.eigvalsh(h.matrix), atol=1e-14
+        )
+        for b in report.per_block:
+            assert b.min_eigenvalue == 0.0
+            assert b.passed
 
     def test_per_block_consistent_with_global(self):
         rng = np.random.default_rng(10)

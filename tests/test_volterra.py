@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pseudobath import volterra
 from pseudobath.dynamics import evolve
 from pseudobath.model import (
     BathModel,
@@ -9,6 +10,7 @@ from pseudobath.model import (
     SystemHamiltonian,
     TimeGrid,
     lorentz_correlation,
+    ohmic_cutoff_correlation,
 )
 from pseudobath.pseudomode import build_effective_hamiltonian
 from pseudobath.volterra import (
@@ -26,6 +28,54 @@ PSI0 = np.array([1.0 + 0.0j])
 def peak_kernel(*peaks):
     peaks = tuple(peaks)
     return lambda t: lorentz_correlation(peaks, t)
+
+
+def two_sum_march(generator, gvals, psi0, h, steps):
+    """Reference march: predictor and corrector each sum the whole trapezoid
+    history directly, with fresh weight arrays at every step."""
+    n = psi0.shape[0]
+    y = np.zeros((steps + 1, n), dtype=complex)
+    y[0] = psi0
+    a = -1j * generator
+    g0 = gvals[0]
+    for k in range(steps):
+        if k == 0:
+            mem_k = np.zeros(n, dtype=complex)
+        else:
+            w = np.ones(k + 1)
+            w[0] = 0.5
+            w[-1] = 0.5
+            mem_k = h * ((w * gvals[k::-1]) @ y[: k + 1])
+        f_k = a @ y[k] - mem_k
+        y_pred = y[k] + h * f_k
+        w = np.ones(k + 2)
+        w[0] = 0.5
+        w[-1] = 0.5
+        kern = gvals[k + 1 :: -1]
+        mem_next = h * ((w[:-1] * kern[:-1]) @ y[: k + 1] + 0.5 * g0 * y_pred)
+        f_next = a @ y_pred - mem_next
+        y[k + 1] = y[k] + 0.5 * h * (f_k + f_next)
+    return y
+
+
+class TestMarch:
+    H2 = SystemHamiltonian(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.9]]))
+    PSI2 = np.array([0.6, 0.5j])
+    KERNELS = {
+        "lorentz": peak_kernel(LorentzPeak(0.7, 0.5, 0.2), LorentzPeak(0.4, 1.1, -0.3)),
+        "ohmic-cutoff": lambda t: ohmic_cutoff_correlation(0.5, 20.0, t),
+    }
+
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_matches_two_sum_reference(self, monkeypatch, kernel, extrapolate):
+        solve = lambda: solve_integro_differential(
+            self.H2, self.KERNELS[kernel], self.PSI2, 2.0, 400, extrapolate=extrapolate
+        )
+        new = solve().states
+        monkeypatch.setattr(volterra, "_solve_volterra_core", two_sum_march)
+        ref = solve().states
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestIntegroDifferential:
