@@ -19,11 +19,9 @@ from .dynamics import (
 )
 from .linalg import (
     DimensionMismatchError,
-    HermitianEigenResult,
     LinAlgError,
     NotHermitianError,
     StepUnderflowError,
-    hermitian_eigen,
     hermitian_eigenvalues,
     integrate_linear_ode,
 )
@@ -42,7 +40,6 @@ from .model import (
 )
 from .pseudomode import (
     DilationReport,
-    EffectiveBlock,
     EffectiveHamiltonian,
     OpticalPotential,
     block_decompose,

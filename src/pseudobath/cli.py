@@ -9,6 +9,7 @@ byte-identical artifacts.
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -74,22 +75,12 @@ def _dilation_dict(report: DilationReport) -> dict:
 
 
 def _lorentz_kernel(bath):
-    if bath.k == 0:
-        return None
-    peaks = bath.peaks
-    return lambda t: lorentz_correlation(peaks, t)
+    return lambda t: lorentz_correlation(bath.peaks, t)
 
 
-def _run_trajectory(cfg: RunConfig, grid: TimeGrid, renormalize_init: bool):
+def _run_trajectory(cfg: RunConfig, grid: TimeGrid):
     heff = pseudomode.build_effective_hamiltonian(cfg.system, cfg.bath)
-    return dynamics.evolve(
-        heff,
-        cfg.initial,
-        grid,
-        rtol=cfg.solver.rtol,
-        atol=cfg.solver.atol,
-        renormalize_init=renormalize_init,
-    )
+    return dynamics.evolve(heff, cfg.initial, grid, rtol=cfg.solver.rtol, atol=cfg.solver.atol)
 
 
 def _row_template(cols: int) -> str:
@@ -118,9 +109,9 @@ def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[float, float]:
     return float(trace_dev.max()), float(min_eig.min())
 
 
-def _simulate(cfg: RunConfig, out_dir: str, renormalize_init: bool) -> dict:
+def _simulate(cfg: RunConfig, out_dir: str) -> dict:
     grid = TimeGrid.uniform(cfg.t_max, cfg.output_points)
-    traj = _run_trajectory(cfg, grid, renormalize_init)
+    traj = _run_trajectory(cfg, grid)
     dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
     excited, rho = dynamics.observables(traj, cfg.initial)
 
@@ -170,7 +161,7 @@ def _simulate(cfg: RunConfig, out_dir: str, renormalize_init: bool) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    _simulate(cfg, args.out, not args.unrenormalized_init)
+    _simulate(cfg, args.out)
     return EXIT_OK
 
 
@@ -184,19 +175,16 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
+    if not 0.0 <= args.threshold < math.inf:
+        sys.stderr.write(f"--threshold must be finite and >= 0, got {args.threshold}\n")
+        return EXIT_CONFIG
     steps = cfg.solver.oracle_steps
-    grid = TimeGrid.uniform(cfg.t_max, steps + 1)
-    traj = _run_trajectory(cfg, grid, renormalize_init=not args.unrenormalized_init)
-    kernel = _lorentz_kernel(cfg.bath)
-    if cfg.bath.eta > 0.0:
-        oracle = volterra.solve_renormalized(
-            cfg.system, cfg.bath.eta, kernel, cfg.initial.psi, cfg.t_max, steps,
-            extrapolate=True,
-        )
-    else:
-        oracle = volterra.solve_integro_differential(
-            cfg.system, kernel, cfg.initial.psi, cfg.t_max, steps, extrapolate=True
-        )
+    traj = _run_trajectory(cfg, TimeGrid.uniform(cfg.t_max, steps + 1))
+    # at eta = 0 this is exactly solve_integro_differential
+    oracle = volterra.solve_renormalized(
+        cfg.system, cfg.bath.eta, _lorentz_kernel(cfg.bath), cfg.initial.psi, cfg.t_max,
+        steps, extrapolate=True,
+    )
     sup = volterra.compare_trajectories(traj, oracle, norm="sup")
     l2 = volterra.compare_trajectories(traj, oracle, norm="L2")
     report = {
@@ -221,12 +209,13 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
         return EXIT_CONFIG
     steps = cfg.solver.oracle_steps
     kernel = _lorentz_kernel(cfg.bath)
+    # the family checks every cutoff before its first march, so it runs first
+    family = volterra.solve_cutoff_family(
+        cfg.system, cfg.bath.eta, args.omegas, kernel, cfg.initial.psi, cfg.t_max, steps
+    )
     reference = volterra.solve_renormalized(
         cfg.system, cfg.bath.eta, kernel, cfg.initial.psi, cfg.t_max, steps,
         extrapolate=True,
-    )
-    family = volterra.solve_cutoff_family(
-        cfg.system, cfg.bath.eta, args.omegas, kernel, cfg.initial.psi, cfg.t_max, steps
     )
     mask = reference.times >= args.t_min
     if not np.any(mask):
@@ -244,9 +233,8 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
 
 
 def _sweep_point(payload):
-    text, out_dir, renormalize_init = payload
-    cfg = parse_config(text)
-    _simulate(cfg, out_dir, renormalize_init)
+    text, out_dir = payload
+    _simulate(parse_config(text), out_dir)
     return out_dir
 
 
@@ -266,7 +254,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             apply_override(doc, path, value)
         doc.pop("sweep", None)
         point_dir = os.path.join(args.out, f"point_{index:04d}")
-        jobs.append((json.dumps(doc), point_dir, not args.unrenormalized_init))
+        jobs.append((json.dumps(doc), point_dir))
         manifest.append(
             {
                 "index": index,
@@ -302,11 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--atol", type=float, default=None, help="override ODE atol")
         p.add_argument(
             "--oracle-steps", type=int, default=None, help="override oracle step count"
-        )
-        p.add_argument(
-            "--unrenormalized-init",
-            action="store_true",
-            help="skip the 1/(1+i*eta/2) rescaling of the initial system part",
         )
 
     p = sub.add_parser("simulate", help="run the pseudomode dynamics, emit CSV + report")

@@ -76,6 +76,13 @@ def _number(obj, key, path, required=True, default=None):
     return float(val)
 
 
+def _finite(obj, key, path, required=True, default=None):
+    val = _number(obj, key, path, required=required, default=default)
+    if not math.isfinite(val):
+        raise ValidationError(f"{path}.{key}", f"must be finite, got {val}")
+    return val
+
+
 def _complex(val, path) -> complex:
     if (
         not isinstance(val, list)
@@ -123,17 +130,17 @@ def parse_config(text) -> RunConfig:
         ppath = f"$.bath.peaks[{i}]"
         if not isinstance(p, dict):
             raise ValidationError(ppath, "expected an object")
-        g = _number(p, "g", ppath)
-        gamma = _number(p, "gamma", ppath)
-        epsilon = _number(p, "epsilon", ppath, required=False, default=0.0)
+        g = _finite(p, "g", ppath)
+        gamma = _finite(p, "gamma", ppath)
+        epsilon = _finite(p, "epsilon", ppath, required=False, default=0.0)
         try:
             peaks.append(LorentzPeak(g=g, gamma=gamma, epsilon=epsilon))
         except ModelError as exc:
             raise ValidationError(ppath, str(exc)) from exc
-    eta = _number(bath_obj, "eta", "$.bath", required=False, default=0.0)
+    eta = _finite(bath_obj, "eta", "$.bath", required=False, default=0.0)
     cutoff = None
     if bath_obj.get("cutoff") is not None:
-        cutoff = _number(bath_obj, "cutoff", "$.bath")
+        cutoff = _finite(bath_obj, "cutoff", "$.bath")
     try:
         bath = BathModel(peaks=tuple(peaks), eta=eta, cutoff=cutoff)
     except ModelError as exc:

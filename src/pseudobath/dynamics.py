@@ -63,20 +63,19 @@ def evolve(
     grid: TimeGrid,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    renormalize_init: bool = True,
 ) -> Trajectory:
     """Integrate the extended Schroedinger equation from psi(0) + zero
     pseudomodes.
 
     With an Ohmic bath the system part of the initial vector is scaled by
-    1/(1 + i*eta/2), matching the cutoff-removal limit; pass
-    ``renormalize_init=False`` to start from the bare psi(0) instead.
+    1/(1 + i*eta/2), matching the cutoff-removal limit that the direct
+    solver (``volterra.solve_renormalized``) also starts from.
     """
     if init.n != heff.n:
         raise ValueError(f"initial state dim {init.n} != system dim {heff.n}")
     y0 = np.zeros(heff.dim, dtype=complex)
     y0[: heff.n] = init.psi
-    if heff.eta > 0.0 and renormalize_init:
+    if heff.eta > 0.0:
         y0[: heff.n] *= _scale_factor(heff.eta)
     ys = integrate_linear_ode(heff.matrix, y0, grid.points, rtol=rtol, atol=atol)
     return Trajectory(grid=grid, n=heff.n, k=heff.k, vectors=ys)

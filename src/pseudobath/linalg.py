@@ -1,12 +1,10 @@
 """Dense complex linear algebra and linear-ODE integration.
 
 Everything here operates on plain numpy arrays (complex128).  Hermitian
-eigenproblems go to LAPACK through numpy, behind a Hermiticity check that is
-stricter than any solver tolerance; the linear ODE is integrated by scipy's
-DOP853 and returned as one (T, dim) array.
+eigenvalues, of one matrix or of a stack, go to LAPACK through numpy behind a
+Hermiticity check that is stricter than any solver tolerance; the linear ODE
+is integrated by scipy's DOP853 and returned as one (T, dim) array.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -42,39 +40,28 @@ def as_square_matrix(a) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-norm of A - A^dagger relative to 1 + max-norm of A."""
+def hermiticity_defect(a: np.ndarray):
+    """Max-norm of A - A^dagger relative to 1 + max-norm of A, for a matrix
+    or for each matrix of a (..., n, n) stack."""
     a = np.asarray(a, dtype=complex)
-    scale = 1.0 + np.abs(a).max(initial=0.0)
-    return float(np.abs(a - a.conj().T).max(initial=0.0) / scale)
-
-
-@dataclass(frozen=True)
-class HermitianEigenResult:
-    """Ascending eigenvalues and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _hermitian_part(a) -> np.ndarray:
-    """0.5 (A + A^dagger) of a finite square A, Hermitian to HERMITICITY_RTOL;
-    raises DimensionMismatchError, LinAlgError or NotHermitianError otherwise."""
-    a = as_square_matrix(a)
-    defect = hermiticity_defect(a)
-    if defect > HERMITICITY_RTOL:
-        raise NotHermitianError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-    return 0.5 * (a + a.conj().T)
-
-
-def hermitian_eigen(a) -> HermitianEigenResult:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``)."""
-    return HermitianEigenResult(*np.linalg.eigh(_hermitian_part(a)))
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) / scale
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (``numpy.linalg.eigvalsh``)."""
-    return np.linalg.eigvalsh(_hermitian_part(a))
+    """Ascending eigenvalues (``numpy.linalg.eigvalsh`` of 0.5 (A + A^dagger))
+    of a Hermitian matrix or of each matrix of a (..., n, n) stack.  Raises
+    DimensionMismatchError, LinAlgError or NotHermitianError unless every
+    matrix is square, finite and Hermitian to HERMITICITY_RTOL."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a.view(float))):
+        raise LinAlgError("matrix contains non-finite entries")
+    defect = np.max(hermiticity_defect(a), initial=0.0)
+    if defect > HERMITICITY_RTOL:
+        raise NotHermitianError(f"matrix is not Hermitian (relative defect {defect:.3e})")
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
 
 
 def integrate_linear_ode(

@@ -7,8 +7,10 @@ resulting (K+1)N-dimensional Schroedinger equation is local in time.  The
 anti-Hermitian part of its generator (the optical potential) certifies
 whether the reduced dynamics embeds into a GKSL semigroup on the enlarged
 space: the dilation exists iff the optical potential is non-negative
-definite.  An empty bath (K = 0, eta = 0) is the closed system: the generator
-is H_S itself and the optical potential vanishes.
+definite.  The generator is one (K+1) x (K+1) bath block tensored with the
+N x N identity, f*H_S in its system corner; in the eigenbasis of H_S it
+splits into N such blocks with f*E_alpha in the corner.  An empty bath
+(K = 0, eta = 0) is the closed system: the generator is H_S itself.
 """
 
 from dataclasses import dataclass
@@ -57,16 +59,6 @@ class OpticalPotential:
 
 
 @dataclass(frozen=True)
-class EffectiveBlock:
-    """(K+1) x (K+1) block of the effective Hamiltonian in the global basis,
-    one per eigenvalue E_alpha of the system Hamiltonian."""
-
-    alpha: int
-    e_alpha: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class BlockResult:
     alpha: int
     e_alpha: float
@@ -93,52 +85,57 @@ class DilationReport:
     per_block: tuple[BlockResult, ...]
 
 
+def _bath_block(bath: BathModel) -> np.ndarray:
+    """(K+1) x (K+1) coupling pattern shared by the generator and its blocks:
+    A[0, 0] = 0, A[0, j] = f*g_j, A[j, 0] = g_j, A[j, j] = eps_j - i*gamma_j/2."""
+    g = np.array([p.g for p in bath.peaks])
+    a = np.zeros((bath.k + 1, bath.k + 1), dtype=complex)
+    a[0, 1:] = _scale_factor(bath.eta) * g
+    a[1:, 0] = g
+    a[1:, 1:] = np.diag([p.epsilon - 0.5j * p.gamma for p in bath.peaks])
+    return a
+
+
+def _blocks(e: np.ndarray, bath: BathModel) -> np.ndarray:
+    """(N, K+1, K+1) stack: the bath block with f*E_alpha in corner alpha."""
+    blocks = np.repeat(_bath_block(bath)[np.newaxis], e.shape[0], axis=0)
+    blocks[:, 0, 0] = _scale_factor(bath.eta) * e
+    return blocks
+
+
+def _optical(m: np.ndarray) -> np.ndarray:
+    """(i/2)(M - M^dagger) of a matrix or of each matrix in a (..., d, d) stack."""
+    return 0.5j * (m - m.conj().swapaxes(-1, -2))
+
+
 def build_effective_hamiltonian(h: SystemHamiltonian, bath: BathModel) -> EffectiveHamiltonian:
-    """Assemble the pseudomode generator for the given system and bath.
+    """Assemble the pseudomode generator for the given system and bath: the
+    bath block tensored with the N x N identity, with f*H in the system
+    corner.
 
     For eta > 0 the input Hamiltonian is interpreted as the renormalized
-    H_S^(r) and the top block row is scaled by 1/(1 + i*eta/2).  An empty
-    bath gives the N x N generator H.
+    H_S^(r) and the top block row is scaled by f = 1/(1 + i*eta/2).  An
+    empty bath gives the N x N generator H.
     """
-    n, k = h.n, bath.k
-    f = _scale_factor(bath.eta)
-    dim = (k + 1) * n
-    m = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(n)
-    m[:n, :n] = f * h.matrix
-    for j, p in enumerate(bath.peaks, start=1):
-        lo = j * n
-        m[:n, lo : lo + n] = f * p.g * eye
-        m[lo : lo + n, :n] = p.g * eye
-        m[lo : lo + n, lo : lo + n] = (p.epsilon - 0.5j * p.gamma) * eye
-    return EffectiveHamiltonian(n=n, k=k, eta=bath.eta, matrix=m)
+    m = np.kron(_bath_block(bath), np.eye(h.n))
+    m[: h.n, : h.n] = _scale_factor(bath.eta) * h.matrix
+    return EffectiveHamiltonian(n=h.n, k=bath.k, eta=bath.eta, matrix=m)
 
 
 def optical_potential(heff: EffectiveHamiltonian) -> OpticalPotential:
-    v = 0.5j * (heff.matrix - heff.matrix.conj().T)
-    return OpticalPotential(matrix=v)
+    return OpticalPotential(matrix=_optical(heff.matrix))
 
 
-def block_decompose(h: SystemHamiltonian, bath: BathModel) -> list[EffectiveBlock]:
-    """Decompose the effective Hamiltonian into (K+1) x (K+1) blocks, one per
-    eigenvalue of the system Hamiltonian (with multiplicity).
+def block_decompose(h: SystemHamiltonian, bath: BathModel) -> np.ndarray:
+    """Decompose the effective Hamiltonian into an (N, K+1, K+1) array of
+    blocks, one per eigenvalue E_alpha of the system Hamiltonian (ascending,
+    with multiplicity).
 
-    The blocks arise from rotating every N-dimensional subspace into the
-    eigenbasis of H; their spectra jointly reproduce the spectrum of the full
-    effective Hamiltonian.
+    Rotating every N-dimensional subspace into the eigenbasis of H leaves
+    block alpha equal to the bath block with f*E_alpha in its corner; the
+    block spectra jointly reproduce the spectrum of the full generator.
     """
-    f = _scale_factor(bath.eta)
-    g = np.array([p.g for p in bath.peaks])
-    diag = np.array([p.epsilon - 0.5j * p.gamma for p in bath.peaks])
-    blocks = []
-    for alpha, e_alpha in enumerate(hermitian_eigenvalues(h.matrix)):
-        m = np.zeros((bath.k + 1, bath.k + 1), dtype=complex)
-        m[0, 0] = f * e_alpha
-        m[0, 1:] = f * g
-        m[1:, 0] = g
-        m[1:, 1:] = np.diag(diag)
-        blocks.append(EffectiveBlock(alpha=alpha, e_alpha=float(e_alpha), matrix=m))
-    return blocks
+    return _blocks(hermitian_eigenvalues(h.matrix), bath)
 
 
 def check_dilation_spectral(v: OpticalPotential) -> tuple[bool, float]:
@@ -158,32 +155,22 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
 
     With eta = 0 the system block of the optical potential vanishes, so the
     dilation always exists regardless of the sign of H; the closed-form
-    branch short-circuits accordingly.  An empty bath has a zero optical
-    potential and N trivial 1 x 1 blocks.
+    branch short-circuits accordingly.  The block optical potentials are
+    diagonalized as one stack.  An empty bath has a zero optical potential
+    and N trivial 1 x 1 blocks.
     """
     threshold = dilation_threshold(bath)
-    min_eig_h = float(hermitian_eigenvalues(h_r.matrix)[0])
-    if bath.eta == 0.0:
-        closed_form_pass = True
-    else:
-        closed_form_pass = min_eig_h >= threshold
+    e = hermitian_eigenvalues(h_r.matrix)
+    min_eig_h = float(e[0])
+    closed_form_pass = bath.eta == 0.0 or min_eig_h >= threshold
 
-    heff = build_effective_hamiltonian(h_r, bath)
-    v = optical_potential(heff)
+    v = optical_potential(build_effective_hamiltonian(h_r, bath))
     spectral_pass, min_eig_v = check_dilation_spectral(v)
-
-    per_block = []
-    for block in block_decompose(h_r, bath):
-        bv = 0.5j * (block.matrix - block.matrix.conj().T)
-        bmin = float(hermitian_eigenvalues(bv)[0])
-        per_block.append(
-            BlockResult(
-                alpha=block.alpha,
-                e_alpha=block.e_alpha,
-                min_eigenvalue=bmin,
-                passed=bmin >= -v.psd_tolerance,
-            )
-        )
+    block_min = hermitian_eigenvalues(_optical(_blocks(e, bath)))[:, 0]
+    per_block = tuple(
+        BlockResult(alpha, e_alpha, bmin, bmin >= -v.psd_tolerance)
+        for alpha, (e_alpha, bmin) in enumerate(zip(e.tolist(), block_min.tolist()))
+    )
 
     return DilationReport(
         spectral_pass=spectral_pass,
@@ -192,14 +179,13 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
         threshold=threshold,
         min_eigenvalue_h=min_eig_h,
         psd_tolerance=v.psd_tolerance,
-        per_block=tuple(per_block),
+        per_block=per_block,
     )
 
 
 __all__ = [
     "BlockResult",
     "DilationReport",
-    "EffectiveBlock",
     "EffectiveHamiltonian",
     "OpticalPotential",
     "block_decompose",

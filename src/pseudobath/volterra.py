@@ -161,21 +161,24 @@ def solve_cutoff_family(
     Hamiltonian the counterterm shift eta*Omega/pi (``counterterm_shift``,
     which rejects a negative eta or a non-positive Omega with ModelError).
     The step must resolve the kernel's 1/Omega timescale: h <= 0.1/Omega.
+    Every cutoff is checked before the first march.
     """
     h = t_max / steps
-    out = []
+    shifted = []
     for omega in omegas:
-        shifted = counterterm_shift(h_r, eta, omega)
+        shifted.append((omega, counterterm_shift(h_r, eta, omega)))
         if eta > 0.0 and h > 0.1 / omega * (1.0 + 1e-12):
             raise StepTooCoarseError(
                 f"step {h:.3e} too coarse for cutoff {omega}: need h <= {0.1 / omega:.3e}"
             )
 
-        def kernel(t, omega=omega):
-            return ohmic_cutoff_correlation(eta, omega, t) + _kernel_on_grid(kernel_c, t)
+    def kernel(omega):
+        return lambda t: ohmic_cutoff_correlation(eta, omega, t) + _kernel_on_grid(kernel_c, t)
 
-        out.append(solve_integro_differential(shifted, kernel, psi0, t_max, steps))
-    return out
+    return [
+        solve_integro_differential(h_s, kernel(omega), psi0, t_max, steps)
+        for omega, h_s in shifted
+    ]
 
 
 def _system_states(traj) -> tuple[np.ndarray, np.ndarray]:

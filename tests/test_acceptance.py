@@ -262,7 +262,7 @@ def test_criterion_7_block_spectrum_similarity():
         full = build_effective_hamiltonian(h, bath).matrix
         ev_full = np.linalg.eigvals(full)
         ev_blocks = np.concatenate(
-            [np.linalg.eigvals(b.matrix) for b in block_decompose(h, bath)]
+            [np.linalg.eigvals(b) for b in block_decompose(h, bath)]
         )
         order = lambda z: np.lexsort((z.imag, z.real))
         diff = np.abs(ev_full[order(ev_full)] - ev_blocks[order(ev_blocks)]).max()

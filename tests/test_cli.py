@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from pseudobath import volterra
 from pseudobath.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_THRESHOLD,
     _fmt,
@@ -116,12 +118,40 @@ class TestInputErrors:
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "got -1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_threshold(self, tmp_path, capsys, value):
+        argv = ["compare", "--config", write_config(tmp_path, base_doc()), "--threshold", value]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "--threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "omegas, code", [(["20", "-1"], EXIT_CONFIG), (["20", "40"], EXIT_NUMERICAL)]
+    )
+    def test_cutoff_study_checks_every_omega_first(self, tmp_path, monkeypatch, omegas, code):
+        # 1000 steps over t_max = 5 resolve Omega = 20 but not Omega = 40
+        doc = base_doc()
+        doc["bath"]["eta"] = 0.5
+        doc["solver"] = {"oracle_steps": 1000}
+        marches = []
+        monkeypatch.setattr(volterra, "_solve_volterra_core", lambda *a: marches.append(a))
+        argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", *omegas]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == code
+        assert marches == []
+
     @pytest.mark.parametrize(
         "field, value",
         [
             ("time.t_max", float("nan")),
             ("time.t_max", float("inf")),
             ("system.matrix[0][0]", [float("nan"), 0.0]),
+            ("bath.eta", float("nan")),
+            ("bath.eta", float("inf")),
+            ("bath.peaks[0].epsilon", float("nan")),
+            ("bath.peaks[0].epsilon", float("inf")),
+            ("bath.peaks[0].g", float("inf")),
+            ("bath.peaks[0].gamma", float("inf")),
+            ("bath.cutoff", float("inf")),
         ],
     )
     def test_non_finite_value(self, tmp_path, capsys, field, value):

@@ -56,10 +56,8 @@ class TestEvolve:
         init = InitialState(psi=np.array([1.0 + 0.0j]), psi0=0.0)
         grid = TimeGrid.uniform(1.0, 3)
         scaled = evolve(heff, init, grid)
-        bare = evolve(heff, init, grid, renormalize_init=False)
         f = 1.0 / (1.0 + 0.5j)
         assert scaled.system_parts()[0, 0] == pytest.approx(f)
-        assert bare.system_parts()[0, 0] == pytest.approx(1.0)
 
     def test_empty_bath_closed_evolution(self):
         h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudobath.model import BathModel, LorentzPeak, SystemHamiltonian
+from pseudobath.linalg import hermitian_eigenvalues
 from pseudobath.pseudomode import (
+    BlockResult,
     block_decompose,
     build_effective_hamiltonian,
     check_dilation_closed_form,
@@ -29,6 +31,85 @@ def random_bath(rng, k, eta=0.0, lo=0.1, hi=2.0):
         for _ in range(k)
     )
     return BathModel(peaks=peaks, eta=eta)
+
+
+def reference_generator(h, bath):
+    """The generator assembled block by block, peak by peak."""
+    n, k = h.n, bath.k
+    f = 1.0 / (1.0 + 0.5j * bath.eta)
+    dim = (k + 1) * n
+    m = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(n)
+    m[:n, :n] = f * h.matrix
+    for j, p in enumerate(bath.peaks, start=1):
+        lo = j * n
+        m[:n, lo : lo + n] = f * p.g * eye
+        m[lo : lo + n, :n] = p.g * eye
+        m[lo : lo + n, lo : lo + n] = (p.epsilon - 0.5j * p.gamma) * eye
+    return m
+
+
+def reference_blocks(h, bath):
+    """One (K+1) x (K+1) block per eigenvalue of H, each built on its own."""
+    f = 1.0 / (1.0 + 0.5j * bath.eta)
+    g = np.array([p.g for p in bath.peaks])
+    diag = np.array([p.epsilon - 0.5j * p.gamma for p in bath.peaks])
+    blocks = []
+    for alpha, e_alpha in enumerate(hermitian_eigenvalues(h.matrix)):
+        m = np.zeros((bath.k + 1, bath.k + 1), dtype=complex)
+        m[0, 0] = f * e_alpha
+        m[0, 1:] = f * g
+        m[1:, 0] = g
+        m[1:, 1:] = np.diag(diag)
+        blocks.append((alpha, float(e_alpha), m))
+    return blocks
+
+
+def reference_block_results(h, bath, psd_tolerance):
+    """Certify the blocks one at a time."""
+    results = []
+    for alpha, e_alpha, m in reference_blocks(h, bath):
+        bmin = float(hermitian_eigenvalues(0.5j * (m - m.conj().T))[0])
+        results.append(BlockResult(alpha, e_alpha, bmin, bmin >= -psd_tolerance))
+    return tuple(results)
+
+
+def assert_bitwise_equal(a, b):
+    # array_equal plus the signs of zeros
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+class TestAgainstReference:
+    """The shared bath block reproduces the peak-by-peak and block-by-block
+    constructions bit for bit."""
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(21)
+        for i in range(60):
+            n = int(rng.integers(1, 6))
+            k = i % 5  # K = 0 .. 4
+            eta = 0.0 if i % 2 else float(rng.uniform(0.1, 3.0))
+            yield SystemHamiltonian(random_hermitian(rng, n)), random_bath(rng, k, eta=eta)
+
+    def test_generator(self):
+        for h, bath in self.instances():
+            got = build_effective_hamiltonian(h, bath).matrix
+            assert_bitwise_equal(got, reference_generator(h, bath))
+
+    def test_block_stack(self):
+        for h, bath in self.instances():
+            expected = np.array([m for _, _, m in reference_blocks(h, bath)])
+            assert_bitwise_equal(block_decompose(h, bath), expected)
+
+    def test_block_results(self):
+        for h, bath in self.instances():
+            report = check_dilation_closed_form(h, bath)
+            expected = reference_block_results(h, bath, report.psd_tolerance)
+            assert report.per_block == expected
+            assert repr(report.per_block) == repr(expected)  # signs of zeros too
 
 
 class TestBuildEffectiveHamiltonian:
@@ -119,17 +200,17 @@ class TestBlockDecompose:
         full = build_effective_hamiltonian(h, bath).matrix
         blocks = block_decompose(h, bath)
         assert len(blocks) == 1
-        np.testing.assert_allclose(blocks[0].matrix, full, atol=1e-14)
+        np.testing.assert_allclose(blocks[0], full, atol=1e-14)
 
     def test_diagonal_system(self):
         h = SystemHamiltonian(np.diag([1.0, 2.0]))
         bath = BathModel(peaks=(LorentzPeak(1.0, 2.0, 0.0),))
         blocks = block_decompose(h, bath)
         np.testing.assert_allclose(
-            blocks[0].matrix, np.array([[1.0, 1.0], [1.0, -1.0j]]), atol=1e-14
+            blocks[0], np.array([[1.0, 1.0], [1.0, -1.0j]]), atol=1e-14
         )
         np.testing.assert_allclose(
-            blocks[1].matrix, np.array([[2.0, 1.0], [1.0, -1.0j]]), atol=1e-14
+            blocks[1], np.array([[2.0, 1.0], [1.0, -1.0j]]), atol=1e-14
         )
 
     @pytest.mark.parametrize("eta", [0.0, 1.3])
@@ -141,7 +222,7 @@ class TestBlockDecompose:
         ev_full = np.sort_complex(np.linalg.eigvals(full))
         ev_blocks = np.sort_complex(
             np.concatenate(
-                [np.linalg.eigvals(b.matrix) for b in block_decompose(h, bath)]
+                [np.linalg.eigvals(b) for b in block_decompose(h, bath)]
             )
         )
         assert np.abs(ev_full - ev_blocks).max() < 1e-8
