@@ -39,6 +39,23 @@ _FLOAT_FMT = "%.17g"
 _BLOCK_ROWS = 256
 
 
+#: Exception classes a command may raise, with their exit code and message prefix.
+_ERROR_CODES = {
+    ConfigError: (EXIT_CONFIG, "invalid config"),
+    ModelError: (EXIT_CONFIG, "invalid input"),
+    LinAlgError: (EXIT_NUMERICAL, "numerical failure"),
+    dynamics.NormExceededError: (EXIT_NUMERICAL, "numerical failure"),
+    volterra.StepTooCoarseError: (EXIT_NUMERICAL, "numerical failure"),
+}
+_KNOWN_ERRORS = tuple(_ERROR_CODES)
+
+
+def _describe_error(exc: Exception) -> tuple[int, str]:
+    """Exit code and one-line message for an exception in _KNOWN_ERRORS."""
+    code, prefix = next(v for cls, v in _ERROR_CODES.items() if isinstance(exc, cls))
+    return code, f"{prefix}: {exc}"
+
+
 def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
@@ -195,6 +212,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             "threshold": args.threshold,
             "oracle_steps": steps,
             "oracle_extrapolated": True,
+            "oracle_error_estimate": oracle.error_estimate,
         },
     }
     os.makedirs(args.out, exist_ok=True)
@@ -206,6 +224,9 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 def cmd_cutoff_study(cfg: RunConfig, args) -> int:
     if cfg.bath.eta <= 0.0:
         sys.stderr.write("cutoff-study requires an Ohmic bath (eta > 0)\n")
+        return EXIT_CONFIG
+    if not (math.isfinite(args.t_min) and args.t_min <= cfg.t_max):
+        sys.stderr.write(f"--t-min must be finite and <= t_max {cfg.t_max}, got {args.t_min}\n")
         return EXIT_CONFIG
     steps = cfg.solver.oracle_steps
     kernel = _lorentz_kernel(cfg.bath)
@@ -232,10 +253,14 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(payload):
+def _sweep_point(payload) -> tuple[int, str | None]:
+    """Exit code and error message (None on success) of one sweep point."""
     text, out_dir = payload
-    _simulate(parse_config(text), out_dir)
-    return out_dir
+    try:
+        _simulate(parse_config(text), out_dir)
+    except _KNOWN_ERRORS as exc:
+        return _describe_error(exc)
+    return EXIT_OK, None
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -266,12 +291,19 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(_sweep_point, jobs))
+            results = list(pool.map(_sweep_point, jobs))
     else:
-        for payload in jobs:
-            _sweep_point(payload)
+        results = [_sweep_point(payload) for payload in jobs]
+    exit_code = EXIT_OK
+    for entry, (code, error) in zip(manifest, results):
+        if error is None:
+            entry["status"] = "ok"
+            continue
+        entry.update(status="error", error=error)
+        sys.stderr.write(f"{entry['dir']}: {error}\n")
+        exit_code = exit_code or code
     _atomic_write(os.path.join(args.out, "manifest.json"), _dump_json(manifest))
-    return EXIT_OK
+    return exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,15 +383,10 @@ def main(argv=None) -> int:
 
     try:
         return args.func(cfg, args)
-    except ConfigError as exc:
-        sys.stderr.write(f"invalid config: {exc}\n")
-        return EXIT_CONFIG
-    except ModelError as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return EXIT_CONFIG
-    except (LinAlgError, dynamics.NormExceededError, volterra.StepTooCoarseError) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
+    except _KNOWN_ERRORS as exc:
+        code, message = _describe_error(exc)
+        sys.stderr.write(message + "\n")
+        return code
 
 
 if __name__ == "__main__":

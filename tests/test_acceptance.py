@@ -225,6 +225,7 @@ def test_criterion_6_cutoff_convergence():
     t_max, steps = 5.0, 16000
     peak = LorentzPeak(g=0.5, gamma=1.0, epsilon=0.3)
     kernels = [None, lambda t: lorentz_correlation((peak,), t)]
+    start = time.perf_counter()
     all_ok = True
     summaries = []
     for eta in (0.25, 0.5, 1.0):
@@ -244,9 +245,10 @@ def test_criterion_6_cutoff_convergence():
             summaries.append(f"eta={eta} devs={devs[0]:.1e}/{devs[1]:.1e}/{devs[2]:.1e}")
             assert monotone, (eta, kernel is not None, devs)
             assert halved, (eta, kernel is not None, devs)
+    elapsed = time.perf_counter() - start
     print(
         f"criterion 6 cutoff convergence: {'PASS' if all_ok else 'FAIL'} "
-        f"({'; '.join(summaries[:3])}; ...)"
+        f"({'; '.join(summaries[:3])}; ..., {elapsed:.1f}s)"
     )
 
 

@@ -24,6 +24,7 @@ from pseudobath.config import (
     parse_config,
 )
 from pseudobath.linalg import LinAlgError
+from pseudobath.model import lorentz_correlation
 
 
 def base_doc(**overrides):
@@ -137,6 +138,19 @@ class TestInputErrors:
         monkeypatch.setattr(volterra, "_solve_volterra_core", lambda *a: marches.append(a))
         argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", *omegas]
         assert main(argv + ["--out", str(tmp_path / "out")]) == code
+        assert marches == []
+
+    @pytest.mark.parametrize("t_min", ["nan", "100"])
+    def test_cutoff_study_checks_t_min_first(self, tmp_path, monkeypatch, capsys, t_min):
+        doc = base_doc()
+        doc["bath"]["eta"] = 0.5
+        doc["solver"] = {"oracle_steps": 1000}
+        marches = []
+        monkeypatch.setattr(volterra, "_solve_volterra_core", lambda *a: marches.append(a))
+        argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", "20"]
+        argv += ["--t-min", t_min, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert "--t-min" in capsys.readouterr().err
         assert marches == []
 
     @pytest.mark.parametrize(
@@ -293,6 +307,23 @@ class TestCompare:
         assert report["comparison"]["sup_deviation"] < 1e-6
         assert report["comparison"]["l2_deviation"] < 1e-6
 
+    def test_reports_oracle_error_estimate(self, tmp_path):
+        doc = base_doc()
+        doc["solver"] = {"oracle_steps": 2000}
+        out = tmp_path / "out"
+        code = main(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == EXIT_OK
+        estimate = json.loads((out / "compare.json").read_text())["comparison"][
+            "oracle_error_estimate"
+        ]
+        cfg = parse_config(json.dumps(doc))
+        oracle = volterra.solve_renormalized(
+            cfg.system, 0.0, lambda t: lorentz_correlation(cfg.bath.peaks, t),
+            cfg.initial.psi, cfg.t_max, 2000, extrapolate=True,
+        )
+        assert estimate == oracle.error_estimate
+        assert 0.0 < estimate < 1e-4
+
     def test_unreachable_threshold_exits_nonzero(self, tmp_path):
         doc = base_doc()
         doc["solver"] = {"oracle_steps": 2000}
@@ -374,6 +405,24 @@ class TestSweep:
             report = json.loads((point / "report.json").read_text())
             g = entry["params"]["bath.peaks[0].g"]
             assert report["config"]["bath"]["peaks"][0]["g"] == g
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_point_does_not_stop_the_sweep(self, tmp_path, capsys, jobs):
+        doc = base_doc()
+        doc["time"] = {"t_max": 1.0, "points": 6}
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.4, -1.0, 0.6]}
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv + ["--jobs", jobs]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["status"] for entry in manifest] == ["ok", "error", "ok"]
+        assert "peak width must be positive" in manifest[1]["error"]
+        assert "error" not in manifest[0] and "error" not in manifest[2]
+        assert sorted(p.parent.name for p in out.glob("*/report.json")) == [
+            "point_0000",
+            "point_0002",
+        ]
+        assert "point_0001" in capsys.readouterr().err
 
     def test_sweep_requires_section(self, tmp_path):
         code = main(

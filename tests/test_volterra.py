@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,36 @@ def two_sum_march(generator, gvals, psi0, h, steps):
     return y
 
 
+def one_sum_march(generator, gvals, psi0, h, steps):
+    """Reference march, one step at a time: the corrector's trapezoid sum over
+    y[0..k], completed with the new endpoint, is the next predictor's memory
+    term."""
+    n = psi0.shape[0]
+    y = np.zeros((steps + 1, n), dtype=complex)
+    y[0] = psi0
+    a = -1j * generator
+    g0 = gvals[0]
+    # trapezoid weights of y[0..k] in the history at t_{k+1}, endpoint excluded
+    w = np.ones(steps)
+    w[0] = 0.5
+    mem = np.zeros(n, dtype=complex)  # h * history integral at t_k
+    for k in range(steps):
+        f_k = a @ y[k] - mem
+        y_pred = y[k] + h * f_k
+        settled = (w[: k + 1] * gvals[k + 1 : 0 : -1]) @ y[: k + 1]
+        f_next = a @ y_pred - h * (settled + 0.5 * g0 * y_pred)
+        y[k + 1] = y[k] + 0.5 * h * (f_k + f_next)
+        mem = h * (settled + 0.5 * g0 * y[k + 1])
+    return y
+
+
+def assert_matches_reference(monkeypatch, reference, solve):
+    new = solve().states
+    monkeypatch.setattr(volterra, "_solve_volterra_core", reference)
+    ref = solve().states
+    assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestMarch:
     H2 = SystemHamiltonian(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.9]]))
     PSI2 = np.array([0.6, 0.5j])
@@ -66,16 +99,59 @@ class TestMarch:
         "ohmic-cutoff": lambda t: ohmic_cutoff_correlation(0.5, 20.0, t),
     }
 
+    H3 = SystemHamiltonian(
+        np.array([[0.3, 0.2 - 0.1j, 0.0], [0.2 + 0.1j, 0.9, 0.4j], [0.0, -0.4j, -0.5]])
+    )
+    PSI3 = np.array([0.6, 0.5j, -0.3])
+    SYSTEMS = {1: (SystemHamiltonian(np.array([[0.3]])), PSI0), 2: (H2, PSI2), 3: (H3, PSI3)}
+
     @pytest.mark.parametrize("extrapolate", [False, True])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_matches_two_sum_reference(self, monkeypatch, kernel, extrapolate):
         solve = lambda: solve_integro_differential(
             self.H2, self.KERNELS[kernel], self.PSI2, 2.0, 400, extrapolate=extrapolate
         )
-        new = solve().states
-        monkeypatch.setattr(volterra, "_solve_volterra_core", two_sum_march)
-        ref = solve().states
-        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert_matches_reference(monkeypatch, two_sum_march, solve)
+
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    @pytest.mark.parametrize("offset", [-37, 0, 1, 93])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_boundaries(self, monkeypatch, n, offset, extrapolate):
+        # fewer steps than one block, exactly one block, and ragged last blocks
+        h_s, psi0 = self.SYSTEMS[n]
+        steps = volterra._BLOCK_ORDER // n + offset
+        solve = lambda: solve_integro_differential(
+            h_s, self.KERNELS["lorentz"], psi0, 2.0, steps, extrapolate=extrapolate
+        )
+        assert_matches_reference(monkeypatch, two_sum_march, solve)
+
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    def test_sharp_ohmic_cutoff(self, monkeypatch, extrapolate):
+        # Omega = 80 at the coarsest step the cutoff family accepts, h = 0.1 / Omega
+        omega, steps = 80.0, 1000
+        h_s = SystemHamiltonian(self.H3.matrix + 0.5 * omega / np.pi * np.eye(3))
+        kernel = lambda t: ohmic_cutoff_correlation(0.5, omega, t)
+        solve = lambda: solve_integro_differential(
+            h_s, kernel, self.PSI3, steps * 0.1 / omega, steps, extrapolate=extrapolate
+        )
+        assert_matches_reference(monkeypatch, two_sum_march, solve)
+
+    def test_no_drift_over_a_long_march(self, monkeypatch):
+        h_s = SystemHamiltonian(np.array([[1.0 + 0.5 * 80.0 / np.pi]]))
+        kernel = lambda t: ohmic_cutoff_correlation(0.5, 80.0, t)
+        solve = lambda: solve_integro_differential(h_s, kernel, PSI0, 20.0, 16000)
+        assert_matches_reference(monkeypatch, one_sum_march, solve)
+
+    def test_independent_of_the_pseudomode_route(self):
+        tree = ast.parse(inspect.getsource(volterra))
+        imported = {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        imported |= {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        }
+        assert not {name.rsplit(".", 1)[-1] for name in imported} & {"pseudomode", "dynamics"}
 
 
 class TestIntegroDifferential:
@@ -120,6 +196,19 @@ class TestIntegroDifferential:
         err_extra = np.abs(extra.states[:, 0] - exact).max()
         assert err_extra < err_plain / 50
         assert err_extra < 1e-7
+
+    def test_error_estimate_is_second_order(self):
+        peak = LorentzPeak(g=1.5, gamma=0.5, epsilon=1.0)
+        h = SystemHamiltonian(np.array([[0.8]]))
+        estimates = [
+            solve_integro_differential(
+                h, peak_kernel(peak), PSI0, 10.0, steps, extrapolate=True
+            ).error_estimate
+            for steps in (1000, 2000)
+        ]
+        assert 1.7 <= np.log2(estimates[0] / estimates[1]) <= 2.3
+        plain = solve_integro_differential(h, peak_kernel(peak), PSI0, 10.0, 1000)
+        assert plain.error_estimate is None
 
     def test_norm_bounded_for_lorentz_kernel(self):
         peak = LorentzPeak(g=1.0, gamma=1.0, epsilon=0.0)
