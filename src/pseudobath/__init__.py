@@ -21,9 +21,7 @@ from .linalg import (
     DimensionMismatchError,
     LinAlgError,
     NotHermitianError,
-    StepUnderflowError,
     hermitian_eigenvalues,
-    integrate_linear_ode,
 )
 from .model import (
     BathModel,

@@ -97,7 +97,7 @@ def _lorentz_kernel(bath):
 
 def _run_trajectory(cfg: RunConfig, grid: TimeGrid):
     heff = pseudomode.build_effective_hamiltonian(cfg.system, cfg.bath)
-    return dynamics.evolve(heff, cfg.initial, grid, rtol=cfg.solver.rtol, atol=cfg.solver.atol)
+    return dynamics.evolve(heff, cfg.initial, grid)
 
 
 def _row_template(cols: int) -> str:
@@ -167,8 +167,6 @@ def _simulate(cfg: RunConfig, out_dir: str) -> dict:
             "rho_hermiticity": dynamics.ReducedDensityMatrix.HERMITICITY_TOL,
             "rho_trace": dynamics.ReducedDensityMatrix.TRACE_TOL,
             "rho_psd": dynamics.ReducedDensityMatrix.PSD_TOL,
-            "ode_rtol": cfg.solver.rtol,
-            "ode_atol": cfg.solver.atol,
         },
     }
     os.makedirs(out_dir, exist_ok=True)
@@ -318,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--rtol", type=float, default=None, help="override ODE rtol")
-        p.add_argument("--atol", type=float, default=None, help="override ODE atol")
         p.add_argument(
             "--oracle-steps", type=int, default=None, help="override oracle step count"
         )
@@ -367,12 +363,10 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "rb") as fh:
             cfg = parse_config(fh.read())
-        # CLI overrides go through the same validation as the file.
-        overrides = {"rtol": args.rtol, "atol": args.atol, "oracle_steps": args.oracle_steps}
-        overrides = {key: value for key, value in overrides.items() if value is not None}
-        if overrides:
+        # A CLI override goes through the same validation as the file.
+        if args.oracle_steps is not None:
             doc = config_to_dict(cfg)
-            doc["solver"].update(overrides)
+            doc["solver"]["oracle_steps"] = args.oracle_steps
             cfg = parse_config(json.dumps(doc))
     except OSError as exc:
         sys.stderr.write(f"cannot read config: {exc}\n")

@@ -38,8 +38,6 @@ class ValidationError(ConfigError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    rtol: float = 1e-9
-    atol: float = 1e-12
     oracle_steps: int = 4000
 
 
@@ -168,14 +166,9 @@ def parse_config(text) -> RunConfig:
         raise ValidationError("$.time.points", "expected an integer >= 2")
 
     solver_obj = _get(doc, "solver", "$", dict, required=False, default={})
-    rtol = _number(solver_obj, "rtol", "$.solver", required=False, default=1e-9)
-    atol = _number(solver_obj, "atol", "$.solver", required=False, default=1e-12)
     oracle_steps = _get(solver_obj, "oracle_steps", "$.solver", required=False, default=4000)
     if isinstance(oracle_steps, bool) or not isinstance(oracle_steps, int) or oracle_steps < 10:
         raise ValidationError("$.solver.oracle_steps", "expected an integer >= 10")
-    for key, tol in (("rtol", rtol), ("atol", atol)):
-        if tol <= 0.0:
-            raise ValidationError(f"$.solver.{key}", f"must be positive, got {tol}")
 
     sweep = _get(doc, "sweep", "$", dict, required=False, default={})
     for key, vals in sweep.items():
@@ -188,7 +181,7 @@ def parse_config(text) -> RunConfig:
         initial=initial,
         t_max=t_max,
         output_points=points,
-        solver=SolverSettings(rtol=rtol, atol=atol, oracle_steps=oracle_steps),
+        solver=SolverSettings(oracle_steps=oracle_steps),
         sweep=dict(sweep),
     )
 
@@ -219,11 +212,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "psi0": _complex_pair(cfg.initial.psi0),
         },
         "time": {"t_max": cfg.t_max, "points": cfg.output_points},
-        "solver": {
-            "rtol": cfg.solver.rtol,
-            "atol": cfg.solver.atol,
-            "oracle_steps": cfg.solver.oracle_steps,
-        },
+        "solver": {"oracle_steps": cfg.solver.oracle_steps},
     }
     if cfg.sweep:
         doc["sweep"] = cfg.sweep

@@ -32,13 +32,21 @@ class EffectiveHamiltonian:
 
     Block layout (blocks of size N): index 0 is the system, index j >= 1 is
     pseudomode j.  The top row carries the 1/(1 + i*eta/2) factor when the
-    bath has an Ohmic part; the left column does not.
+    bath has an Ohmic part; the left column does not.  The system and bath it
+    was built from are kept for the block decomposition.
     """
 
-    n: int
-    k: int
-    eta: float
+    system: SystemHamiltonian
+    bath: BathModel
     matrix: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.system.n
+
+    @property
+    def k(self) -> int:
+        return self.bath.k
 
     @property
     def dim(self) -> int:
@@ -119,7 +127,7 @@ def build_effective_hamiltonian(h: SystemHamiltonian, bath: BathModel) -> Effect
     """
     m = np.kron(_bath_block(bath), np.eye(h.n))
     m[: h.n, : h.n] = _scale_factor(bath.eta) * h.matrix
-    return EffectiveHamiltonian(n=h.n, k=bath.k, eta=bath.eta, matrix=m)
+    return EffectiveHamiltonian(system=h, bath=bath, matrix=m)
 
 
 def optical_potential(heff: EffectiveHamiltonian) -> OpticalPotential:

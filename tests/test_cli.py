@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pseudobath
 from pseudobath import volterra
 from pseudobath.cli import (
     EXIT_CONFIG,
@@ -36,6 +41,15 @@ def base_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def run_cli(argv, timeout=30):
+    """Run ``python -m pseudobath.cli`` in a fresh process."""
+    src = str(pathlib.Path(pseudobath.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "pseudobath.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -103,13 +117,30 @@ class TestInputErrors:
         "argv, path",
         [
             (["compare", "--oracle-steps", "5"], "$.solver.oracle_steps"),
-            (["simulate", "--atol", "-1"], "$.solver.atol"),
         ],
     )
     def test_bad_override(self, tmp_path, capsys, argv, path):
         cfg = write_config(tmp_path, base_doc())
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert path in capsys.readouterr().err
+
+    def test_tolerance_options_are_gone(self, tmp_path):
+        cfg = write_config(tmp_path, base_doc())
+        for option in ("--rtol", "--atol"):
+            out = run_cli(["simulate", option, "1e-9", "--config", cfg, "--out", str(tmp_path)])
+            assert out.returncode == EXIT_CONFIG
+            assert f"unrecognized arguments: {option}" in out.stderr
+            assert "Traceback" not in out.stderr
+
+    def test_legacy_nan_rtol_is_ignored(self, tmp_path):
+        # a NaN rtol used to make the adaptive integrator loop forever
+        doc = base_doc()
+        doc["solver"] = {"rtol": float("nan"), "atol": 1e-12}
+        out = run_cli(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+        assert out.returncode == EXIT_OK, out.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["solver"] == {"oracle_steps": 4000}
+        assert set(report["tolerances"]) == {"rho_hermiticity", "rho_trace", "rho_psd"}
 
     def test_bad_cutoff(self, tmp_path, capsys):
         doc = base_doc()
@@ -215,11 +246,6 @@ class TestSimulate:
         for name in ("trajectory.csv", "report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="unitary evolution: DOP853's norm drift at rtol 1e-9 (~2e-9) exceeds "
-        "the rho PSD tolerance 1e-10, so rho at t=0.8 fails the PSD check",
-    )
     def test_closed_system_default_tolerances(self, tmp_path):
         doc = base_doc()
         doc["bath"] = {"peaks": [], "eta": 0.0}
