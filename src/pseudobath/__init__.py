@@ -11,11 +11,9 @@ solvers cross-validate every pseudomode trajectory.
 
 from .dynamics import (
     NormExceededError,
-    ReducedDensityMatrix,
     Trajectory,
     evolve,
     observables,
-    reduced_density,
 )
 from .linalg import (
     DimensionMismatchError,
@@ -38,8 +36,6 @@ from .model import (
 )
 from .pseudomode import (
     DilationReport,
-    EffectiveHamiltonian,
-    OpticalPotential,
     block_decompose,
     build_effective_hamiltonian,
     check_dilation_closed_form,

@@ -95,11 +95,6 @@ def _lorentz_kernel(bath):
     return lambda t: lorentz_correlation(bath.peaks, t)
 
 
-def _run_trajectory(cfg: RunConfig, grid: TimeGrid):
-    heff = pseudomode.build_effective_hamiltonian(cfg.system, cfg.bath)
-    return dynamics.evolve(heff, cfg.initial, grid)
-
-
 def _row_template(cols: int) -> str:
     """``template % row`` equals the comma-joined ``_fmt`` of each entry."""
     return ",".join([_FLOAT_FMT] * cols)
@@ -112,23 +107,28 @@ def _first_failure(ok: np.ndarray, t: np.ndarray, values: np.ndarray, what: str)
         raise LinAlgError(f"rho at t={float(t[bad[0]])} " + what.format(values[bad[0]]))
 
 
+#: Largest accepted |rho - rho^dagger| entry, |tr rho - 1| and -min eig(rho).
+_RHO_HERMITICITY_TOL = 1e-10
+_RHO_TRACE_TOL = 1e-10
+_RHO_PSD_TOL = 1e-10
+
+
 def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[float, float]:
     """Check the density-matrix invariants on a (T, N+1, N+1) stack; return
     the largest trace deviation and the smallest eigenvalue.  NaN entries
     fail the Hermiticity check, so eigvalsh never sees them."""
-    tol = dynamics.ReducedDensityMatrix
     asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    _first_failure(asym <= tol.HERMITICITY_TOL, t, asym, "not Hermitian (defect {:.3e})")
+    _first_failure(asym <= _RHO_HERMITICITY_TOL, t, asym, "not Hermitian (defect {:.3e})")
     trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
-    _first_failure(trace_dev <= tol.TRACE_TOL, t, trace_dev, "trace deviates by {:.3e}")
+    _first_failure(trace_dev <= _RHO_TRACE_TOL, t, trace_dev, "trace deviates by {:.3e}")
     min_eig = np.linalg.eigvalsh(rho)[:, 0]
-    _first_failure(min_eig >= -tol.PSD_TOL, t, min_eig, "not PSD (min eigenvalue {:.3e})")
+    _first_failure(min_eig >= -_RHO_PSD_TOL, t, min_eig, "not PSD (min eigenvalue {:.3e})")
     return float(trace_dev.max()), float(min_eig.min())
 
 
-def _simulate(cfg: RunConfig, out_dir: str) -> dict:
+def _simulate(cfg: RunConfig, out_dir: str):
     grid = TimeGrid.uniform(cfg.t_max, cfg.output_points)
-    traj = _run_trajectory(cfg, grid)
+    traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, grid)
     dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
     excited, rho = dynamics.observables(traj, cfg.initial)
 
@@ -164,15 +164,14 @@ def _simulate(cfg: RunConfig, out_dir: str) -> dict:
             "min_rho_eigenvalue": float(min_rho_eig),
         },
         "tolerances": {
-            "rho_hermiticity": dynamics.ReducedDensityMatrix.HERMITICITY_TOL,
-            "rho_trace": dynamics.ReducedDensityMatrix.TRACE_TOL,
-            "rho_psd": dynamics.ReducedDensityMatrix.PSD_TOL,
+            "rho_hermiticity": _RHO_HERMITICITY_TOL,
+            "rho_trace": _RHO_TRACE_TOL,
+            "rho_psd": _RHO_PSD_TOL,
         },
     }
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), "\n".join(lines) + "\n")
     _atomic_write(os.path.join(out_dir, "report.json"), _dump_json(report))
-    return report
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
@@ -194,7 +193,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         sys.stderr.write(f"--threshold must be finite and >= 0, got {args.threshold}\n")
         return EXIT_CONFIG
     steps = cfg.solver.oracle_steps
-    traj = _run_trajectory(cfg, TimeGrid.uniform(cfg.t_max, steps + 1))
+    grid = TimeGrid.uniform(cfg.t_max, steps + 1)
+    traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, grid)
     # at eta = 0 this is exactly solve_integro_differential
     oracle = volterra.solve_renormalized(
         cfg.system, cfg.bath.eta, _lorentz_kernel(cfg.bath), cfg.initial.psi, cfg.t_max,
@@ -202,6 +202,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     )
     sup = volterra.compare_trajectories(traj, oracle, norm="sup")
     l2 = volterra.compare_trajectories(traj, oracle, norm="L2")
+    if not (math.isfinite(sup) and math.isfinite(l2)):
+        raise LinAlgError(f"route deviation is not finite (sup {sup}, L2 {l2})")
     report = {
         "config": config_to_dict(cfg),
         "comparison": {
@@ -265,6 +267,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if not cfg.sweep:
         sys.stderr.write("sweep requires a non-empty \"sweep\" section in the config\n")
         return EXIT_CONFIG
+    if args.jobs < 1:
+        sys.stderr.write(f"--jobs must be >= 1, got {args.jobs}\n")
+        return EXIT_CONFIG
     base_doc = config_to_dict(cfg)
     paths = sorted(cfg.sweep.keys())
     value_lists = [cfg.sweep[p] for p in paths]
@@ -287,8 +292,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         )
 
     os.makedirs(args.out, exist_ok=True)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool forks all its workers at the first submit
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:
         results = [_sweep_point(payload) for payload in jobs]

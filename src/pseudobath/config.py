@@ -136,11 +136,8 @@ def parse_config(text) -> RunConfig:
         except ModelError as exc:
             raise ValidationError(ppath, str(exc)) from exc
     eta = _finite(bath_obj, "eta", "$.bath", required=False, default=0.0)
-    cutoff = None
-    if bath_obj.get("cutoff") is not None:
-        cutoff = _finite(bath_obj, "cutoff", "$.bath")
     try:
-        bath = BathModel(peaks=tuple(peaks), eta=eta, cutoff=cutoff)
+        bath = BathModel(peaks=tuple(peaks), eta=eta)
     except ModelError as exc:
         raise ValidationError("$.bath", str(exc)) from exc
 
@@ -205,7 +202,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
                 {"g": p.g, "gamma": p.gamma, "epsilon": p.epsilon} for p in cfg.bath.peaks
             ],
             "eta": cfg.bath.eta,
-            "cutoff": cfg.bath.cutoff,
         },
         "initial": {
             "psi": [_complex_pair(z) for z in cfg.initial.psi],
@@ -217,10 +213,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     if cfg.sweep:
         doc["sweep"] = cfg.sweep
     return doc
-
-
-def config_to_json(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
 
 
 def apply_override(doc: dict, dotted_path: str, value):
@@ -259,6 +251,5 @@ __all__ = [
     "ValidationError",
     "apply_override",
     "config_to_dict",
-    "config_to_json",
     "parse_config",
 ]

@@ -4,10 +4,12 @@ reconstruction.
 The extended state stacks the system amplitudes with one pseudomode copy per
 Lorentz peak; a trajectory keeps those states as one (T, (K+1)N) array.  The
 generator is fixed, so the states are matrix exponentials applied to psi(0),
-taken block by block in the eigenbasis of H.  A closed system (empty bath) is
-the K = 0 case of the same propagation.
+taken block by block in the eigenbasis of H; the dense (K+1)N generator is
+never formed.  A closed system (empty bath) is the K = 0 case of the same
+propagation.
 Tracing out the reservoirs maps the system part straight onto an
 (N+1) x (N+1) density matrix: the ground population is the missing norm.
+``observables`` builds those matrices for a whole trajectory at once.
 """
 
 from dataclasses import dataclass
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import propagate_blocks
-from .model import InitialState, TimeGrid
-from .pseudomode import EffectiveHamiltonian, _blocks, _scale_factor
+from .model import BathModel, InitialState, SystemHamiltonian, TimeGrid
+from .pseudomode import _blocks, _scale_factor
 
 
 class NormExceededError(Exception):
@@ -49,20 +51,11 @@ class Trajectory:
         return self.vectors[:, : self.n]
 
 
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
-    """(N+1) x (N+1) Hermitian, trace-1, PSD density matrix; index 0 is the ground state."""
-
-    matrix: np.ndarray
-
-    HERMITICITY_TOL = 1e-10
-    TRACE_TOL = 1e-10
-    PSD_TOL = 1e-10
-
-
-def evolve(heff: EffectiveHamiltonian, init: InitialState, grid: TimeGrid) -> Trajectory:
-    """Propagate the extended Schroedinger equation exactly from psi(0) +
-    zero pseudomodes.
+def evolve(
+    h: SystemHamiltonian, bath: BathModel, init: InitialState, grid: TimeGrid
+) -> Trajectory:
+    """Propagate the extended Schroedinger equation of the pseudomode
+    generator of H and the bath exactly from psi(0) + zero pseudomodes.
 
     With H = W diag(E) W^dagger the generator splits into the N blocks of
     ``pseudomode._blocks``; block alpha starts at c_alpha e_0, c = W^dagger
@@ -71,59 +64,32 @@ def evolve(heff: EffectiveHamiltonian, init: InitialState, grid: TimeGrid) -> Tr
     1/(1 + i*eta/2), matching the cutoff-removal limit that the direct
     solver (``volterra.solve_renormalized``) also starts from.
     """
-    if init.n != heff.n:
-        raise ValueError(f"initial state dim {init.n} != system dim {heff.n}")
-    psi = _scale_factor(heff.bath.eta) * init.psi
-    e, w = np.linalg.eigh(heff.system.matrix)
-    z0 = np.zeros((heff.n, heff.k + 1), dtype=complex)
+    if init.n != h.n:
+        raise ValueError(f"initial state dim {init.n} != system dim {h.n}")
+    psi = _scale_factor(bath.eta) * init.psi
+    e, w = np.linalg.eigh(h.matrix)
+    z0 = np.zeros((h.n, bath.k + 1), dtype=complex)
     z0[:, 0] = w.conj().T @ psi
-    z = propagate_blocks(_blocks(e, heff.bath), z0, grid.points)
+    z = propagate_blocks(_blocks(e, bath), z0, grid.points)
     # [t, j, b] = sum_a W[b, a] z[a, t, j] is column j*N + b of row t.  einsum,
     # not a BLAS gemm: the skinny (T(K+1), N) x (N, N) gemm ran ~25x slower
     # with OpenBLAS threads on than pinned to one (2-core x86, OpenBLAS 0.3.31).
-    ys = np.einsum("atj,ba->tjb", z, w).reshape(len(grid), heff.dim)
-    ys[0, : heff.n] = psi
-    return Trajectory(grid=grid, n=heff.n, k=heff.k, vectors=ys)
-
-
-def _density_matrices(psi: np.ndarray, psi0: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Squared norms (T,) and density matrices (T, N+1, N+1) of the rows of
-    a (T, N) array of system amplitudes.
-
-    Layout: rho[0, 0] = 1 - ||psi||^2, rho[0, i] = psi0(0) * conj(psi_i),
-    rho[i, j] = psi_i * conj(psi_j).
-    """
-    norm2 = np.vecdot(psi, psi).real
-    n = psi.shape[1]
-    psi_conj = psi.conj()
-    rho = np.empty((psi.shape[0], n + 1, n + 1), dtype=complex)
-    rho[:, 0, 0] = 1.0 - norm2
-    np.multiply(psi0, psi_conj, out=rho[:, 0, 1:])
-    rho[:, 1:, 0] = rho[:, 0, 1:].conj()
-    np.multiply(psi[:, :, np.newaxis], psi_conj[:, np.newaxis, :], out=rho[:, 1:, 1:])
-    return norm2, rho
-
-
-def reduced_density(psi: np.ndarray, init: InitialState) -> ReducedDensityMatrix:
-    """Reduced density matrix of the (N,) system amplitudes at one time, such
-    as a row of ``Trajectory.system_parts()`` (see ``_density_matrices``)."""
-    norm2, rho = _density_matrices(np.asarray(psi, dtype=complex)[np.newaxis, :], init.psi0)
-    if norm2[0] > _MAX_NORM2:
-        raise NormExceededError(
-            f"system norm {np.sqrt(norm2[0]):.12f} exceeds 1: propagation failed "
-            "or the model is not dilatable"
-        )
-    return ReducedDensityMatrix(matrix=rho[0])
+    ys = np.einsum("atj,ba->tjb", z, w).reshape(len(grid), (bath.k + 1) * h.n)
+    ys[0, : h.n] = psi
+    return Trajectory(grid=grid, n=h.n, k=bath.k, vectors=ys)
 
 
 def observables(traj: Trajectory, init: InitialState) -> tuple[np.ndarray, np.ndarray]:
     """Excited populations (T,) and reduced density matrices (T, N+1, N+1)
-    along the grid: ``reduced_density`` at every point at once.
+    along the grid.
 
-    The ground population is ``1 - excited``.  Raises NormExceededError
-    naming the first point whose system norm exceeds 1.
+    With psi the system amplitudes at one time: rho[0, 0] = 1 - ||psi||^2,
+    rho[0, i] = psi0(0) * conj(psi_i), rho[i, j] = psi_i * conj(psi_j).  The
+    ground population is ``1 - excited``.  Raises NormExceededError naming
+    the first point whose system norm exceeds 1.
     """
-    excited, rho = _density_matrices(traj.system_parts(), init.psi0)
+    psi = traj.system_parts()
+    excited = np.vecdot(psi, psi).real
     over = np.flatnonzero(excited > _MAX_NORM2)
     if over.size:
         t = float(traj.grid.points[over[0]])
@@ -131,14 +97,18 @@ def observables(traj: Trajectory, init: InitialState) -> tuple[np.ndarray, np.nd
             f"system norm {np.sqrt(excited[over[0]]):.12f} at t={t} exceeds 1: "
             "propagation failed or the model is not dilatable"
         )
+    psi_conj = psi.conj()
+    rho = np.empty((len(traj.grid), traj.n + 1, traj.n + 1), dtype=complex)
+    rho[:, 0, 0] = 1.0 - excited
+    np.multiply(init.psi0, psi_conj, out=rho[:, 0, 1:])
+    rho[:, 1:, 0] = rho[:, 0, 1:].conj()
+    np.multiply(psi[:, :, np.newaxis], psi_conj[:, np.newaxis, :], out=rho[:, 1:, 1:])
     return excited, rho
 
 
 __all__ = [
     "NormExceededError",
-    "ReducedDensityMatrix",
     "Trajectory",
     "evolve",
     "observables",
-    "reduced_density",
 ]

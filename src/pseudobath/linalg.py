@@ -104,3 +104,12 @@ def propagate_blocks(blocks, z0, times) -> np.ndarray:
             p *= 2
         lo = hi
     return z
+
+
+__all__ = [
+    "DimensionMismatchError",
+    "LinAlgError",
+    "NotHermitianError",
+    "hermitian_eigenvalues",
+    "propagate_blocks",
+]

@@ -73,6 +73,8 @@ class LorentzPeak:
             raise ModelError(f"peak coupling must be positive, got g={self.g}")
         if not (self.gamma > 0.0):
             raise ModelError(f"peak width must be positive, got gamma={self.gamma}")
+        if not np.isfinite(self.g * self.g / self.gamma):
+            raise ModelError(f"g^2/gamma overflows for g={self.g}, gamma={self.gamma}")
 
 
 @dataclass(frozen=True)

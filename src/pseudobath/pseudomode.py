@@ -9,8 +9,9 @@ whether the reduced dynamics embeds into a GKSL semigroup on the enlarged
 space: the dilation exists iff the optical potential is non-negative
 definite.  The generator is one (K+1) x (K+1) bath block tensored with the
 N x N identity, f*H_S in its system corner; in the eigenbasis of H_S it
-splits into N such blocks with f*E_alpha in the corner.  An empty bath
-(K = 0, eta = 0) is the closed system: the generator is H_S itself.
+splits into N such blocks with f*E_alpha in the corner.  The generator,
+its optical potential and the block stack are plain complex arrays.  An
+empty bath (K = 0, eta = 0) is the closed system: the generator is H_S.
 """
 
 from dataclasses import dataclass
@@ -18,52 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eigenvalues
-from .model import BathModel, SystemHamiltonian
+from .model import BathModel, ModelError, SystemHamiltonian
 
 
 def _scale_factor(eta: float) -> complex:
     """The 1/(1 + i*eta/2) renormalization prefactor."""
     return 1.0 / (1.0 + 0.5j * eta)
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """(K+1)N x (K+1)N non-Hermitian generator of the extended dynamics.
-
-    Block layout (blocks of size N): index 0 is the system, index j >= 1 is
-    pseudomode j.  The top row carries the 1/(1 + i*eta/2) factor when the
-    bath has an Ohmic part; the left column does not.  The system and bath it
-    was built from are kept for the block decomposition.
-    """
-
-    system: SystemHamiltonian
-    bath: BathModel
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.system.n
-
-    @property
-    def k(self) -> int:
-        return self.bath.k
-
-    @property
-    def dim(self) -> int:
-        return (self.k + 1) * self.n
-
-
-@dataclass(frozen=True)
-class OpticalPotential:
-    """Hermitian matrix V = (i/2)(H_eff - H_eff^dagger); V >= 0 certifies
-    the Markovian dilation."""
-
-    matrix: np.ndarray
-
-    @property
-    def psd_tolerance(self) -> float:
-        """Eigenvalues above -psd_tolerance count as non-negative."""
-        return 1e-10 * (1.0 + float(np.linalg.norm(self.matrix)))
 
 
 @dataclass(frozen=True)
@@ -111,15 +72,11 @@ def _blocks(e: np.ndarray, bath: BathModel) -> np.ndarray:
     return blocks
 
 
-def _optical(m: np.ndarray) -> np.ndarray:
-    """(i/2)(M - M^dagger) of a matrix or of each matrix in a (..., d, d) stack."""
-    return 0.5j * (m - m.conj().swapaxes(-1, -2))
-
-
-def build_effective_hamiltonian(h: SystemHamiltonian, bath: BathModel) -> EffectiveHamiltonian:
-    """Assemble the pseudomode generator for the given system and bath: the
-    bath block tensored with the N x N identity, with f*H in the system
-    corner.
+def build_effective_hamiltonian(h: SystemHamiltonian, bath: BathModel) -> np.ndarray:
+    """Assemble the (K+1)N x (K+1)N pseudomode generator for the given system
+    and bath: the bath block tensored with the N x N identity, with f*H in
+    the system corner.  Block layout (blocks of size N): index 0 is the
+    system, index j >= 1 is pseudomode j.
 
     For eta > 0 the input Hamiltonian is interpreted as the renormalized
     H_S^(r) and the top block row is scaled by f = 1/(1 + i*eta/2).  An
@@ -127,11 +84,19 @@ def build_effective_hamiltonian(h: SystemHamiltonian, bath: BathModel) -> Effect
     """
     m = np.kron(_bath_block(bath), np.eye(h.n))
     m[: h.n, : h.n] = _scale_factor(bath.eta) * h.matrix
-    return EffectiveHamiltonian(system=h, bath=bath, matrix=m)
+    return m
 
 
-def optical_potential(heff: EffectiveHamiltonian) -> OpticalPotential:
-    return OpticalPotential(matrix=_optical(heff.matrix))
+def optical_potential(heff: np.ndarray) -> np.ndarray:
+    """Hermitian V = (i/2)(H_eff - H_eff^dagger) of a generator or of each
+    generator in a (..., d, d) stack; V >= 0 certifies the Markovian
+    dilation."""
+    return 0.5j * (heff - heff.conj().swapaxes(-1, -2))
+
+
+def _psd_tolerance(v: np.ndarray) -> float:
+    """Eigenvalues of V above -_psd_tolerance(v) count as non-negative."""
+    return 1e-10 * (1.0 + float(np.linalg.norm(v)))
 
 
 def block_decompose(h: SystemHamiltonian, bath: BathModel) -> np.ndarray:
@@ -146,10 +111,10 @@ def block_decompose(h: SystemHamiltonian, bath: BathModel) -> np.ndarray:
     return _blocks(hermitian_eigenvalues(h.matrix), bath)
 
 
-def check_dilation_spectral(v: OpticalPotential) -> tuple[bool, float]:
+def check_dilation_spectral(v: np.ndarray) -> tuple[bool, float]:
     """Smallest eigenvalue of the optical potential, with the PSD verdict."""
-    min_eig = float(hermitian_eigenvalues(v.matrix)[0])
-    return min_eig >= -v.psd_tolerance, min_eig
+    min_eig = float(hermitian_eigenvalues(v)[0])
+    return min_eig >= -_psd_tolerance(v), min_eig
 
 
 def dilation_threshold(bath: BathModel) -> float:
@@ -168,15 +133,18 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
     and N trivial 1 x 1 blocks.
     """
     threshold = dilation_threshold(bath)
+    if not np.isfinite(threshold):
+        raise ModelError(f"dilation threshold (eta/4) * sum g_j^2/gamma_j overflows ({threshold})")
     e = hermitian_eigenvalues(h_r.matrix)
     min_eig_h = float(e[0])
     closed_form_pass = bath.eta == 0.0 or min_eig_h >= threshold
 
     v = optical_potential(build_effective_hamiltonian(h_r, bath))
     spectral_pass, min_eig_v = check_dilation_spectral(v)
-    block_min = hermitian_eigenvalues(_optical(_blocks(e, bath)))[:, 0]
+    psd_tolerance = _psd_tolerance(v)
+    block_min = hermitian_eigenvalues(optical_potential(_blocks(e, bath)))[:, 0]
     per_block = tuple(
-        BlockResult(alpha, e_alpha, bmin, bmin >= -v.psd_tolerance)
+        BlockResult(alpha, e_alpha, bmin, bmin >= -psd_tolerance)
         for alpha, (e_alpha, bmin) in enumerate(zip(e.tolist(), block_min.tolist()))
     )
 
@@ -186,7 +154,7 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
         closed_form_pass=closed_form_pass,
         threshold=threshold,
         min_eigenvalue_h=min_eig_h,
-        psd_tolerance=v.psd_tolerance,
+        psd_tolerance=psd_tolerance,
         per_block=per_block,
     )
 
@@ -194,8 +162,6 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
 __all__ = [
     "BlockResult",
     "DilationReport",
-    "EffectiveHamiltonian",
-    "OpticalPotential",
     "block_decompose",
     "build_effective_hamiltonian",
     "check_dilation_closed_form",

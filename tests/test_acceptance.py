@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pseudobath.cli import main as cli_main
-from pseudobath.dynamics import evolve, reduced_density
+from pseudobath.dynamics import evolve, observables
 from pseudobath.model import (
     BathModel,
     InitialState,
@@ -81,8 +81,7 @@ def cross_solver_batch():
         oracle = solve_integro_differential(
             h, kernel, init.psi, t_max, steps, extrapolate=True
         )
-        heff = build_effective_hamiltonian(h, BathModel(peaks=peaks))
-        traj = evolve(heff, init, TimeGrid(oracle.times))
+        traj = evolve(h, BathModel(peaks=peaks), init, TimeGrid(oracle.times))
         batch.append((h, peaks, init, traj, oracle))
     return batch, time.perf_counter() - start
 
@@ -106,9 +105,7 @@ def test_criterion_2_density_matrix_properties(cross_solver_batch):
     worst_min_eig = np.inf
     worst_third = 0.0
     for _, _, init, traj, _ in batch:
-        rhos = np.stack(
-            [reduced_density(psi, init).matrix for psi in traj.system_parts()[:: 40]]
-        )
+        rhos = observables(traj, init)[1][::40]
         worst_asym = max(worst_asym, np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max())
         worst_trace = max(worst_trace, np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0).max())
         eigs = np.linalg.eigvalsh(rhos)  # ascending along the last axis
@@ -141,7 +138,7 @@ def test_criterion_3_optical_potential_structure():
         h = SystemHamiltonian(random_hermitian(rng, n))
         peaks = random_peaks(rng, k)
         bath = BathModel(peaks=peaks)
-        v = optical_potential(build_effective_hamiltonian(h, bath)).matrix
+        v = optical_potential(build_effective_hamiltonian(h, bath))
         expected = np.diag(
             np.concatenate([np.zeros(n)] + [np.full(n, p.gamma / 2.0) for p in peaks])
         )
@@ -178,8 +175,7 @@ def test_criterion_4_norm_monotonicity(cross_solver_batch):
         report = check_dilation_closed_form(h, bath)
         if not report.spectral_pass:
             continue
-        heff = build_effective_hamiltonian(h, bath)
-        traj = evolve(heff, random_initial(rng, n), TimeGrid.uniform(10.0, 201))
+        traj = evolve(h, bath, random_initial(rng, n), TimeGrid.uniform(10.0, 201))
         norms = np.linalg.norm(traj.vectors, axis=1)
         worst_increase = max(worst_increase, float(np.diff(norms).max()))
         count += 1
@@ -261,7 +257,7 @@ def test_criterion_7_block_spectrum_similarity():
         eta = float(rng.choice([0.0, rng.uniform(0.1, 3.0)]))
         h = SystemHamiltonian(random_hermitian(rng, n))
         bath = BathModel(peaks=random_peaks(rng, k), eta=eta)
-        full = build_effective_hamiltonian(h, bath).matrix
+        full = build_effective_hamiltonian(h, bath)
         ev_full = np.linalg.eigvals(full)
         ev_blocks = np.concatenate(
             [np.linalg.eigvals(b) for b in block_decompose(h, bath)]

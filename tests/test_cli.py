@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pseudobath
-from pseudobath import volterra
+from pseudobath import cli, volterra
 from pseudobath.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -25,7 +25,6 @@ from pseudobath.config import (
     ValidationError,
     apply_override,
     config_to_dict,
-    config_to_json,
     parse_config,
 )
 from pseudobath.linalg import LinAlgError
@@ -61,7 +60,7 @@ def write_config(tmp_path, doc, name="run.json"):
 class TestParseConfig:
     def test_round_trip_identity(self):
         cfg = parse_config(json.dumps(base_doc()))
-        again = parse_config(config_to_json(cfg))
+        again = parse_config(json.dumps(config_to_dict(cfg)))
         assert config_to_dict(again) == config_to_dict(cfg)
         np.testing.assert_array_equal(again.system.matrix, cfg.system.matrix)
 
@@ -142,6 +141,34 @@ class TestInputErrors:
         assert report["config"]["solver"] == {"oracle_steps": 4000}
         assert set(report["tolerances"]) == {"rho_hermiticity", "rho_trace", "rho_psd"}
 
+    def test_legacy_cutoff_is_ignored(self, tmp_path):
+        doc = base_doc()
+        doc["bath"]["cutoff"] = 50
+        out = run_cli(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+        assert out.returncode == EXIT_OK, out.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "cutoff" not in report["config"]["bath"]
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "compare"])
+    @pytest.mark.parametrize("peak", [{"g": 1e160, "gamma": 0.4}, {"g": 1e5, "gamma": 1e-300}])
+    def test_overflowing_peak(self, tmp_path, capsys, command, peak):
+        doc = base_doc(bath={"peaks": [peak], "eta": 0.5})
+        out = tmp_path / "out"
+        code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "$.bath.peaks[0]: g^2/gamma overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_infinite_dilation_threshold(self, tmp_path, capsys, command):
+        # each g^2/gamma is finite, but (eta/4) * g^2/gamma = 2.5e308 is not
+        doc = base_doc(bath={"peaks": [{"g": 1.0, "gamma": 0.1}], "eta": 1e308})
+        out = tmp_path / "out"
+        code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "invalid input: dilation threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_cutoff(self, tmp_path, capsys):
         doc = base_doc()
         doc["bath"]["eta"] = 0.5
@@ -196,7 +223,6 @@ class TestInputErrors:
             ("bath.peaks[0].epsilon", float("inf")),
             ("bath.peaks[0].g", float("inf")),
             ("bath.peaks[0].gamma", float("inf")),
-            ("bath.cutoff", float("inf")),
         ],
     )
     def test_non_finite_value(self, tmp_path, capsys, field, value):
@@ -366,6 +392,16 @@ class TestCompare:
         )
         assert code == EXIT_THRESHOLD
 
+    def test_non_finite_deviation_is_a_numerical_failure(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["system"] = {"n": 1, "matrix": [[[1e300, 0.0]]]}
+        doc["solver"] = {"oracle_steps": 100}
+        out = tmp_path / "out"
+        code = main(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: route deviation is not finite" in capsys.readouterr().err
+        assert not (out / "compare.json").exists()
+
     def test_ohmic_route(self, tmp_path):
         doc = base_doc()
         doc["bath"]["eta"] = 1.0
@@ -461,6 +497,41 @@ class TestSweep:
             ]
         )
         assert code == EXIT_CONFIG
+
+    def test_workers_bounded_by_points(self, tmp_path, monkeypatch):
+        # the fake pool starts no process, so a bound that fails costs nothing
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        doc = base_doc()
+        doc["time"] = {"t_max": 1.0, "points": 6}
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6, 0.9]}
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--jobs", "64"]) == EXIT_OK
+        assert workers == [3]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_must_be_positive(self, tmp_path, capsys, jobs):
+        doc = base_doc()
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6]}
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv + ["--jobs", jobs]) == EXIT_CONFIG
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_matches_serial(self, tmp_path):
         doc = base_doc()

@@ -6,7 +6,6 @@ from pseudobath.dynamics import (
     Trajectory,
     evolve,
     observables,
-    reduced_density,
 )
 from pseudobath.model import BathModel, InitialState, LorentzPeak, SystemHamiltonian, TimeGrid
 from pseudobath.pseudomode import build_effective_hamiltonian
@@ -15,35 +14,42 @@ from pseudobath.pseudomode import build_effective_hamiltonian
 def scalar_setup(g, gamma, epsilon=0.0, e0=0.0):
     h = SystemHamiltonian(np.array([[e0]]))
     bath = BathModel(peaks=(LorentzPeak(g=g, gamma=gamma, epsilon=epsilon),))
-    heff = build_effective_hamiltonian(h, bath)
     init = InitialState(psi=np.array([1.0 + 0.0j]), psi0=0.0)
-    return heff, init
+    return h, bath, init
+
+
+def rho_at(psi, init):
+    """Reduced density matrix of the system amplitudes psi, through
+    ``observables`` on a one-point trajectory."""
+    psi = np.asarray(psi, dtype=complex)
+    traj = Trajectory(grid=TimeGrid(np.array([0.0])), n=psi.size, k=0, vectors=psi[np.newaxis])
+    return observables(traj, init)[1][0]
 
 
 class TestEvolve:
     def test_pseudomodes_start_at_zero(self):
-        heff, init = scalar_setup(0.5, 0.2)
-        traj = evolve(heff, init, TimeGrid.uniform(1.0, 11))
+        h, bath, init = scalar_setup(0.5, 0.2)
+        traj = evolve(h, bath, init, TimeGrid.uniform(1.0, 11))
         assert np.linalg.norm(traj.vectors[0, 1:2]) == 0.0
         np.testing.assert_array_equal(traj.system_parts()[0], init.psi)
 
     def test_decoupled_limit_constant(self):
-        heff, init = scalar_setup(1e-12, 1.0)
-        traj = evolve(heff, init, TimeGrid.uniform(1.0, 11))
+        h, bath, init = scalar_setup(1e-12, 1.0)
+        traj = evolve(h, bath, init, TimeGrid.uniform(1.0, 11))
         sys = traj.system_parts()
         assert np.abs(sys - sys[0]).max() < 1e-9
 
     def test_rabi_limit_tiny_width(self):
         # gamma -> 0: the system-pseudomode pair is a bare two-level rotation
-        heff, init = scalar_setup(1.0, 1e-9)
-        traj = evolve(heff, init, TimeGrid(np.array([0.0, np.pi / 2])))
+        h, bath, init = scalar_setup(1.0, 1e-9)
+        traj = evolve(h, bath, init, TimeGrid(np.array([0.0, np.pi / 2])))
         assert abs(np.linalg.norm(traj.system_parts()[-1]) - abs(np.cos(np.pi / 2))) < 1e-4
 
     def test_matches_matrix_exponential(self):
-        heff, init = scalar_setup(0.5, 0.2)
+        h, bath, init = scalar_setup(0.5, 0.2)
         grid = TimeGrid(np.array([0.0, 1.0, 5.0, 10.0]))
-        traj = evolve(heff, init, grid)
-        lam, v = np.linalg.eig(heff.matrix)
+        traj = evolve(h, bath, init, grid)
+        lam, v = np.linalg.eig(build_effective_hamiltonian(h, bath))
         c = np.linalg.solve(v, np.array([1.0, 0.0], dtype=complex))
         for t, vector in zip(grid.points, traj.vectors):
             exact = v @ (np.exp(-1j * lam * t) * c)
@@ -52,17 +58,16 @@ class TestEvolve:
     def test_renormalized_initial_condition(self):
         h = SystemHamiltonian(np.array([[1.0]]))
         bath = BathModel(peaks=(LorentzPeak(0.5, 1.0, 0.0),), eta=1.0)
-        heff = build_effective_hamiltonian(h, bath)
         init = InitialState(psi=np.array([1.0 + 0.0j]), psi0=0.0)
         grid = TimeGrid.uniform(1.0, 3)
-        scaled = evolve(heff, init, grid)
+        scaled = evolve(h, bath, init, grid)
         f = 1.0 / (1.0 + 0.5j)
         assert scaled.system_parts()[0, 0] == pytest.approx(f)
 
     def test_empty_bath_closed_evolution(self):
         h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))
         init = InitialState(psi=np.array([0.6, 0.8j]), psi0=0.0)
-        traj = evolve(build_effective_hamiltonian(h, BathModel()), init, TimeGrid.uniform(2.0, 5))
+        traj = evolve(h, BathModel(), init, TimeGrid.uniform(2.0, 5))
         assert traj.vectors.shape == (5, 2)
         assert traj.k == 0
         np.testing.assert_array_equal(traj.vectors[0], init.psi)
@@ -73,19 +78,19 @@ class TestEvolve:
 class TestReducedDensity:
     def test_theorem_substitution(self):
         init = InitialState(psi=np.array([0.6]), psi0=0.8)
-        rho = reduced_density(np.array([0.6 + 0.0j]), init).matrix
+        rho = rho_at(np.array([0.6 + 0.0j]), init)
         np.testing.assert_allclose(rho, np.array([[0.64, 0.48], [0.48, 0.36]]), atol=1e-15)
         assert np.trace(rho).real == pytest.approx(1.0)
 
     def test_full_decay_is_pure_ground(self):
         init = InitialState(psi=np.array([1.0, 0.0]), psi0=0.0)
-        rho = reduced_density(np.zeros(2, dtype=complex), init).matrix
+        rho = rho_at(np.zeros(2, dtype=complex), init)
         np.testing.assert_allclose(rho, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
 
     def test_initial_excited_state_rank_one(self):
         psi = np.array([0.6, 0.8j])
         init = InitialState(psi=psi, psi0=0.0)
-        rho = reduced_density(psi.astype(complex), init).matrix
+        rho = rho_at(psi.astype(complex), init)
         assert rho[0, 0] == pytest.approx(0.0, abs=1e-15)
         eigs = np.sort(np.linalg.eigvalsh(rho))
         np.testing.assert_allclose(eigs, [0.0, 0.0, 1.0], atol=1e-12)
@@ -93,13 +98,13 @@ class TestReducedDensity:
     def test_norm_overflow_rejected(self):
         init = InitialState(psi=np.array([1.0]), psi0=0.0)
         with pytest.raises(NormExceededError):
-            reduced_density(np.array([1.1 + 0.0j]), init)
+            rho_at(np.array([1.1 + 0.0j]), init)
 
 
 class TestObservables:
     def test_initial_population(self):
-        heff, init = scalar_setup(0.5, 0.2)
-        traj = evolve(heff, init, TimeGrid.uniform(1.0, 5))
+        h, bath, init = scalar_setup(0.5, 0.2)
+        traj = evolve(h, bath, init, TimeGrid.uniform(1.0, 5))
         excited, rho = observables(traj, init)
         assert excited[0] == pytest.approx(1.0)
         for e, ground in zip(excited, rho[:, 0, 0].real):
@@ -108,25 +113,25 @@ class TestObservables:
     def test_closed_system_population_constant(self):
         h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))
         init = InitialState(psi=np.array([1.0, 0.0], dtype=complex), psi0=0.0)
-        traj = evolve(build_effective_hamiltonian(h, BathModel()), init, TimeGrid.uniform(10.0, 41))
+        traj = evolve(h, BathModel(), init, TimeGrid.uniform(10.0, 41))
         pops, _ = observables(traj, init)
         assert max(abs(p - 1.0) for p in pops) < 1e-9
 
     def test_dissipative_population_decays(self):
-        heff, init = scalar_setup(0.5, 1.0)
-        traj = evolve(heff, init, TimeGrid.uniform(20.0, 201))
+        h, bath, init = scalar_setup(0.5, 1.0)
+        traj = evolve(h, bath, init, TimeGrid.uniform(20.0, 201))
         excited, _ = observables(traj, init)
         assert excited[-1] < 0.05
 
     def test_norm_non_increasing_when_dilatable(self):
-        heff, init = scalar_setup(0.8, 0.5, epsilon=0.3)
-        traj = evolve(heff, init, TimeGrid.uniform(10.0, 101))
+        h, bath, init = scalar_setup(0.8, 0.5, epsilon=0.3)
+        traj = evolve(h, bath, init, TimeGrid.uniform(10.0, 101))
         norms = np.linalg.norm(traj.vectors, axis=1)
         assert np.all(np.diff(norms) <= 1e-9)
 
     def test_rho_invariants_along_trajectory(self):
-        heff, init = scalar_setup(1.0, 0.4, epsilon=-0.7, e0=0.5)
-        traj = evolve(heff, init, TimeGrid.uniform(10.0, 51))
+        h, bath, init = scalar_setup(1.0, 0.4, epsilon=-0.7, e0=0.5)
+        traj = evolve(h, bath, init, TimeGrid.uniform(10.0, 51))
         for m in observables(traj, init)[1]:
             assert np.abs(m - m.conj().T).max() < 1e-10
             assert abs(np.trace(m).real - 1.0) < 1e-10
@@ -142,11 +147,9 @@ class TestObservables:
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi *= 0.8 / np.linalg.norm(psi)
         init = InitialState(psi=psi, psi0=0.36 + 0.48j)
-        traj = evolve(build_effective_hamiltonian(h, bath), init, TimeGrid.uniform(8.0, 97))
+        traj = evolve(h, bath, init, TimeGrid.uniform(8.0, 97))
         excited, rho = observables(traj, init)
         assert rho.shape == (97, 4, 4)
-        per_point = np.stack([reduced_density(psi, init).matrix for psi in traj.system_parts()])
-        np.testing.assert_array_equal(rho, per_point)
         # the per-point formula written out with np.vdot and np.outer
         for e, m, psi in zip(excited, rho, traj.system_parts()):
             norm2 = float(np.vdot(psi, psi).real)

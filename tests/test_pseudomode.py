@@ -96,7 +96,7 @@ class TestAgainstReference:
 
     def test_generator(self):
         for h, bath in self.instances():
-            got = build_effective_hamiltonian(h, bath).matrix
+            got = build_effective_hamiltonian(h, bath)
             assert_bitwise_equal(got, reference_generator(h, bath))
 
     def test_block_stack(self):
@@ -117,7 +117,7 @@ class TestBuildEffectiveHamiltonian:
         h = SystemHamiltonian(np.zeros((1, 1)))
         bath = BathModel(peaks=(LorentzPeak(g=1.0, gamma=2.0, epsilon=0.0),))
         heff = build_effective_hamiltonian(h, bath)
-        np.testing.assert_array_equal(heff.matrix, np.array([[0.0, 1.0], [1.0, -1.0j]]))
+        np.testing.assert_array_equal(heff, np.array([[0.0, 1.0], [1.0, -1.0j]]))
 
     def test_two_peaks(self):
         h = SystemHamiltonian(np.zeros((1, 1)))
@@ -128,17 +128,17 @@ class TestBuildEffectiveHamiltonian:
         expected = np.array(
             [[0.0, 1.0, 2.0], [1.0, -1.0j, 0.0], [2.0, 0.0, 1.0 - 2.0j]]
         )
-        np.testing.assert_array_equal(heff.matrix, expected)
+        np.testing.assert_array_equal(heff, expected)
 
     def test_pure_ohmic_scalar(self):
         h = SystemHamiltonian(np.array([[1.0]]))
         heff = build_effective_hamiltonian(h, BathModel(eta=2.0))
-        assert heff.matrix[0, 0] == pytest.approx(0.5 - 0.5j)
+        assert heff[0, 0] == pytest.approx(0.5 - 0.5j)
 
     def test_ohmic_top_row_scaling_is_one_sided(self):
         h = SystemHamiltonian(np.array([[1.0]]))
         bath = BathModel(peaks=(LorentzPeak(g=0.7, gamma=1.0, epsilon=0.2),), eta=1.0)
-        m = build_effective_hamiltonian(h, bath).matrix
+        m = build_effective_hamiltonian(h, bath)
         f = 1.0 / (1.0 + 0.5j)
         assert m[0, 1] == pytest.approx(0.7 * f)
         assert m[1, 0] == pytest.approx(0.7)
@@ -146,15 +146,15 @@ class TestBuildEffectiveHamiltonian:
     def test_empty_bath_generator_is_system_hamiltonian(self):
         h = SystemHamiltonian(np.array([[0.2, 0.3 - 0.1j], [0.3 + 0.1j, -0.4]]))
         heff = build_effective_hamiltonian(h, BathModel())
-        assert (heff.n, heff.k, heff.dim) == (2, 0, 2)
-        np.testing.assert_array_equal(heff.matrix, h.matrix)
+        assert heff.shape == (2, 2)
+        np.testing.assert_array_equal(heff, h.matrix)
 
     def test_anti_hermitian_part_structure(self):
         # eta = 0: H_eff - H_eff^dag = -i * (0 + gamma_1 I + ... + gamma_K I)
         rng = np.random.default_rng(5)
         h = SystemHamiltonian(random_hermitian(rng, 2))
         bath = random_bath(rng, 3)
-        m = build_effective_hamiltonian(h, bath).matrix
+        m = build_effective_hamiltonian(h, bath)
         gammas = np.concatenate(
             [np.zeros(2)] + [np.full(2, p.gamma) for p in bath.peaks]
         )
@@ -172,32 +172,32 @@ class TestOpticalPotential:
         )
         v = optical_potential(build_effective_hamiltonian(h, bath))
         expected = np.diag([0.0, 0.0, 0.1, 0.1, 0.2, 0.2])
-        np.testing.assert_allclose(v.matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(v, expected, atol=1e-15)
 
     def test_single_peak_structure(self):
         h = SystemHamiltonian(np.zeros((1, 1)))
         bath = BathModel(peaks=(LorentzPeak(g=1.0, gamma=1.0, epsilon=0.0),))
         v = optical_potential(build_effective_hamiltonian(h, bath))
-        np.testing.assert_allclose(v.matrix, np.diag([0.0, 0.5]), atol=1e-15)
+        np.testing.assert_allclose(v, np.diag([0.0, 0.5]), atol=1e-15)
 
     def test_pure_ohmic_proportional_to_system(self):
         h = SystemHamiltonian(np.array([[1.0]]))
         v = optical_potential(build_effective_hamiltonian(h, BathModel(eta=1.0)))
-        assert v.matrix[0, 0] == pytest.approx(0.4)
+        assert v[0, 0] == pytest.approx(0.4)
 
     def test_hermitian(self):
         rng = np.random.default_rng(7)
         h = SystemHamiltonian(random_hermitian(rng, 3))
         bath = random_bath(rng, 2, eta=0.9)
         v = optical_potential(build_effective_hamiltonian(h, bath))
-        assert np.abs(v.matrix - v.matrix.conj().T).max() < 1e-12
+        assert np.abs(v - v.conj().T).max() < 1e-12
 
 
 class TestBlockDecompose:
     def test_scalar_system_single_block(self):
         h = SystemHamiltonian(np.array([[0.3]]))
         bath = BathModel(peaks=(LorentzPeak(1.0, 2.0, 0.5),), eta=0.4)
-        full = build_effective_hamiltonian(h, bath).matrix
+        full = build_effective_hamiltonian(h, bath)
         blocks = block_decompose(h, bath)
         assert len(blocks) == 1
         np.testing.assert_allclose(blocks[0], full, atol=1e-14)
@@ -218,7 +218,7 @@ class TestBlockDecompose:
         rng = np.random.default_rng(8)
         h = SystemHamiltonian(random_hermitian(rng, 3))
         bath = random_bath(rng, 2, eta=eta)
-        full = build_effective_hamiltonian(h, bath).matrix
+        full = build_effective_hamiltonian(h, bath)
         ev_full = np.sort_complex(np.linalg.eigvals(full))
         ev_blocks = np.sort_complex(
             np.concatenate(

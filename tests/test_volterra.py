@@ -18,6 +18,7 @@ from pseudobath.model import (
 from pseudobath.pseudomode import build_effective_hamiltonian
 from pseudobath.volterra import (
     GridMismatchError,
+    OracleTrajectory,
     StepTooCoarseError,
     compare_trajectories,
     solve_cutoff_family,
@@ -165,9 +166,8 @@ class TestIntegroDifferential:
         peak = LorentzPeak(g=0.5, gamma=0.2, epsilon=0.0)
         h = SystemHamiltonian(np.zeros((1, 1)))
         oracle = solve_integro_differential(h, peak_kernel(peak), PSI0, 10.0, 4000)
-        heff = build_effective_hamiltonian(h, BathModel(peaks=(peak,)))
         init = InitialState(psi=PSI0, psi0=0.0)
-        traj = evolve(heff, init, TimeGrid(oracle.times))
+        traj = evolve(h, BathModel(peaks=(peak,)), init, TimeGrid(oracle.times))
         assert compare_trajectories(traj, oracle) < 1e-6
 
     def test_second_order_convergence(self):
@@ -178,15 +178,16 @@ class TestIntegroDifferential:
         errs = []
         for steps in (1000, 2000, 4000):
             traj = solve_integro_differential(h, kernel, PSI0, 10.0, steps)
-            errs.append(compare_trajectories(traj, fine))
+            r = 16000 // steps
+            shared = OracleTrajectory(fine.times[::r], fine.states[::r])
+            errs.append(compare_trajectories(traj, shared))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert all(1.7 <= p <= 2.3 for p in orders)
 
     def test_extrapolation_improves_accuracy(self):
         peak = LorentzPeak(g=2.0, gamma=0.3, epsilon=2.0)
         h = SystemHamiltonian(np.array([[1.0]]))
-        heff = build_effective_hamiltonian(h, BathModel(peaks=(peak,)))
-        lam, v = np.linalg.eig(heff.matrix)
+        lam, v = np.linalg.eig(build_effective_hamiltonian(h, BathModel(peaks=(peak,))))
         c = np.linalg.solve(v, np.array([1.0, 0.0], dtype=complex))
         kernel = peak_kernel(peak)
         plain = solve_integro_differential(h, kernel, PSI0, 10.0, 4000)
@@ -242,9 +243,8 @@ class TestRenormalized:
         oracle = solve_renormalized(
             h, eta, peak_kernel(peak), PSI0, 10.0, 4000, extrapolate=True
         )
-        heff = build_effective_hamiltonian(h, BathModel(peaks=(peak,), eta=eta))
         init = InitialState(psi=PSI0, psi0=0.0)
-        traj = evolve(heff, init, TimeGrid(oracle.times))
+        traj = evolve(h, BathModel(peaks=(peak,), eta=eta), init, TimeGrid(oracle.times))
         assert compare_trajectories(traj, oracle) < 1e-6
 
 
@@ -294,11 +294,22 @@ class TestCompare:
         with pytest.raises(GridMismatchError):
             compare_trajectories(a, b)
 
-    def test_refined_grid_comparison_uses_shared_points(self):
+    def test_grid_equality_is_relative(self):
+        # linspace and arange(steps + 1) * h differ by 1.8e-12 at the end
+        t_max, steps = 12345.6789, 11
+        states = np.ones((steps + 1, 1), dtype=complex)
+        a = OracleTrajectory(np.linspace(0.0, t_max, steps + 1), states)
+        b = OracleTrajectory(np.arange(steps + 1) * (t_max / steps), states)
+        assert compare_trajectories(a, b) == 0.0
+        moved = b.times.copy()
+        moved[5] += 1e-9 * t_max
+        with pytest.raises(GridMismatchError):
+            compare_trajectories(a, OracleTrajectory(moved, states))
         h = SystemHamiltonian(np.array([[0.3]]))
-        a = solve_integro_differential(h, None, PSI0, 1.0, 100)
-        b = solve_integro_differential(h, None, PSI0, 1.0, 200)
-        assert compare_trajectories(a, b) < 1e-5
+        coarse = solve_integro_differential(h, None, PSI0, 1.0, 100)
+        refined = solve_integro_differential(h, None, PSI0, 1.0, 200)
+        with pytest.raises(GridMismatchError):
+            compare_trajectories(coarse, refined)
 
     def test_shift_by_one_point_scales_with_derivative(self):
         h = SystemHamiltonian(np.array([[2.0]]))
