@@ -295,6 +295,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     # a fork-started pool forks all its workers at the first submit
     workers = min(args.jobs, len(jobs))
     if workers > 1:
+        # forked workers inherit scipy.linalg; else each imports it on its first point
+        import scipy.linalg  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:

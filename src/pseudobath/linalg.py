@@ -5,11 +5,11 @@ eigenvalues, of one matrix or of a stack, go to LAPACK through numpy behind a
 strict Hermiticity check.  A linear ODE whose generator is a stack of small
 blocks is propagated exactly on a time grid by scaling-and-squaring matrix
 exponentials of the blocks (Al-Mohy & Higham 2009): no step-size control and
-no tolerances.
+no tolerances.  That ``expm`` is scipy's, loaded on first use, so importing
+this module loads numpy alone.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class LinAlgError(Exception):
@@ -65,6 +65,13 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     if defect > HERMITICITY_RTOL:
         raise NotHermitianError(f"matrix is not Hermitian (relative defect {defect:.3e})")
     return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm`` of a matrix or a stack, imported on first use."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def propagate_blocks(blocks, z0, times) -> np.ndarray:

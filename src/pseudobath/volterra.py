@@ -15,6 +15,8 @@ unit lower-triangular block-Toeplitz system, built once per march and
 solved with one triangular solve per block, and the history of finished
 blocks enters as FFT convolutions on dyadic tiles (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): O(steps log^2 steps).
+The FFTs are numpy's; scipy's triangular solver is imported by the first
+march, so importing this module loads numpy alone.
 The march reads only H, psi(0), h and the sampled kernel G(k*h): no kernel
 compression, no sum of exponentials and no use of the pseudomode structure,
 so it certifies the effective-Hamiltonian route independently.
@@ -24,10 +26,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
-from .model import SystemHamiltonian, counterterm_shift, ohmic_cutoff_correlation
+from .model import ModelError, SystemHamiltonian, counterterm_shift, ohmic_cutoff_correlation
 
 Kernel = Callable[[np.ndarray], np.ndarray]
 
@@ -67,7 +67,7 @@ def _kernel_on_grid(kernel: Kernel | None, times: np.ndarray) -> np.ndarray:
     if vals.shape != times.shape:
         raise ValueError("kernel must evaluate elementwise on a time array")
     if not np.all(np.isfinite(vals.view(float))):
-        raise ValueError("kernel is not finite on the grid")
+        raise ModelError("kernel is not finite on the grid")
     return vals
 
 
@@ -96,6 +96,8 @@ def _solve_volterra_core(
     the last 2^v(c) of them (v the 2-adic valuation) act on the next
     2^v(c), so every earlier block reaches every later one exactly once.
     """
+    from scipy.linalg import solve_triangular
+
     n = psi0.shape[0]
     eye = np.eye(n)
     a = -1j * generator
@@ -119,7 +121,7 @@ def _solve_volterra_core(
     spectra = []
     while (bsize << len(spectra)) < steps:
         width = 2 * (bsize << len(spectra))
-        spectra.append(scipy.fft.fft(np.stack((alpha[:width], beta[:width])), axis=1))
+        spectra.append(np.fft.fft(np.stack((alpha[:width], beta[:width])), axis=1))
 
     y = np.empty((steps + 1, n), dtype=complex)
     y[0] = psi0
@@ -128,7 +130,7 @@ def _solve_volterra_core(
     for k0 in range(0, steps, bsize):
         b = min(bsize, steps - k0)
         rhs = csum[:b] @ y[k0] + far[k0 : k0 + b]
-        d = scipy.linalg.solve_triangular(
+        d = solve_triangular(
             lower[: b * n, : b * n], rhs.ravel(), lower=True, unit_diagonal=True,
             check_finite=False,
         )
@@ -140,8 +142,8 @@ def _solve_volterra_core(
         level = (done & -done).bit_length() - 1
         span = bsize << level
         spec_a, spec_b = spectra[level]
-        ys = scipy.fft.fft(y[lo - span : lo], n=2 * span, axis=0)
-        conv = scipy.fft.ifft(spec_a[:, None] * (ys @ q.T) + spec_b[:, None] * ys, axis=0)
+        ys = np.fft.fft(y[lo - span : lo], n=2 * span, axis=0)
+        conv = np.fft.ifft(spec_a[:, None] * (ys @ q.T) + spec_b[:, None] * ys, axis=0)
         far[lo : lo + span] += conv[span : span + steps - lo]
     return y
 

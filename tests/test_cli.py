@@ -51,6 +51,17 @@ def run_cli(argv, timeout=30):
     )
 
 
+def run_python(code, timeout=60):
+    """Run ``python -c code`` in a fresh process that imports this checkout;
+    return its standard output."""
+    src = str(pathlib.Path(pseudobath.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=timeout,
+    )
+    return out.stdout
+
+
 def write_config(tmp_path, doc, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -167,6 +178,21 @@ class TestInputErrors:
         code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "invalid input: dilation threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, eta", [(["compare"], 0.0), (["cutoff-study", "--omegas", "2"], 0.5)]
+    )
+    def test_overflowing_kernel(self, tmp_path, argv, eta):
+        # each g^2/gamma = 1e308 is finite, but their sum G(0) is not
+        peak = {"g": 1e154, "gamma": 1.0, "epsilon": 0.1}
+        doc = base_doc(bath={"peaks": [peak, peak], "eta": eta})
+        doc["solver"] = {"oracle_steps": 100}
+        out = tmp_path / "out"
+        result = run_cli(argv + ["--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert result.returncode == EXIT_CONFIG
+        assert "invalid input: kernel is not finite on the grid" in result.stderr
+        assert "Traceback" not in result.stderr
         assert not out.exists()
 
     def test_bad_cutoff(self, tmp_path, capsys):
@@ -545,3 +571,49 @@ class TestSweep:
             a = (serial / sub / "trajectory.csv").read_bytes()
             b = (parallel / sub / "trajectory.csv").read_bytes()
             assert a == b
+
+
+# prints the scipy modules loaded so far, one line, in a fresh process
+_SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+class TestImports:
+    """Only the commands that propagate or march load scipy."""
+
+    def test_cli_import_is_numpy_only(self):
+        assert run_python("import sys, pseudobath.cli; " + _SCIPY_MODULES) == "[]\n"
+
+    def test_check_is_numpy_only(self, tmp_path):
+        argv = ["check", "--config", write_config(tmp_path, base_doc()), "--out", str(tmp_path)]
+        code = f"import sys; from pseudobath.cli import main; main({argv!r}); " + _SCIPY_MODULES
+        assert run_python(code).splitlines()[-1] == "[]"
+        assert (tmp_path / "dilation.json").exists()
+
+    def test_sweep_loads_scipy_linalg_before_the_pool(self, tmp_path):
+        # a fork-started pool's workers inherit what the parent has imported
+        doc = base_doc()
+        doc["time"] = {"t_max": 1.0, "points": 6}
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6]}
+        argv = ["sweep", "--jobs", "2", "--config", write_config(tmp_path, doc)]
+        argv += ["--out", str(tmp_path / "out")]
+        code = f"""
+import sys
+from pseudobath import cli
+
+class RecordingPool:
+    def __init__(self, max_workers):
+        print("scipy.linalg" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+cli.ProcessPoolExecutor = RecordingPool
+sys.exit(cli.main({argv!r}))
+"""
+        assert run_python(code) == "True\n"
