@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -46,6 +45,7 @@ _ERROR_CODES = {
     LinAlgError: (EXIT_NUMERICAL, "numerical failure"),
     dynamics.NormExceededError: (EXIT_NUMERICAL, "numerical failure"),
     volterra.StepTooCoarseError: (EXIT_NUMERICAL, "numerical failure"),
+    MemoryError: (EXIT_CONFIG, "out of memory"),
 }
 _KNOWN_ERRORS = tuple(_ERROR_CODES)
 
@@ -246,6 +246,8 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
     for omega, traj in zip(args.omegas, family):
         diff = np.linalg.norm(traj.states - reference.states, axis=1)
         sup = float(diff[mask].max())
+        if not math.isfinite(sup):
+            raise LinAlgError(f"deviation at cutoff {omega} is not finite ({sup})")
         lines.append(f"{_fmt(omega)},{_fmt(sup)}")
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "cutoff_study.csv"), "\n".join(lines) + "\n")
@@ -261,6 +263,49 @@ def _sweep_point(payload) -> tuple[int, str | None]:
     except _KNOWN_ERRORS as exc:
         return _describe_error(exc)
     return EXIT_OK, None
+
+
+def _sweep_share(share, conn):
+    """Worker process: run a share of the sweep and send back its results."""
+    conn.send([_sweep_point(payload) for payload in share])
+
+
+def _run_sweep(jobs: list, workers: int) -> list:
+    """Results of every sweep point, in order.  This process runs the share
+    jobs[0::workers]; worker w of workers - 1 child processes runs
+    jobs[w::workers] and returns its results over a one-way pipe."""
+    if workers == 1:
+        return [_sweep_point(payload) for payload in jobs]
+    import multiprocessing
+
+    # forked workers inherit scipy.linalg; else each imports it on its first point
+    import scipy.linalg  # noqa: F401
+
+    results = [None] * len(jobs)
+    started = []
+    try:
+        for w in range(1, workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_sweep_share, args=(jobs[w::workers], send))
+            proc.start()
+            send.close()  # then recv sees EOF if the worker dies
+            started.append((proc, recv))
+        results[0::workers] = [_sweep_point(payload) for payload in jobs[0::workers]]
+        for w, (proc, recv) in enumerate(started, 1):
+            try:
+                results[w::workers] = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"sweep worker {w} exited with code {proc.exitcode}") from None
+    except BaseException:
+        for proc, _ in started:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in started:
+            recv.close()
+            proc.join()
+    return results
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -292,16 +337,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         )
 
     os.makedirs(args.out, exist_ok=True)
-    # a fork-started pool forks all its workers at the first submit
-    workers = min(args.jobs, len(jobs))
-    if workers > 1:
-        # forked workers inherit scipy.linalg; else each imports it on its first point
-        import scipy.linalg  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, jobs))
-    else:
-        results = [_sweep_point(payload) for payload in jobs]
+    results = _run_sweep(jobs, min(args.jobs, len(jobs)))
     exit_code = EXIT_OK
     for entry, (code, error) in zip(manifest, results):
         if error is None:
@@ -362,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="cartesian parameter sweep of simulate")
     add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    p.add_argument("--jobs", type=int, default=1, help="sweep processes, this one included")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -63,7 +63,9 @@ class OracleTrajectory:
 def _kernel_on_grid(kernel: Kernel | None, times: np.ndarray) -> np.ndarray:
     if kernel is None:
         return np.zeros(times.shape, dtype=complex)
-    vals = np.asarray(kernel(times), dtype=complex)
+    # an overflow shows as a non-finite value, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(kernel(times), dtype=complex)
     if vals.shape != times.shape:
         raise ValueError("kernel must evaluate elementwise on a time array")
     if not np.all(np.isfinite(vals.view(float))):
@@ -71,6 +73,8 @@ def _kernel_on_grid(kernel: Kernel | None, times: np.ndarray) -> np.ndarray:
     return vals
 
 
+# a non-finite march shows in the deviations, which compare and cutoff-study reject
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_volterra_core(
     generator: np.ndarray,
     gvals: np.ndarray,

@@ -1,9 +1,12 @@
 import csv
 import json
+import multiprocessing
 import os
 import pathlib
+import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -42,23 +45,40 @@ def base_doc(**overrides):
     return doc
 
 
-def run_cli(argv, timeout=30):
-    """Run ``python -m pseudobath.cli`` in a fresh process."""
+def _limit_address_space():
+    """Cap the address space of a child process at 2 GiB before it starts."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_cli(argv, timeout=30, limit_memory=False):
+    """Run ``python -m pseudobath.cli`` in a fresh process.  With
+    ``limit_memory`` its address space is capped at 2 GiB (one BLAS thread,
+    so that the BLAS buffers fit well inside the cap)."""
+    src = str(pathlib.Path(pseudobath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    if limit_memory:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "pseudobath.cli", *argv], env=env,
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=_limit_address_space if limit_memory else None,
+    )
+
+
+def python_process(code, timeout=60):
+    """Run ``python -c code`` in a fresh process that imports this checkout."""
     src = str(pathlib.Path(pseudobath.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "pseudobath.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=timeout,
     )
 
 
 def run_python(code, timeout=60):
-    """Run ``python -c code`` in a fresh process that imports this checkout;
+    """Run ``python -c code`` like ``python_process``; require exit 0 and
     return its standard output."""
-    src = str(pathlib.Path(pseudobath.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True, timeout=timeout,
-    )
+    out = python_process(code, timeout)
+    assert out.returncode == 0, out.stderr
     return out.stdout
 
 
@@ -191,9 +211,42 @@ class TestInputErrors:
         out = tmp_path / "out"
         result = run_cli(argv + ["--config", write_config(tmp_path, doc), "--out", str(out)])
         assert result.returncode == EXIT_CONFIG
-        assert "invalid input: kernel is not finite on the grid" in result.stderr
-        assert "Traceback" not in result.stderr
+        # the message alone: no numpy overflow warning before it
+        assert result.stderr == "invalid input: kernel is not finite on the grid\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("simulate", base_doc(time={"t_max": 5.0, "points": 10**12})),
+            ("compare", base_doc(solver={"oracle_steps": 10**12})),
+        ],
+    )
+    def test_oversized_grid_is_out_of_memory(self, tmp_path, command, doc):
+        # under a 2 GiB address-space limit the 7.28 TiB array is refused
+        # whatever the machine's overcommit setting
+        out = tmp_path / "out"
+        result = run_cli(
+            [command, "--config", write_config(tmp_path, doc), "--out", str(out)],
+            limit_memory=True,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.startswith("out of memory: Unable to allocate 7.28 TiB")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_of_memory_sweep_point_is_recorded(self, tmp_path):
+        doc = base_doc(time={"t_max": 1.0, "points": 6})
+        doc["sweep"] = {"time.points": [6, 10**12]}
+        out = tmp_path / "out"
+        result = run_cli(
+            ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)],
+            limit_memory=True,
+        )
+        assert result.returncode == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["status"] for entry in manifest] == ["ok", "error"]
+        assert manifest[1]["error"].startswith("out of memory: Unable to allocate")
 
     def test_bad_cutoff(self, tmp_path, capsys):
         doc = base_doc()
@@ -423,9 +476,12 @@ class TestCompare:
         doc["system"] = {"n": 1, "matrix": [[[1e300, 0.0]]]}
         doc["solver"] = {"oracle_steps": 100}
         out = tmp_path / "out"
-        code = main(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)])
         assert code == EXIT_NUMERICAL
         assert "numerical failure: route deviation is not finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / "compare.json").exists()
 
     def test_ohmic_route(self, tmp_path):
@@ -449,6 +505,21 @@ class TestCutoffStudy:
             ]
         )
         assert code == EXIT_CONFIG
+
+    def test_non_finite_deviation_is_a_numerical_failure(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["system"] = {"n": 1, "matrix": [[[1e300, 0.0]]]}
+        doc["bath"]["eta"] = 0.5
+        doc["solver"] = {"oracle_steps": 100}
+        out = tmp_path / "out"
+        argv = ["cutoff-study", "--omegas", "2", "--config", write_config(tmp_path, doc)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: deviation at cutoff 2.0 is not finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     def test_writes_deviation_table(self, tmp_path):
         doc = base_doc()
@@ -525,29 +596,38 @@ class TestSweep:
         assert code == EXIT_CONFIG
 
     def test_workers_bounded_by_points(self, tmp_path, monkeypatch):
-        # the fake pool starts no process, so a bound that fails costs nothing
-        workers = []
+        # the stand-in runs each share in this process, so a bound that
+        # fails starts no process
+        started = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
+        class InlineProcess:
+            def __init__(self, target, args):
+                self.target, self.args = target, args
 
-            def __enter__(self):
-                return self
+            def start(self):
+                started.append(self.args[0])
+                self.target(*self.args)
 
-            def __exit__(self, *exc):
-                return False
+            def terminate(self):
+                pass
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def join(self):
+                pass
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
         doc = base_doc()
         doc["time"] = {"t_max": 1.0, "points": 6}
         doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6, 0.9]}
-        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]
         assert main(argv + ["--jobs", "64"]) == EXIT_OK
-        assert workers == [3]
+        # the parent runs point 0; two workers run one point each
+        assert [[os.path.basename(d) for _, d in share] for share in started] == [
+            ["point_0001"],
+            ["point_0002"],
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["status"] for entry in manifest] == ["ok"] * 3
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_must_be_positive(self, tmp_path, capsys, jobs):
@@ -572,13 +652,80 @@ class TestSweep:
             b = (parallel / sub / "trajectory.csv").read_bytes()
             assert a == b
 
+    def test_uneven_split_matches_serial(self, tmp_path):
+        # 5 points over 3 processes: shares of 2, 2 and 1 points
+        doc = base_doc()
+        doc["time"] = {"t_max": 1.0, "points": 6}
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.2, 0.3, 0.4, 0.5, 0.6]}
+        cfg = write_config(tmp_path, doc)
+        trees = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            trees.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert len(trees[0]) == 11
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize(
+        "failure, exit_code", [("raise KeyError(out_dir)", 1), ("os._exit(7)", 7)]
+    )
+    def test_failing_worker_ends_the_sweep(self, tmp_path, failure, exit_code):
+        # worker 1 of 2 runs points 1 and 3; the patch reaches it through fork
+        out = tmp_path / "out"
+        code = _failing_sweep_script(tmp_path, out, "point_0001", failure)
+        result = python_process(code + "sys.exit(cli.main(argv))\n", timeout=60)
+        assert result.returncode != 0
+        assert f"sweep worker 1 exited with code {exit_code}" in result.stderr
+        assert not (out / "manifest.json").exists()
+
+    def test_failing_parent_share_joins_the_workers(self, tmp_path):
+        out = tmp_path / "out"
+        code = _failing_sweep_script(tmp_path, out, "point_0000", "raise KeyError(out_dir)")
+        code += """
+try:
+    cli.main(argv)
+except KeyError:
+    print(multiprocessing.active_children())
+"""
+        assert run_python(code, timeout=60) == "[]\n"
+
+
+def _failing_sweep_script(tmp_path, out, point, failure):
+    """Source of a script that sets up a 4-point ``sweep --jobs 2`` as
+    ``argv`` and makes ``point`` run the statement ``failure``."""
+    doc = base_doc()
+    doc["time"] = {"t_max": 1.0, "points": 6}
+    doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.4, 0.5, 0.6]}
+    argv = ["sweep", "--jobs", "2", "--config", write_config(tmp_path, doc), "--out", str(out)]
+    return f"""
+import multiprocessing, os, sys
+from pseudobath import cli
+
+multiprocessing.set_start_method("fork")
+simulate = cli._simulate
+
+def failing(cfg, out_dir):
+    if out_dir.endswith({point!r}):
+        {failure}
+    simulate(cfg, out_dir)
+
+cli._simulate = failing
+argv = {argv!r}
+"""
+
 
 # prints the scipy modules loaded so far, one line, in a fresh process
 _SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-
+# likewise the concurrent.futures and multiprocessing modules, as JSON
+_PROCESS_MODULES = (
+    "import json; print(json.dumps(sorted(m for m in sys.modules"
+    " if m.split('.')[0] in ('concurrent', 'multiprocessing'))))"
+)
 
 class TestImports:
-    """Only the commands that propagate or march load scipy."""
+    """Only the commands that propagate or march load scipy, and only a
+    sweep that starts workers loads multiprocessing."""
 
     def test_cli_import_is_numpy_only(self):
         assert run_python("import sys, pseudobath.cli; " + _SCIPY_MODULES) == "[]\n"
@@ -589,31 +736,47 @@ class TestImports:
         assert run_python(code).splitlines()[-1] == "[]"
         assert (tmp_path / "dilation.json").exists()
 
+    @pytest.mark.parametrize("argv", [[], ["check"], ["sweep", "--jobs", "1"]])
+    def test_no_process_modules_without_workers(self, tmp_path, argv):
+        doc = base_doc(time={"t_max": 1.0, "points": 6}, sweep={"bath.peaks[0].gamma": [0.3]})
+        if argv:
+            argv += ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+        call = f"main({argv!r}); " if argv else ""
+        code = f"import sys; from pseudobath.cli import main; {call}" + _PROCESS_MODULES
+        loaded = json.loads(run_python(code).splitlines()[-1])
+        if "sweep" in argv:
+            # scipy.linalg imports numpy.testing, which loads the base of
+            # concurrent.futures but neither its process pool nor multiprocessing
+            loaded = [m for m in loaded if m.startswith("multiprocessing")
+                      or m == "concurrent.futures.process"]
+        assert loaded == []
+
     def test_sweep_loads_scipy_linalg_before_the_pool(self, tmp_path):
-        # a fork-started pool's workers inherit what the parent has imported
+        # fork-started workers inherit what the parent has imported
         doc = base_doc()
         doc["time"] = {"t_max": 1.0, "points": 6}
         doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6]}
         argv = ["sweep", "--jobs", "2", "--config", write_config(tmp_path, doc)]
         argv += ["--out", str(tmp_path / "out")]
         code = f"""
-import sys
+import multiprocessing, sys
 from pseudobath import cli
 
-class RecordingPool:
-    def __init__(self, max_workers):
+class InlineProcess:
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
         print("scipy.linalg" in sys.modules)
+        self.target(*self.args)
 
-    def __enter__(self):
-        return self
+    def terminate(self):
+        pass
 
-    def __exit__(self, *exc):
-        return False
+    def join(self):
+        pass
 
-    def map(self, fn, items):
-        return map(fn, items)
-
-cli.ProcessPoolExecutor = RecordingPool
+multiprocessing.Process = InlineProcess
 sys.exit(cli.main({argv!r}))
 """
         assert run_python(code) == "True\n"
