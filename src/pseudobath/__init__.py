@@ -28,7 +28,6 @@ from .model import (
     ModelError,
     OhmicWithoutCutoffError,
     SystemHamiltonian,
-    TimeGrid,
     correlation,
     correlation_by_quadrature,
     counterterm_shift,

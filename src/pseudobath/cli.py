@@ -24,7 +24,7 @@ from .config import (
     parse_config,
 )
 from .linalg import LinAlgError
-from .model import ModelError, TimeGrid, lorentz_correlation
+from .model import ModelError, lorentz_correlation
 from .pseudomode import DilationReport
 
 EXIT_OK = 0
@@ -46,6 +46,7 @@ _ERROR_CODES = {
     dynamics.NormExceededError: (EXIT_NUMERICAL, "numerical failure"),
     volterra.StepTooCoarseError: (EXIT_NUMERICAL, "numerical failure"),
     MemoryError: (EXIT_CONFIG, "out of memory"),
+    OSError: (EXIT_CONFIG, "file error"),
 }
 _KNOWN_ERRORS = tuple(_ERROR_CODES)
 
@@ -127,8 +128,8 @@ def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[float, float]:
 
 
 def _simulate(cfg: RunConfig, out_dir: str):
-    grid = TimeGrid.uniform(cfg.t_max, cfg.output_points)
-    traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, grid)
+    t = np.linspace(0.0, cfg.t_max, cfg.output_points)
+    traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, t)
     dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
     excited, rho = dynamics.observables(traj, cfg.initial)
 
@@ -137,7 +138,6 @@ def _simulate(cfg: RunConfig, out_dir: str):
     header = ["t", *rho_cols, "excited_population"]
 
     # Validate and format in blocks of rows so that temporaries stay small.
-    t = grid.points
     template = _row_template(len(header))
     lines = [",".join(header)]
     min_rho_eig = np.inf
@@ -157,7 +157,7 @@ def _simulate(cfg: RunConfig, out_dir: str):
         "config": config_to_dict(cfg),
         "dilation": _dilation_dict(dilation),
         "trajectory": {
-            "points": len(grid),
+            "points": len(t),
             "final_excited_population": float(excited[-1]),
             "final_ground_population": 1.0 - float(excited[-1]),
             "max_trace_deviation": max_trace_dev,
@@ -193,8 +193,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         sys.stderr.write(f"--threshold must be finite and >= 0, got {args.threshold}\n")
         return EXIT_CONFIG
     steps = cfg.solver.oracle_steps
-    grid = TimeGrid.uniform(cfg.t_max, steps + 1)
-    traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, grid)
+    times = np.linspace(0.0, cfg.t_max, steps + 1)
+    traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, times)
     # at eta = 0 this is exactly solve_integro_differential
     oracle = volterra.solve_renormalized(
         cfg.system, cfg.bath.eta, _lorentz_kernel(cfg.bath), cfg.initial.psi, cfg.t_max,
@@ -414,14 +414,6 @@ def main(argv=None) -> int:
             doc = config_to_dict(cfg)
             doc["solver"]["oracle_steps"] = args.oracle_steps
             cfg = parse_config(json.dumps(doc))
-    except OSError as exc:
-        sys.stderr.write(f"cannot read config: {exc}\n")
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        sys.stderr.write(f"invalid config: {exc}\n")
-        return EXIT_CONFIG
-
-    try:
         return args.func(cfg, args)
     except _KNOWN_ERRORS as exc:
         code, message = _describe_error(exc)

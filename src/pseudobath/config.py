@@ -81,6 +81,15 @@ def _finite(obj, key, path, required=True, default=None):
     return val
 
 
+def _grid_size(obj, key, path, low, default=None) -> int:
+    """An integer in [low, 10**12], required unless it has a default; above
+    the cap numpy fails on the array size itself, before any MemoryError."""
+    val = _get(obj, key, path, required=default is None, default=default)
+    if isinstance(val, bool) or not isinstance(val, int) or not low <= val <= 10**12:
+        raise ValidationError(f"{path}.{key}", f"expected an integer in [{low}, 10**12]")
+    return val
+
+
 def _complex(val, path) -> complex:
     if (
         not isinstance(val, list)
@@ -158,14 +167,10 @@ def parse_config(text) -> RunConfig:
     t_max = _number(time_obj, "t_max", "$.time")
     if not 0.0 < t_max < math.inf:
         raise ValidationError("$.time.t_max", f"must be positive and finite, got {t_max}")
-    points = _get(time_obj, "points", "$.time")
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise ValidationError("$.time.points", "expected an integer >= 2")
+    points = _grid_size(time_obj, "points", "$.time", 2)
 
     solver_obj = _get(doc, "solver", "$", dict, required=False, default={})
-    oracle_steps = _get(solver_obj, "oracle_steps", "$.solver", required=False, default=4000)
-    if isinstance(oracle_steps, bool) or not isinstance(oracle_steps, int) or oracle_steps < 10:
-        raise ValidationError("$.solver.oracle_steps", "expected an integer >= 10")
+    oracle_steps = _grid_size(solver_obj, "oracle_steps", "$.solver", 10, default=4000)
 
     sweep = _get(doc, "sweep", "$", dict, required=False, default={})
     for key, vals in sweep.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import propagate_blocks
-from .model import BathModel, InitialState, SystemHamiltonian, TimeGrid
+from .model import BathModel, InitialState, SystemHamiltonian
 from .pseudomode import _blocks, _scale_factor
 
 
@@ -33,29 +33,31 @@ _MAX_NORM2 = (1.0 + 1e-9) ** 2
 @dataclass(frozen=True)
 class Trajectory:
     """Extended states along a grid: row k of ``vectors`` is the
-    (K+1)N-vector at ``grid.points[k]``, system amplitudes first, then
+    (K+1)N-vector at ``times[k]``, system amplitudes first, then
     pseudomode j (1-based) in columns j*N .. (j+1)*N - 1."""
 
-    grid: TimeGrid
+    times: np.ndarray
     n: int
     k: int
     vectors: np.ndarray
 
     def __post_init__(self):
-        expected = (len(self.grid), (self.k + 1) * self.n)
+        expected = (len(self.times), (self.k + 1) * self.n)
         if self.vectors.shape != expected:
             raise ValueError(f"state array shape {self.vectors.shape} != {expected}")
 
-    def system_parts(self) -> np.ndarray:
+    @property
+    def states(self) -> np.ndarray:
         """(T, N) view of the system amplitudes along the grid."""
         return self.vectors[:, : self.n]
 
 
 def evolve(
-    h: SystemHamiltonian, bath: BathModel, init: InitialState, grid: TimeGrid
+    h: SystemHamiltonian, bath: BathModel, init: InitialState, times
 ) -> Trajectory:
     """Propagate the extended Schroedinger equation of the pseudomode
-    generator of H and the bath exactly from psi(0) + zero pseudomodes.
+    generator of H and the bath exactly from psi(0) + zero pseudomodes on the
+    1-D grid ``times``, which ``propagate_blocks`` checks (LinAlgError).
 
     With H = W diag(E) W^dagger the generator splits into the N blocks of
     ``pseudomode._blocks``; block alpha starts at c_alpha e_0, c = W^dagger
@@ -70,13 +72,14 @@ def evolve(
     e, w = np.linalg.eigh(h.matrix)
     z0 = np.zeros((h.n, bath.k + 1), dtype=complex)
     z0[:, 0] = w.conj().T @ psi
-    z = propagate_blocks(_blocks(e, bath), z0, grid.points)
+    times = np.asarray(times, dtype=float)
+    z = propagate_blocks(_blocks(e, bath), z0, times)
     # [t, j, b] = sum_a W[b, a] z[a, t, j] is column j*N + b of row t.  einsum,
     # not a BLAS gemm: the skinny (T(K+1), N) x (N, N) gemm ran ~25x slower
     # with OpenBLAS threads on than pinned to one (2-core x86, OpenBLAS 0.3.31).
-    ys = np.einsum("atj,ba->tjb", z, w).reshape(len(grid), (bath.k + 1) * h.n)
+    ys = np.einsum("atj,ba->tjb", z, w).reshape(len(times), (bath.k + 1) * h.n)
     ys[0, : h.n] = psi
-    return Trajectory(grid=grid, n=h.n, k=bath.k, vectors=ys)
+    return Trajectory(times=times, n=h.n, k=bath.k, vectors=ys)
 
 
 def observables(traj: Trajectory, init: InitialState) -> tuple[np.ndarray, np.ndarray]:
@@ -88,17 +91,17 @@ def observables(traj: Trajectory, init: InitialState) -> tuple[np.ndarray, np.nd
     ground population is ``1 - excited``.  Raises NormExceededError naming
     the first point whose system norm exceeds 1.
     """
-    psi = traj.system_parts()
+    psi = traj.states
     excited = np.vecdot(psi, psi).real
     over = np.flatnonzero(excited > _MAX_NORM2)
     if over.size:
-        t = float(traj.grid.points[over[0]])
+        t = float(traj.times[over[0]])
         raise NormExceededError(
             f"system norm {np.sqrt(excited[over[0]]):.12f} at t={t} exceeds 1: "
             "propagation failed or the model is not dilatable"
         )
     psi_conj = psi.conj()
-    rho = np.empty((len(traj.grid), traj.n + 1, traj.n + 1), dtype=complex)
+    rho = np.empty((len(traj.times), traj.n + 1, traj.n + 1), dtype=complex)
     rho[:, 0, 0] = 1.0 - excited
     np.multiply(init.psi0, psi_conj, out=rho[:, 0, 1:])
     rho[:, 1:, 0] = rho[:, 0, 1:].conj()

@@ -34,10 +34,12 @@ HERMITICITY_RTOL = 1e-12
 _DT_RTOL = 1e-15
 
 
-def as_square_matrix(a) -> np.ndarray:
+def as_square_matrix(a, stack: bool = False) -> np.ndarray:
+    """``a`` as a finite complex square matrix or, with ``stack``, a finite
+    (..., n, n) stack of them."""
     a = np.ascontiguousarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise LinAlgError("matrix contains non-finite entries")
     return a
@@ -56,11 +58,7 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     of a Hermitian matrix or of each matrix of a (..., n, n) stack.  Raises
     DimensionMismatchError, LinAlgError or NotHermitianError unless every
     matrix is square, finite and Hermitian to HERMITICITY_RTOL."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise LinAlgError("matrix contains non-finite entries")
+    a = as_square_matrix(a, stack=True)
     defect = np.max(hermiticity_defect(a), initial=0.0)
     if defect > HERMITICITY_RTOL:
         raise NotHermitianError(f"matrix is not Hermitian (relative defect {defect:.3e})")

@@ -1,5 +1,5 @@
 """Physical problem description: system Hamiltonian, bath spectral density,
-reservoir correlation functions, initial states and time grids.
+reservoir correlation functions and initial states.
 
 Units: hbar = 1, all energies and frequencies share one unit, times are in
 its inverse.  The Ohmic coefficient eta is dimensionless.
@@ -129,30 +129,6 @@ class InitialState:
         return self.psi.shape[0]
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing output times starting at 0."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        t = np.ascontiguousarray(self.points, dtype=float).ravel()
-        if t.size < 1 or t[0] != 0.0:
-            raise ModelError("time grid must start at t = 0")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise ModelError("time grid must be strictly increasing")
-        object.__setattr__(self, "points", _readonly(t))
-
-    @classmethod
-    def uniform(cls, t_max: float, num_points: int) -> "TimeGrid":
-        if not (t_max > 0.0) or num_points < 2:
-            raise ModelError("uniform grid needs t_max > 0 and at least 2 points")
-        return cls(np.linspace(0.0, t_max, num_points))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def spectral_density(bath: BathModel, omega):
     """Evaluate J(omega): Lorentz peaks plus the (possibly cut off) Ohmic term.
 
@@ -213,8 +189,8 @@ def counterterm_shift(h_r: SystemHamiltonian, eta: float, omega: float) -> Syste
     """Add the cutoff counterterm eta*Omega/pi to the system Hamiltonian."""
     if eta < 0.0:
         raise ModelError(f"eta must be non-negative, got {eta}")
-    if not (omega > 0.0):
-        raise ModelError(f"cutoff must be positive, got {omega}")
+    if not 0.0 < omega < np.inf:
+        raise ModelError(f"cutoff must be positive and finite, got {omega}")
     return h_r.shifted(eta * omega / np.pi)
 
 
@@ -258,7 +234,6 @@ __all__ = [
     "ModelError",
     "OhmicWithoutCutoffError",
     "SystemHamiltonian",
-    "TimeGrid",
     "correlation",
     "correlation_by_quadrature",
     "counterterm_shift",

@@ -55,10 +55,6 @@ class OracleTrajectory:
     states: np.ndarray
     error_estimate: float | None = None
 
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def _kernel_on_grid(kernel: Kernel | None, times: np.ndarray) -> np.ndarray:
     if kernel is None:
@@ -228,7 +224,7 @@ def solve_cutoff_family(
 
     For each cutoff the kernel gains the near-delta Ohmic part and the
     Hamiltonian the counterterm shift eta*Omega/pi (``counterterm_shift``,
-    which rejects a negative eta or a non-positive Omega with ModelError).
+    which rejects a negative eta or an Omega outside (0, inf) with ModelError).
     The step must resolve the kernel's 1/Omega timescale: h <= 0.1/Omega.
     Every cutoff is checked before the first march.
     """
@@ -250,16 +246,9 @@ def solve_cutoff_family(
     ]
 
 
-def _system_states(traj) -> tuple[np.ndarray, np.ndarray]:
-    """Times and (T, N) system amplitudes from either trajectory flavour."""
-    if isinstance(traj, OracleTrajectory):
-        return traj.times, traj.states
-    # duck-typed pseudomode Trajectory
-    return traj.grid.points, traj.system_parts()
-
-
 def compare_trajectories(a, b, norm: str = "sup") -> float:
-    """Deviation between the system parts of two trajectories.
+    """Deviation between the system parts ``states`` of two trajectories
+    (pseudomode or oracle) on their grids ``times``.
 
     The grids must be equal: same length, every point within
     1e-12*(1 + t_last), a relative slack for the ulps by which a linspace
@@ -267,13 +256,12 @@ def compare_trajectories(a, b, norm: str = "sup") -> float:
     pointwise 2-norm) or "L2" (trapezoidal time integral of the squared
     2-norm, square-rooted).
     """
-    ta, ya = _system_states(a)
-    tb, yb = _system_states(b)
-    if ya.shape[1] != yb.shape[1]:
+    ta, tb = a.times, b.times
+    if a.states.shape[1] != b.states.shape[1]:
         raise GridMismatchError("system dimensions differ")
     if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12 * (1.0 + ta[-1]):
         raise GridMismatchError(f"grids differ ({ta.size} and {tb.size} points)")
-    diff = np.linalg.norm(ya - yb, axis=1)
+    diff = np.linalg.norm(a.states - b.states, axis=1)
     if norm == "sup":
         return float(diff.max())
     if norm == "L2":

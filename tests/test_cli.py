@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import multiprocessing
 import os
@@ -135,6 +136,17 @@ class TestParseConfig:
         assert doc["bath"]["peaks"][0]["g"] == 1.25
         assert doc["time"]["t_max"] == 2.0
 
+    def test_grid_size_cap(self):
+        for section, key, low in (("time", "points", 2), ("solver", "oracle_steps", 10)):
+            doc = base_doc()
+            doc.setdefault(section, {})[key] = 10**12
+            assert config_to_dict(parse_config(json.dumps(doc)))[section][key] == 10**12
+            doc[section][key] = 10**12 + 1
+            with pytest.raises(ValidationError) as err:
+                parse_config(json.dumps(doc))
+            assert err.value.path == f"$.{section}.{key}"
+            assert str(err.value).endswith(f"expected an integer in [{low}, 10**12]")
+
     def test_apply_override_bad_path(self):
         with pytest.raises(ValidationError):
             apply_override(base_doc(), "bath.nope.g", 1.0)
@@ -235,9 +247,34 @@ class TestInputErrors:
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, doc, extra",
+        [
+            ("simulate", base_doc(time={"t_max": 5.0, "points": 2**63 - 1}), []),
+            ("simulate", base_doc(time={"t_max": 5.0, "points": 10**20}), []),
+            ("simulate", base_doc(time={"t_max": 5.0, "points": 10**12 + 1}), []),
+            ("compare", base_doc(solver={"oracle_steps": 2**63 - 1}), []),
+            ("compare", base_doc(), ["--oracle-steps", str(2**63 - 1)]),
+        ],
+        ids=["points-2**63-1", "points-1e20", "points-1e12+1", "steps-2**63-1", "option"],
+    )
+    def test_grid_size_above_the_cap(self, tmp_path, command, doc, extra):
+        # rejected while parsing, before numpy sees the size
+        field = "$.time.points: expected an integer in [2, "
+        if command == "compare":
+            field = "$.solver.oracle_steps: expected an integer in [10, "
+        out = tmp_path / "out"
+        result = run_cli(
+            [command, "--config", write_config(tmp_path, doc), "--out", str(out), *extra],
+            limit_memory=True,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr == f"invalid config: {field}10**12]\n"
+        assert not out.exists()
+
     def test_out_of_memory_sweep_point_is_recorded(self, tmp_path):
         doc = base_doc(time={"t_max": 1.0, "points": 6})
-        doc["sweep"] = {"time.points": [6, 10**12]}
+        doc["sweep"] = {"time.points": [6, 10**12, 2**63 - 1]}
         out = tmp_path / "out"
         result = run_cli(
             ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)],
@@ -245,16 +282,22 @@ class TestInputErrors:
         )
         assert result.returncode == EXIT_CONFIG
         manifest = json.loads((out / "manifest.json").read_text())
-        assert [entry["status"] for entry in manifest] == ["ok", "error"]
+        assert [entry["status"] for entry in manifest] == ["ok", "error", "error"]
         assert manifest[1]["error"].startswith("out of memory: Unable to allocate")
+        # above the cap: rejected while parsing
+        assert manifest[2]["error"] == (
+            "invalid config: $.time.points: expected an integer in [2, 10**12]"
+        )
 
     def test_bad_cutoff(self, tmp_path, capsys):
         doc = base_doc()
         doc["bath"]["eta"] = 0.5
         doc["solver"] = {"oracle_steps": 100}
-        argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", "-1"]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "got -1.0" in capsys.readouterr().err
+        for omega, shown in (("-1", "-1.0"), ("inf", "inf")):
+            argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", omega]
+            assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err == f"invalid input: cutoff must be positive and finite, got {shown}\n"
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_bad_threshold(self, tmp_path, capsys, value):
@@ -312,6 +355,42 @@ class TestInputErrors:
         assert f"$.{field}:" in capsys.readouterr().err
 
 
+class TestFileErrors:
+    """An operating-system failure exits 2 with the system's message."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate"], ["check"], ["compare"], ["cutoff-study", "--omegas", "20"], ["sweep"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_under_a_regular_file(self, tmp_path, capsys, argv):
+        doc = base_doc(bath={"peaks": [{"g": 0.5, "gamma": 0.4}], "eta": 0.5})
+        doc["solver"] = {"oracle_steps": 1000}
+        doc["sweep"] = {"bath.peaks[0].g": [0.3, 0.6]}
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        code = main([*argv, "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"file error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'\n"
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_point_dir_is_a_regular_file(self, tmp_path, capsys, jobs):
+        doc = base_doc(time={"t_max": 1.0, "points": 6})
+        doc["sweep"] = {"bath.peaks[0].g": [0.3, 0.6, 0.9]}
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "point_0001").write_text("")
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv + ["--jobs", jobs]) == EXIT_CONFIG
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["status"] for entry in manifest] == ["ok", "error", "ok"]
+        error = f"file error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: "
+        assert manifest[1]["error"] == error + repr(str(out / "point_0001"))
+        assert capsys.readouterr().err == f"point_0001: {manifest[1]['error']}\n"
+
+
 class TestSimulate:
     def test_outputs_and_initial_row(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())
@@ -360,8 +439,12 @@ class TestSimulate:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
-    def test_missing_config_file(self, tmp_path):
-        assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"file error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{path}'\n"
+        )
 
     def test_invalid_config(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ from pseudobath.dynamics import (
     evolve,
     observables,
 )
-from pseudobath.model import BathModel, InitialState, LorentzPeak, SystemHamiltonian, TimeGrid
+from pseudobath.model import BathModel, InitialState, LorentzPeak, SystemHamiltonian
 from pseudobath.pseudomode import build_effective_hamiltonian
 
 
@@ -22,36 +22,36 @@ def rho_at(psi, init):
     """Reduced density matrix of the system amplitudes psi, through
     ``observables`` on a one-point trajectory."""
     psi = np.asarray(psi, dtype=complex)
-    traj = Trajectory(grid=TimeGrid(np.array([0.0])), n=psi.size, k=0, vectors=psi[np.newaxis])
+    traj = Trajectory(times=np.array([0.0]), n=psi.size, k=0, vectors=psi[np.newaxis])
     return observables(traj, init)[1][0]
 
 
 class TestEvolve:
     def test_pseudomodes_start_at_zero(self):
         h, bath, init = scalar_setup(0.5, 0.2)
-        traj = evolve(h, bath, init, TimeGrid.uniform(1.0, 11))
+        traj = evolve(h, bath, init, np.linspace(0.0, 1.0, 11))
         assert np.linalg.norm(traj.vectors[0, 1:2]) == 0.0
-        np.testing.assert_array_equal(traj.system_parts()[0], init.psi)
+        np.testing.assert_array_equal(traj.states[0], init.psi)
 
     def test_decoupled_limit_constant(self):
         h, bath, init = scalar_setup(1e-12, 1.0)
-        traj = evolve(h, bath, init, TimeGrid.uniform(1.0, 11))
-        sys = traj.system_parts()
+        traj = evolve(h, bath, init, np.linspace(0.0, 1.0, 11))
+        sys = traj.states
         assert np.abs(sys - sys[0]).max() < 1e-9
 
     def test_rabi_limit_tiny_width(self):
         # gamma -> 0: the system-pseudomode pair is a bare two-level rotation
         h, bath, init = scalar_setup(1.0, 1e-9)
-        traj = evolve(h, bath, init, TimeGrid(np.array([0.0, np.pi / 2])))
-        assert abs(np.linalg.norm(traj.system_parts()[-1]) - abs(np.cos(np.pi / 2))) < 1e-4
+        traj = evolve(h, bath, init, np.array([0.0, np.pi / 2]))
+        assert abs(np.linalg.norm(traj.states[-1]) - abs(np.cos(np.pi / 2))) < 1e-4
 
     def test_matches_matrix_exponential(self):
         h, bath, init = scalar_setup(0.5, 0.2)
-        grid = TimeGrid(np.array([0.0, 1.0, 5.0, 10.0]))
+        grid = np.array([0.0, 1.0, 5.0, 10.0])
         traj = evolve(h, bath, init, grid)
         lam, v = np.linalg.eig(build_effective_hamiltonian(h, bath))
         c = np.linalg.solve(v, np.array([1.0, 0.0], dtype=complex))
-        for t, vector in zip(grid.points, traj.vectors):
+        for t, vector in zip(grid, traj.vectors):
             exact = v @ (np.exp(-1j * lam * t) * c)
             assert np.abs(vector - exact).max() < 1e-8
 
@@ -59,19 +59,19 @@ class TestEvolve:
         h = SystemHamiltonian(np.array([[1.0]]))
         bath = BathModel(peaks=(LorentzPeak(0.5, 1.0, 0.0),), eta=1.0)
         init = InitialState(psi=np.array([1.0 + 0.0j]), psi0=0.0)
-        grid = TimeGrid.uniform(1.0, 3)
+        grid = np.linspace(0.0, 1.0, 3)
         scaled = evolve(h, bath, init, grid)
         f = 1.0 / (1.0 + 0.5j)
-        assert scaled.system_parts()[0, 0] == pytest.approx(f)
+        assert scaled.states[0, 0] == pytest.approx(f)
 
     def test_empty_bath_closed_evolution(self):
         h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))
         init = InitialState(psi=np.array([0.6, 0.8j]), psi0=0.0)
-        traj = evolve(h, BathModel(), init, TimeGrid.uniform(2.0, 5))
+        traj = evolve(h, BathModel(), init, np.linspace(0.0, 2.0, 5))
         assert traj.vectors.shape == (5, 2)
         assert traj.k == 0
         np.testing.assert_array_equal(traj.vectors[0], init.psi)
-        np.testing.assert_array_equal(traj.system_parts(), traj.vectors)
+        np.testing.assert_array_equal(traj.states, traj.vectors)
         np.testing.assert_allclose(np.linalg.norm(traj.vectors, axis=1), 1.0, atol=1e-9)
 
 
@@ -104,7 +104,7 @@ class TestReducedDensity:
 class TestObservables:
     def test_initial_population(self):
         h, bath, init = scalar_setup(0.5, 0.2)
-        traj = evolve(h, bath, init, TimeGrid.uniform(1.0, 5))
+        traj = evolve(h, bath, init, np.linspace(0.0, 1.0, 5))
         excited, rho = observables(traj, init)
         assert excited[0] == pytest.approx(1.0)
         for e, ground in zip(excited, rho[:, 0, 0].real):
@@ -113,25 +113,25 @@ class TestObservables:
     def test_closed_system_population_constant(self):
         h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))
         init = InitialState(psi=np.array([1.0, 0.0], dtype=complex), psi0=0.0)
-        traj = evolve(h, BathModel(), init, TimeGrid.uniform(10.0, 41))
+        traj = evolve(h, BathModel(), init, np.linspace(0.0, 10.0, 41))
         pops, _ = observables(traj, init)
         assert max(abs(p - 1.0) for p in pops) < 1e-9
 
     def test_dissipative_population_decays(self):
         h, bath, init = scalar_setup(0.5, 1.0)
-        traj = evolve(h, bath, init, TimeGrid.uniform(20.0, 201))
+        traj = evolve(h, bath, init, np.linspace(0.0, 20.0, 201))
         excited, _ = observables(traj, init)
         assert excited[-1] < 0.05
 
     def test_norm_non_increasing_when_dilatable(self):
         h, bath, init = scalar_setup(0.8, 0.5, epsilon=0.3)
-        traj = evolve(h, bath, init, TimeGrid.uniform(10.0, 101))
+        traj = evolve(h, bath, init, np.linspace(0.0, 10.0, 101))
         norms = np.linalg.norm(traj.vectors, axis=1)
         assert np.all(np.diff(norms) <= 1e-9)
 
     def test_rho_invariants_along_trajectory(self):
         h, bath, init = scalar_setup(1.0, 0.4, epsilon=-0.7, e0=0.5)
-        traj = evolve(h, bath, init, TimeGrid.uniform(10.0, 51))
+        traj = evolve(h, bath, init, np.linspace(0.0, 10.0, 51))
         for m in observables(traj, init)[1]:
             assert np.abs(m - m.conj().T).max() < 1e-10
             assert abs(np.trace(m).real - 1.0) < 1e-10
@@ -147,11 +147,11 @@ class TestObservables:
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi *= 0.8 / np.linalg.norm(psi)
         init = InitialState(psi=psi, psi0=0.36 + 0.48j)
-        traj = evolve(h, bath, init, TimeGrid.uniform(8.0, 97))
+        traj = evolve(h, bath, init, np.linspace(0.0, 8.0, 97))
         excited, rho = observables(traj, init)
         assert rho.shape == (97, 4, 4)
         # the per-point formula written out with np.vdot and np.outer
-        for e, m, psi in zip(excited, rho, traj.system_parts()):
+        for e, m, psi in zip(excited, rho, traj.states):
             norm2 = float(np.vdot(psi, psi).real)
             assert e == norm2
             ref = np.zeros((4, 4), dtype=complex)
@@ -163,7 +163,7 @@ class TestObservables:
 
     def test_norm_overflow_names_first_point(self):
         vectors = np.array([[1.0], [0.5], [1.1], [1.2]], dtype=complex)
-        traj = Trajectory(grid=TimeGrid.uniform(3.0, 4), n=1, k=0, vectors=vectors)
+        traj = Trajectory(times=np.linspace(0.0, 3.0, 4), n=1, k=0, vectors=vectors)
         init = InitialState(psi=np.array([1.0]), psi0=0.0)
         with pytest.raises(NormExceededError, match=r"at t=2\.0 exceeds 1"):
             observables(traj, init)

@@ -18,7 +18,7 @@ from pseudobath.linalg import (
     hermitian_eigenvalues,
     propagate_blocks,
 )
-from pseudobath.model import BathModel, InitialState, LorentzPeak, SystemHamiltonian, TimeGrid
+from pseudobath.model import BathModel, InitialState, LorentzPeak, SystemHamiltonian
 from pseudobath.pseudomode import build_effective_hamiltonian, dilation_threshold
 
 
@@ -165,7 +165,7 @@ class TestPropagateBlocks:
             h, bath, init = dilatable_generator(rng, n, k, eta)
             heff = build_effective_hamiltonian(h, bath)
             for t in GRIDS.values():
-                ys = evolve(h, bath, init, TimeGrid(t)).vectors
+                ys = evolve(h, bath, init, t).vectors
                 for i in range(0, len(t), 20):
                     exact = expm(-1j * t[i] * heff) @ ys[0]
                     assert np.abs(ys[i] - exact).max() <= 1e-12
@@ -205,7 +205,7 @@ class TestPropagateBlocks:
     def test_matches_dop853_at_tight_tolerance(self):
         h, bath, init = dilatable_generator(np.random.default_rng(5), 2, 2, 0.5)
         t = np.linspace(0.0, 8.0, 801)
-        ys = evolve(h, bath, init, TimeGrid(t)).vectors
+        ys = evolve(h, bath, init, t).vectors
         gen = -1j * build_effective_hamiltonian(h, bath)
         sol = solve_ivp(
             lambda _, y: gen @ y, (0.0, t[-1]), ys[0], method="DOP853", t_eval=t,

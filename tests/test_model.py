@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudobath.dynamics import evolve
+from pseudobath.linalg import LinAlgError
 from pseudobath.model import (
     BathModel,
     InitialState,
@@ -10,7 +12,6 @@ from pseudobath.model import (
     ModelError,
     OhmicWithoutCutoffError,
     SystemHamiltonian,
-    TimeGrid,
     correlation,
     correlation_by_quadrature,
     counterterm_shift,
@@ -50,11 +51,11 @@ class TestTypes:
         assert s.n == 1
 
     def test_time_grid(self):
-        with pytest.raises(ModelError):
-            TimeGrid(np.array([0.5, 1.0]))
-        with pytest.raises(ModelError):
-            TimeGrid(np.array([0.0, 1.0, 1.0]))
-        assert len(TimeGrid.uniform(1.0, 11)) == 11
+        h = SystemHamiltonian(np.array([[0.0]]))
+        init = InitialState(psi=np.array([1.0]), psi0=0.0)
+        for times in ([0.5, 1.0], [0.0, 1.0, 1.0]):
+            with pytest.raises(LinAlgError, match="strictly increasing and start at 0"):
+                evolve(h, BathModel(), init, np.array(times))
 
 
 class TestSpectralDensity:

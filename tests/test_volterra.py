@@ -11,7 +11,6 @@ from pseudobath.model import (
     InitialState,
     LorentzPeak,
     SystemHamiltonian,
-    TimeGrid,
     lorentz_correlation,
     ohmic_cutoff_correlation,
 )
@@ -167,7 +166,7 @@ class TestIntegroDifferential:
         h = SystemHamiltonian(np.zeros((1, 1)))
         oracle = solve_integro_differential(h, peak_kernel(peak), PSI0, 10.0, 4000)
         init = InitialState(psi=PSI0, psi0=0.0)
-        traj = evolve(h, BathModel(peaks=(peak,)), init, TimeGrid(oracle.times))
+        traj = evolve(h, BathModel(peaks=(peak,)), init, oracle.times)
         assert compare_trajectories(traj, oracle) < 1e-6
 
     def test_second_order_convergence(self):
@@ -216,7 +215,7 @@ class TestIntegroDifferential:
         h = SystemHamiltonian(np.array([[0.0]]))
         traj = solve_integro_differential(h, peak_kernel(peak), PSI0, 10.0, 2000)
         norms = np.linalg.norm(traj.states, axis=1)
-        assert norms.max() <= 1.0 + 10 * traj.step
+        assert norms.max() <= 1.0 + 10 * traj.times[1]
 
 
 class TestRenormalized:
@@ -244,7 +243,7 @@ class TestRenormalized:
             h, eta, peak_kernel(peak), PSI0, 10.0, 4000, extrapolate=True
         )
         init = InitialState(psi=PSI0, psi0=0.0)
-        traj = evolve(h, BathModel(peaks=(peak,), eta=eta), init, TimeGrid(oracle.times))
+        traj = evolve(h, BathModel(peaks=(peak,), eta=eta), init, oracle.times)
         assert compare_trajectories(traj, oracle) < 1e-6
 
 
@@ -317,4 +316,4 @@ class TestCompare:
         shifted = np.roll(traj.states, 1, axis=0)
         diff = np.abs(traj.states[1:] - shifted[1:]).max()
         # |dpsi/dt| = |E| = 2, h = 0.005
-        assert diff == pytest.approx(2.0 * traj.step, rel=0.05)
+        assert diff == pytest.approx(2.0 * traj.times[1], rel=0.05)
