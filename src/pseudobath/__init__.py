@@ -13,6 +13,7 @@ from .dynamics import (
     NormExceededError,
     Trajectory,
     evolve,
+    evolve_chunks,
     observables,
 )
 from .linalg import (

@@ -7,6 +7,7 @@ byte-identical artifacts.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -33,6 +34,12 @@ EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
 
 _FLOAT_FMT = "%.17g"
+
+
+class ArgumentError(ConfigError):
+    """A command-line option, or the config section a command needs, is
+    invalid."""
+
 
 #: Rows of the density-matrix stack validated and formatted at a time.
 _BLOCK_ROWS = 256
@@ -61,11 +68,24 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
 
-def _atomic_write(path: str, data: str):
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file written as ``path + ".tmp"`` and renamed to ``path`` when
+    the block ends; if anything raises, the ``.tmp`` file is removed."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="\n") as fh:
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _atomic_write(path: str, data: str):
+    with _atomic_open(path) as fh:
         fh.write(data)
-    os.replace(tmp, path)
 
 
 def _dump_json(obj) -> str:
@@ -127,41 +147,54 @@ def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[float, float]:
     return float(trace_dev.max()), float(min_eig.min())
 
 
-def _simulate(cfg: RunConfig, out_dir: str):
-    t = np.linspace(0.0, cfg.t_max, cfg.output_points)
-    traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, t)
-    dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
-    excited, rho = dynamics.observables(traj, cfg.initial)
-
-    levels = range(cfg.system.n + 1)
-    rho_cols = [f"rho_{i}_{j}_{part}" for i in levels for j in levels for part in ("re", "im")]
-    header = ["t", *rho_cols, "excited_population"]
-
-    # Validate and format in blocks of rows so that temporaries stay small.
-    template = _row_template(len(header))
-    lines = [",".join(header)]
-    min_rho_eig = np.inf
-    max_trace_dev = 0.0
-    for lo in range(0, len(t), _BLOCK_ROWS):
+def _write_rows(fh, piece: dynamics.Trajectory, init, line: str) -> tuple[float, float, float]:
+    """Validate and write the CSV rows of one trajectory piece in blocks of
+    rows, so that temporaries stay small; return its largest trace
+    deviation, its smallest rho eigenvalue and its last excited population."""
+    excited, rho = dynamics.observables(piece, init)
+    max_trace_dev, min_rho_eig = 0.0, np.inf
+    for lo in range(0, len(piece.times), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        t_block, rho_block = t[block], rho[block]
+        t_block, rho_block = piece.times[block], rho[block]
         trace_dev, min_eig = _validate_rho(t_block, rho_block)
         max_trace_dev = max(max_trace_dev, trace_dev)
         min_rho_eig = min(min_rho_eig, min_eig)
         table = np.column_stack(
             (t_block, rho_block.reshape(len(t_block), -1).view(float), excited[block])
         )
-        lines.extend(template % tuple(row) for row in table.tolist())
+        fh.write("".join(line % tuple(row) for row in table.tolist()))
+    return max_trace_dev, min_rho_eig, float(excited[-1])
+
+
+def _simulate(cfg: RunConfig, out_dir: str):
+    """Stream the trajectory to ``trajectory.csv`` one propagated piece at a
+    time, then write ``report.json``.  Only the time axis is held whole."""
+    t = np.linspace(0.0, cfg.t_max, cfg.output_points)
+    chunks = dynamics.evolve_chunks(cfg.system, cfg.bath, cfg.initial, t)
+    first = next(chunks)  # grid and propagation errors come before the dilation check
+    dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
+
+    levels = range(cfg.system.n + 1)
+    rho_cols = [f"rho_{i}_{j}_{part}" for i in levels for j in levels for part in ("re", "im")]
+    header = ["t", *rho_cols, "excited_population"]
+    line = _row_template(len(header)) + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    with _atomic_open(os.path.join(out_dir, "trajectory.csv")) as fh:
+        fh.write(",".join(header) + "\n")
+        summaries = [
+            _write_rows(fh, piece, cfg.initial, line) for piece in itertools.chain([first], chunks)
+        ]
+    trace_devs, min_eigs, excited = zip(*summaries)
 
     report = {
         "config": config_to_dict(cfg),
         "dilation": _dilation_dict(dilation),
         "trajectory": {
             "points": len(t),
-            "final_excited_population": float(excited[-1]),
-            "final_ground_population": 1.0 - float(excited[-1]),
-            "max_trace_deviation": max_trace_dev,
-            "min_rho_eigenvalue": float(min_rho_eig),
+            "final_excited_population": excited[-1],
+            "final_ground_population": 1.0 - excited[-1],
+            "max_trace_deviation": max(trace_devs),
+            "min_rho_eigenvalue": float(min(min_eigs)),
         },
         "tolerances": {
             "rho_hermiticity": _RHO_HERMITICITY_TOL,
@@ -169,8 +202,6 @@ def _simulate(cfg: RunConfig, out_dir: str):
             "rho_psd": _RHO_PSD_TOL,
         },
     }
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "trajectory.csv"), "\n".join(lines) + "\n")
     _atomic_write(os.path.join(out_dir, "report.json"), _dump_json(report))
 
 
@@ -190,8 +221,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 def cmd_compare(cfg: RunConfig, args) -> int:
     if not 0.0 <= args.threshold < math.inf:
-        sys.stderr.write(f"--threshold must be finite and >= 0, got {args.threshold}\n")
-        return EXIT_CONFIG
+        raise ArgumentError(f"--threshold must be finite and >= 0, got {args.threshold}")
     steps = cfg.solver.oracle_steps
     times = np.linspace(0.0, cfg.t_max, steps + 1)
     traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, times)
@@ -223,11 +253,9 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
 def cmd_cutoff_study(cfg: RunConfig, args) -> int:
     if cfg.bath.eta <= 0.0:
-        sys.stderr.write("cutoff-study requires an Ohmic bath (eta > 0)\n")
-        return EXIT_CONFIG
+        raise ArgumentError("cutoff-study requires an Ohmic bath (eta > 0)")
     if not (math.isfinite(args.t_min) and args.t_min <= cfg.t_max):
-        sys.stderr.write(f"--t-min must be finite and <= t_max {cfg.t_max}, got {args.t_min}\n")
-        return EXIT_CONFIG
+        raise ArgumentError(f"--t-min must be finite and <= t_max {cfg.t_max}, got {args.t_min}")
     steps = cfg.solver.oracle_steps
     kernel = _lorentz_kernel(cfg.bath)
     # the family checks every cutoff before its first march, so it runs first
@@ -240,8 +268,7 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
     )
     mask = reference.times >= args.t_min
     if not np.any(mask):
-        sys.stderr.write(f"--t-min {args.t_min} excludes the whole grid\n")
-        return EXIT_CONFIG
+        raise ArgumentError(f"--t-min {args.t_min} excludes the whole grid")
     lines = ["Omega,sup_deviation"]
     for omega, traj in zip(args.omegas, family):
         diff = np.linalg.norm(traj.states - reference.states, axis=1)
@@ -267,13 +294,15 @@ def _sweep_point(payload) -> tuple[int, str | None]:
 
 def _sweep_share(share, conn):
     """Worker process: run a share of the sweep and send back its results."""
-    conn.send([_sweep_point(payload) for payload in share])
+    with np.errstate(all="ignore"):  # as in main
+        conn.send([_sweep_point(payload) for payload in share])
 
 
 def _run_sweep(jobs: list, workers: int) -> list:
     """Results of every sweep point, in order.  This process runs the share
     jobs[0::workers]; worker w of workers - 1 child processes runs
-    jobs[w::workers] and returns its results over a one-way pipe."""
+    jobs[w::workers] and returns its results over a one-way pipe.  Workers
+    are forked where the platform offers it, else spawned."""
     if workers == 1:
         return [_sweep_point(payload) for payload in jobs]
     import multiprocessing
@@ -281,12 +310,14 @@ def _run_sweep(jobs: list, workers: int) -> list:
     # forked workers inherit scipy.linalg; else each imports it on its first point
     import scipy.linalg  # noqa: F401
 
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    context = multiprocessing.get_context(method)
     results = [None] * len(jobs)
     started = []
     try:
         for w in range(1, workers):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(target=_sweep_share, args=(jobs[w::workers], send))
+            recv, send = context.Pipe(duplex=False)
+            proc = context.Process(target=_sweep_share, args=(jobs[w::workers], send))
             proc.start()
             send.close()  # then recv sees EOF if the worker dies
             started.append((proc, recv))
@@ -310,11 +341,9 @@ def _run_sweep(jobs: list, workers: int) -> list:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if not cfg.sweep:
-        sys.stderr.write("sweep requires a non-empty \"sweep\" section in the config\n")
-        return EXIT_CONFIG
+        raise ArgumentError('sweep requires a non-empty "sweep" section in the config')
     if args.jobs < 1:
-        sys.stderr.write(f"--jobs must be >= 1, got {args.jobs}\n")
-        return EXIT_CONFIG
+        raise ArgumentError(f"--jobs must be >= 1, got {args.jobs}")
     base_doc = config_to_dict(cfg)
     paths = sorted(cfg.sweep.keys())
     value_lists = [cfg.sweep[p] for p in paths]
@@ -414,7 +443,10 @@ def main(argv=None) -> int:
             doc = config_to_dict(cfg)
             doc["solver"]["oracle_steps"] = args.oracle_steps
             cfg = parse_config(json.dumps(doc))
-        return args.func(cfg, args)
+        # numpy's floating-point warnings stay off stderr: a non-finite
+        # result fails a check that reports it
+        with np.errstate(all="ignore"):
+            return args.func(cfg, args)
     except _KNOWN_ERRORS as exc:
         code, message = _describe_error(exc)
         sys.stderr.write(message + "\n")

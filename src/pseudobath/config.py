@@ -65,13 +65,20 @@ def _get(obj: dict, key: str, path: str, kind=None, required: bool = True, defau
     return val
 
 
+#: JSON integers are unbounded; float() raises OverflowError beyond 1.8e308.
+_OUT_OF_RANGE = "number is out of the float range"
+
+
 def _number(obj, key, path, required=True, default=None):
     val = _get(obj, key, path, required=required, default=default)
     if val is default and not required:
         return default
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValidationError(f"{path}.{key}", "expected a number")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ValidationError(f"{path}.{key}", _OUT_OF_RANGE) from None
 
 
 def _finite(obj, key, path, required=True, default=None):
@@ -97,9 +104,13 @@ def _complex(val, path) -> complex:
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in val)
     ):
         raise ValidationError(path, "complex values must be [re, im] number pairs")
-    if not all(math.isfinite(x) for x in val):
+    try:
+        z = complex(val[0], val[1])
+    except OverflowError:
+        raise ValidationError(path, _OUT_OF_RANGE) from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(path, f"complex value must be finite, got {val}")
-    return complex(val[0], val[1])
+    return z
 
 
 def parse_config(text) -> RunConfig:

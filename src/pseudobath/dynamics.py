@@ -6,17 +6,18 @@ Lorentz peak; a trajectory keeps those states as one (T, (K+1)N) array.  The
 generator is fixed, so the states are matrix exponentials applied to psi(0),
 taken block by block in the eigenbasis of H; the dense (K+1)N generator is
 never formed.  A closed system (empty bath) is the K = 0 case of the same
-propagation.
+propagation.  ``evolve_chunks`` yields a trajectory in pieces of bounded size,
+so that its memory does not grow with the grid; ``evolve`` joins them.
 Tracing out the reservoirs maps the system part straight onto an
 (N+1) x (N+1) density matrix: the ground population is the missing norm.
-``observables`` builds those matrices for a whole trajectory at once.
+``observables`` builds those matrices for a whole trajectory or piece at once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import propagate_blocks
+from .linalg import propagate_chunks
 from .model import BathModel, InitialState, SystemHamiltonian
 from .pseudomode import _blocks, _scale_factor
 
@@ -52,19 +53,19 @@ class Trajectory:
         return self.vectors[:, : self.n]
 
 
-def evolve(
-    h: SystemHamiltonian, bath: BathModel, init: InitialState, times
-) -> Trajectory:
+def evolve_chunks(h: SystemHamiltonian, bath: BathModel, init: InitialState, times):
     """Propagate the extended Schroedinger equation of the pseudomode
     generator of H and the bath exactly from psi(0) + zero pseudomodes on the
-    1-D grid ``times``, which ``propagate_blocks`` checks (LinAlgError).
+    1-D grid ``times``, which ``propagate_chunks`` checks (LinAlgError), and
+    yield the trajectory in pieces of consecutive rows, at most
+    ``linalg.CHUNK_ROWS`` each.
 
     With H = W diag(E) W^dagger the generator splits into the N blocks of
     ``pseudomode._blocks``; block alpha starts at c_alpha e_0, c = W^dagger
-    psi(0), runs through ``linalg.propagate_blocks`` and is rotated back by W.
-    With an Ohmic bath the system part of the initial vector is scaled by
-    1/(1 + i*eta/2), matching the cutoff-removal limit that the direct
-    solver (``volterra.solve_renormalized``) also starts from.
+    psi(0), runs through ``linalg.propagate_chunks`` and each piece is rotated
+    back by W.  With an Ohmic bath the system part of the initial vector is
+    scaled by 1/(1 + i*eta/2), matching the cutoff-removal limit that the
+    direct solver (``volterra.solve_renormalized``) also starts from.
     """
     if init.n != h.n:
         raise ValueError(f"initial state dim {init.n} != system dim {h.n}")
@@ -73,13 +74,26 @@ def evolve(
     z0 = np.zeros((h.n, bath.k + 1), dtype=complex)
     z0[:, 0] = w.conj().T @ psi
     times = np.asarray(times, dtype=float)
-    z = propagate_blocks(_blocks(e, bath), z0, times)
-    # [t, j, b] = sum_a W[b, a] z[a, t, j] is column j*N + b of row t.  einsum,
-    # not a BLAS gemm: the skinny (T(K+1), N) x (N, N) gemm ran ~25x slower
-    # with OpenBLAS threads on than pinned to one (2-core x86, OpenBLAS 0.3.31).
-    ys = np.einsum("atj,ba->tjb", z, w).reshape(len(times), (bath.k + 1) * h.n)
-    ys[0, : h.n] = psi
-    return Trajectory(times=times, n=h.n, k=bath.k, vectors=ys)
+    lo = 0
+    for z in propagate_chunks(_blocks(e, bath), z0, times):
+        rows = z.shape[1]
+        # [t, j, b] = sum_a W[b, a] z[a, t, j] is column j*N + b of row t.
+        # einsum, not a BLAS gemm: the skinny (T(K+1), N) x (N, N) gemm ran
+        # ~25x slower with OpenBLAS threads on than pinned to one (2-core
+        # x86, OpenBLAS 0.3.31).
+        ys = np.einsum("atj,ba->tjb", z, w).reshape(rows, (bath.k + 1) * h.n)
+        if lo == 0:
+            ys[0, : h.n] = psi
+        yield Trajectory(times=times[lo : lo + rows], n=h.n, k=bath.k, vectors=ys)
+        lo += rows
+
+
+def evolve(
+    h: SystemHamiltonian, bath: BathModel, init: InitialState, times
+) -> Trajectory:
+    """The whole trajectory of ``evolve_chunks``, its pieces joined."""
+    vectors = np.concatenate([piece.vectors for piece in evolve_chunks(h, bath, init, times)])
+    return Trajectory(times=np.asarray(times, dtype=float), n=h.n, k=bath.k, vectors=vectors)
 
 
 def observables(traj: Trajectory, init: InitialState) -> tuple[np.ndarray, np.ndarray]:
@@ -113,5 +127,6 @@ __all__ = [
     "NormExceededError",
     "Trajectory",
     "evolve",
+    "evolve_chunks",
     "observables",
 ]

@@ -72,16 +72,41 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def propagate_blocks(blocks, z0, times) -> np.ndarray:
+#: Rows per chunk of ``propagate_chunks``: a run of equal steps is filled by
+#: doubling up to this many rows, then advanced a whole chunk at a time.
+CHUNK_ROWS = 4096
+
+
+def _run_end(t: np.ndarray, lo: int) -> int:
+    """Index of the last time of the maximal run of steps from t[lo] equal to
+    the first one within _DT_RTOL * t[-1], scanned CHUNK_ROWS steps at a
+    time."""
+    first = t[lo + 1] - t[lo]
+    for a in range(lo, t.size - 1, CHUNK_ROWS):
+        dt = np.diff(t[a : a + CHUNK_ROWS + 1])
+        off = np.flatnonzero(np.abs(dt - first) > _DT_RTOL * t[-1])
+        if off.size:
+            return a + int(off[0])
+    return t.size - 1
+
+
+def propagate_chunks(blocks, z0, times):
     """Exact solution of dz_a/dt = -i B_a z_a for every block of an (N, d, d)
-    stack, from the (N, d) start z0: an (N, T, d) array whose [a, k] is
-    z_a(times[k]).  The grid must be strictly increasing and start at 0.
+    stack, from the (N, d) start z0, in pieces of consecutive rows: (N, c, d)
+    arrays with c <= CHUNK_ROWS whose [a, k] is z_a at the next time of the
+    grid.  The grid must be strictly increasing and start at 0 (else
+    LinAlgError, raised by the first ``next``).  A piece is read by the caller
+    and then left alone: the next one is computed from it.
 
     The grid splits into maximal runs of steps equal to within _DT_RTOL times
-    the last time.  A run of m steps of length dt is filled by doubling: its
-    rows [p, 2p) are expm(-i p dt B) applied to its rows [0, p), one stacked
-    ``scipy.linalg.expm`` per p = 1, 2, 4, ...  No block is ever
-    eigendecomposed, and a row is at most log2(m) + 1 products away from z0.
+    the last time.  The first C = CHUNK_ROWS rows of a run of m steps of
+    length dt are filled by doubling: rows [p, 2p) are expm(-i p dt B)
+    applied to rows [0, p), one stacked ``scipy.linalg.expm`` per p = 1, 2, 4,
+    ...  Each later chunk of C rows is expm(-i C dt B) applied to the one
+    before, one more stacked ``expm`` per run.  No block is ever
+    eigendecomposed, and a row is at most log2(C) + m/C products away from
+    z0.  Each run starts a new piece, so a uniform grid of at most C points
+    comes as one.
     """
     blocks = np.asarray(blocks, dtype=complex)
     z0 = np.asarray(z0, dtype=complex)
@@ -90,31 +115,50 @@ def propagate_blocks(blocks, z0, times) -> np.ndarray:
             f"blocks of shape {blocks.shape} do not match a start of shape {z0.shape}"
         )
     t = np.asarray(times, dtype=float).ravel()
-    if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
+    if t.size == 0 or t[0] != 0.0 or np.any(t[1:] <= t[:-1]):
         raise LinAlgError("time grid must be strictly increasing and start at 0")
-    dt = np.diff(t)
-    z = np.empty((blocks.shape[0], t.size, blocks.shape[1]), dtype=complex)
-    z[:, 0] = z0
+    if t.size == 1:
+        yield z0[:, np.newaxis].copy()
+        return
+    n, d = z0.shape
+    chunk = z0[:, np.newaxis]
     lo = 0
-    while lo < dt.size:
-        off = np.flatnonzero(np.abs(dt[lo:] - dt[lo]) > _DT_RTOL * t[-1])
-        hi = lo + int(off[0]) if off.size else dt.size
+    while lo < t.size - 1:
+        hi = _run_end(t, lo)
         step = (t[hi] - t[lo]) / (hi - lo)
-        run = z[:, lo : hi + 1]
+        start = chunk[:, -1]
+        chunk = np.empty((n, min(CHUNK_ROWS, hi - lo + 1), d), dtype=complex)
+        chunk[:, 0] = start
         p = 1
-        while p <= hi - lo:
-            rows = min(p, hi - lo + 1 - p)
+        while p < chunk.shape[1]:
+            rows = min(p, chunk.shape[1] - p)
             u = expm(-1j * (p * step) * blocks)
-            run[:, p : p + rows] = run[:, :rows] @ u.swapaxes(-1, -2)
+            chunk[:, p : p + rows] = chunk[:, :rows] @ u.swapaxes(-1, -2)
             p *= 2
+        # row 0 of a later run is the last row of the run before
+        yield chunk if lo == 0 else chunk[:, 1:]
+        done = chunk.shape[1]
+        if done <= hi - lo:
+            u = expm(-1j * (CHUNK_ROWS * step) * blocks).swapaxes(-1, -2)
+            while done <= hi - lo:
+                chunk = chunk[:, : hi - lo + 1 - done] @ u
+                yield chunk
+                done += chunk.shape[1]
         lo = hi
-    return z
+
+
+def propagate_blocks(blocks, z0, times) -> np.ndarray:
+    """The pieces of ``propagate_chunks`` as one (N, T, d) array whose [a, k]
+    is z_a(times[k])."""
+    return np.concatenate(list(propagate_chunks(blocks, z0, times)), axis=1)
 
 
 __all__ = [
+    "CHUNK_ROWS",
     "DimensionMismatchError",
     "LinAlgError",
     "NotHermitianError",
     "hermitian_eigenvalues",
     "propagate_blocks",
+    "propagate_chunks",
 ]

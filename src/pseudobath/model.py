@@ -116,8 +116,10 @@ class InitialState:
             raise ModelError("initial excited vector must have dim >= 1")
         if not np.all(np.isfinite(psi.view(float))):
             raise ModelError("initial state contains non-finite entries")
-        total = float(np.vdot(psi, psi).real + abs(complex(self.psi0)) ** 2)
-        if abs(total - 1.0) > 1e-12:
+        ground = abs(complex(self.psi0))
+        # ground * ground overflows to inf, where ground ** 2 raises OverflowError
+        total = float(np.vdot(psi, psi).real) + ground * ground
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise ModelError(
                 f"initial state is not normalized: ||psi||^2 + |psi0|^2 = {total!r}"
             )

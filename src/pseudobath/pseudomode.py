@@ -95,8 +95,14 @@ def optical_potential(heff: np.ndarray) -> np.ndarray:
 
 
 def _psd_tolerance(v: np.ndarray) -> float:
-    """Eigenvalues of V above -_psd_tolerance(v) count as non-negative."""
-    return 1e-10 * (1.0 + float(np.linalg.norm(v)))
+    """Eigenvalues of V above -_psd_tolerance(v) count as non-negative.
+    Raises ModelError if the Frobenius norm of V overflows, which would make
+    the tolerance infinite and every check pass."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not np.isfinite(norm):
+        raise ModelError(f"optical potential is too large to certify (norm {norm})")
+    return 1e-10 * (1.0 + norm)
 
 
 def block_decompose(h: SystemHamiltonian, bath: BathModel) -> np.ndarray:

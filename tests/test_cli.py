@@ -303,7 +303,9 @@ class TestInputErrors:
     def test_bad_threshold(self, tmp_path, capsys, value):
         argv = ["compare", "--config", write_config(tmp_path, base_doc()), "--threshold", value]
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "--threshold" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"invalid config: --threshold must be finite and >= 0, got {float(value)}\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -330,8 +332,23 @@ class TestInputErrors:
         argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", "20"]
         argv += ["--t-min", t_min, "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG
-        assert "--t-min" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"invalid config: --t-min must be finite and <= t_max 5.0, got {float(t_min)}\n"
+        )
         assert marches == []
+
+    def test_cutoff_study_t_min_past_the_grid(self, tmp_path, capsys):
+        # 100 steps of 0.23/100 end at 0.22999999999999998 < t_max = 0.23
+        doc = base_doc(time={"t_max": 0.23, "points": 11})
+        doc["bath"]["eta"] = 0.5
+        doc["solver"] = {"oracle_steps": 100}
+        out = tmp_path / "out"
+        argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", "20"]
+        assert main(argv + ["--t-min", "0.23", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "invalid config: --t-min 0.23 excludes the whole grid\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -353,6 +370,86 @@ class TestInputErrors:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"$.{field}:" in capsys.readouterr().err
+
+
+class TestFuzzFindings:
+    """Defects found by ``test_fuzz.py``: each ended in a traceback, printed
+    numpy warnings before the message, or wrote an infinite tolerance."""
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("time.t_max", 10**400, "$.time.t_max"),
+            ("bath.peaks[0].g", -(10**400), "$.bath.peaks[0].g"),
+            ("system.matrix[0][0]", [10**400, 0], "$.system.matrix[0][0]"),
+            ("initial.psi0", [0, 10**400], "$.initial.psi0"),
+        ],
+        ids=["t_max", "g", "matrix", "psi0"],
+    )
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys, field, value, path):
+        # JSON integers are unbounded; float() of this one raised OverflowError
+        doc = base_doc()
+        apply_override(doc, field, value)
+        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"invalid config: {path}: number is out of the float range\n"
+        )
+
+    def test_huge_ground_amplitude(self, tmp_path, capsys):
+        # |psi0| ** 2 raised OverflowError
+        doc = base_doc()
+        doc["initial"]["psi0"] = [1e300, 0.0]
+        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "invalid config: $.initial: initial state is not normalized: "
+            "||psi||^2 + |psi0|^2 = inf\n"
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_hamiltonian_too_large_to_certify(self, tmp_path, command):
+        # the Frobenius norm of V overflowed: "psd_tolerance": Infinity, and
+        # every eigenvalue passed
+        doc = base_doc(system={"n": 1, "matrix": [[[1e300, 0.0]]]})
+        doc["bath"]["eta"] = 0.2
+        out = tmp_path / "out"
+        result = run_cli([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr == (
+            "invalid input: optical potential is too large to certify (norm inf)\n"
+        )
+        assert not out.exists()
+
+    def test_overflow_prints_no_numpy_warning(self, tmp_path):
+        # exp and matmul overflow in the propagation used to print their
+        # RuntimeWarnings before the message
+        doc = base_doc(system={"n": 1, "matrix": [[[-1e300, 0.0]]]})
+        doc["bath"] = {"peaks": [], "eta": 0.2}
+        doc["solver"] = {"oracle_steps": 40}
+        out = tmp_path / "out"
+        result = run_cli(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert result.returncode == EXIT_NUMERICAL
+        assert result.stderr == "numerical failure: route deviation is not finite (sup nan, L2 nan)\n"
+
+    def test_spawned_sweep_worker_prints_no_numpy_warning(self, tmp_path):
+        # a spawned worker does not inherit the numpy error state of main
+        doc = base_doc(system={"n": 1, "matrix": [[[-1e300, 0.0]]]})
+        doc["bath"] = {"peaks": [], "eta": 0.2}
+        doc["sweep"] = {"time.points": [11, 12]}
+        argv = ["sweep", "--jobs", "2", "--config", write_config(tmp_path, doc)]
+        argv += ["--out", str(tmp_path / "out")]
+        code = f"""
+import multiprocessing, sys
+from pseudobath import cli
+
+multiprocessing.get_all_start_methods = lambda: ["spawn"]
+sys.exit(cli.main({argv!r}))
+"""
+        result = python_process(code)
+        assert result.returncode == EXIT_CONFIG
+        message = "invalid input: optical potential is too large to certify (norm inf)"
+        assert result.stderr == f"point_0000: {message}\npoint_0001: {message}\n"
 
 
 class TestFileErrors:
@@ -389,6 +486,40 @@ class TestFileErrors:
         error = f"file error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: "
         assert manifest[1]["error"] == error + repr(str(out / "point_0001"))
         assert capsys.readouterr().err == f"point_0001: {manifest[1]['error']}\n"
+
+
+class TestTempFiles:
+    """A failed write leaves no ``.tmp`` file behind."""
+
+    def test_report_path_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        argv = ["simulate", "--config", write_config(tmp_path, base_doc()), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"file error: [Errno {errno.EISDIR}] ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "trajectory.csv"]
+
+    def test_validation_failure_in_a_later_block(self, tmp_path, monkeypatch, capsys):
+        # row 300 of 301, in the second 256-row block, is damaged after the
+        # first block has been written
+        observables = cli.dynamics.observables
+
+        def damaged(traj, init):
+            excited, rho = observables(traj, init)
+            rho[300, 0, 1] += 1e-6
+            return excited, rho
+
+        monkeypatch.setattr(cli.dynamics, "observables", damaged)
+        doc = base_doc(time={"t_max": 3.0, "points": 301})
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: rho at t=3.0 not Hermitian (defect 1.000e-06)\n"
+        )
+        assert list(out.iterdir()) == []
 
 
 class TestSimulate:
@@ -445,6 +576,23 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"file error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{path}'\n"
         )
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # a fresh process per grid prints its own peak RSS in KiB; at the
+        # parent, 200001 points peaked 150 MB above 2001 points
+        peaks = []
+        for points in (2001, 200001):
+            doc = base_doc(time={"t_max": 100.0, "points": points})
+            argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]
+            code = f"""
+import resource
+from pseudobath.cli import main
+assert main({argv!r}) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+            peaks.append(int(run_python(code)))
+            assert (tmp_path / "trajectory.csv").read_bytes().count(b"\n") == points + 1
+        assert peaks[1] - peaks[0] <= 20 * 1024
 
     def test_invalid_config(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -577,7 +725,7 @@ class TestCompare:
 
 
 class TestCutoffStudy:
-    def test_requires_ohmic_bath(self, tmp_path):
+    def test_requires_ohmic_bath(self, tmp_path, capsys):
         code = main(
             [
                 "cutoff-study",
@@ -588,6 +736,9 @@ class TestCutoffStudy:
             ]
         )
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "invalid config: cutoff-study requires an Ohmic bath (eta > 0)\n"
+        )
 
     def test_non_finite_deviation_is_a_numerical_failure(self, tmp_path, capsys):
         doc = base_doc()
@@ -666,7 +817,7 @@ class TestSweep:
         ]
         assert "point_0001" in capsys.readouterr().err
 
-    def test_sweep_requires_section(self, tmp_path):
+    def test_sweep_requires_section(self, tmp_path, capsys):
         code = main(
             [
                 "sweep",
@@ -677,6 +828,9 @@ class TestSweep:
             ]
         )
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            'invalid config: sweep requires a non-empty "sweep" section in the config\n'
+        )
 
     def test_workers_bounded_by_points(self, tmp_path, monkeypatch):
         # the stand-in runs each share in this process, so a bound that
@@ -697,7 +851,8 @@ class TestSweep:
             def join(self):
                 pass
 
-        monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+        for method in multiprocessing.get_all_start_methods():
+            monkeypatch.setattr(multiprocessing.get_context(method), "Process", InlineProcess)
         doc = base_doc()
         doc["time"] = {"t_max": 1.0, "points": 6}
         doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6, 0.9]}
@@ -719,36 +874,60 @@ class TestSweep:
         out = tmp_path / "out"
         argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]
         assert main(argv + ["--jobs", jobs]) == EXIT_CONFIG
-        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"invalid config: --jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
-    def test_parallel_matches_serial(self, tmp_path):
+    @staticmethod
+    def sweep_trees(tmp_path, monkeypatch, gammas, jobs):
+        """The output tree of a 6-point sweep over ``gammas`` with --jobs 1,
+        then with ``jobs`` under the fork and under the spawn start method,
+        each as {relative path: bytes}."""
         doc = base_doc()
         doc["time"] = {"t_max": 1.0, "points": 6}
-        doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6]}
-        cfg = write_config(tmp_path, doc)
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert main(["sweep", "--config", cfg, "--out", str(serial)]) == EXIT_OK
-        assert main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == EXIT_OK
-        for sub in ("point_0000", "point_0001"):
-            a = (serial / sub / "trajectory.csv").read_bytes()
-            b = (parallel / sub / "trajectory.csv").read_bytes()
-            assert a == b
-
-    def test_uneven_split_matches_serial(self, tmp_path):
-        # 5 points over 3 processes: shares of 2, 2 and 1 points
-        doc = base_doc()
-        doc["time"] = {"t_max": 1.0, "points": 6}
-        doc["sweep"] = {"bath.peaks[0].gamma": [0.2, 0.3, 0.4, 0.5, 0.6]}
+        doc["sweep"] = {"bath.peaks[0].gamma": gammas}
         cfg = write_config(tmp_path, doc)
         trees = []
-        for jobs in ("1", "3"):
-            out = tmp_path / f"jobs{jobs}"
-            assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+        for method, n in (("serial", "1"), ("fork", jobs), ("spawn", jobs)):
+            # the sweep takes fork only where the platform offers it
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [method])
+            out = tmp_path / method
+            assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", n]) == EXIT_OK
             files = sorted(p for p in out.rglob("*") if p.is_file())
             trees.append({p.relative_to(out): p.read_bytes() for p in files})
-        assert len(trees[0]) == 11
-        assert trees[0] == trees[1]
+        return trees
+
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        serial, fork, spawn = self.sweep_trees(tmp_path, monkeypatch, [0.3, 0.6], "2")
+        assert len(serial) == 5
+        assert fork == serial
+        assert spawn == serial
+
+    def test_uneven_split_matches_serial(self, tmp_path, monkeypatch):
+        # 5 points over 3 processes: shares of 2, 2 and 1 points
+        gammas = [0.2, 0.3, 0.4, 0.5, 0.6]
+        serial, fork, spawn = self.sweep_trees(tmp_path, monkeypatch, gammas, "3")
+        assert len(serial) == 11
+        assert fork == serial
+        assert spawn == serial
+
+    def test_start_method(self, monkeypatch):
+        # fork where offered, so workers inherit the imported modules
+        started = []
+
+        class Context:
+            def __init__(self, method):
+                self.method = method
+
+            def Pipe(self, duplex):
+                raise RuntimeError(self.method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", Context)
+        for offered in (["fork", "spawn", "forkserver"], ["spawn"]):
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: offered)
+            with pytest.raises(RuntimeError) as err:
+                cli._run_sweep([("{}", "x")] * 2, 2)
+            started.append(str(err.value))
+        assert started == ["fork", "spawn"]
 
     @pytest.mark.parametrize(
         "failure, exit_code", [("raise KeyError(out_dir)", 1), ("os._exit(7)", 7)]
@@ -859,7 +1038,8 @@ class InlineProcess:
     def join(self):
         pass
 
-multiprocessing.Process = InlineProcess
+for method in multiprocessing.get_all_start_methods():
+    multiprocessing.get_context(method).Process = InlineProcess
 sys.exit(cli.main({argv!r}))
 """
         assert run_python(code) == "True\n"

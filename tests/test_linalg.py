@@ -10,13 +10,15 @@ from scipy.linalg import expm
 
 import pseudobath
 from pseudobath import linalg
-from pseudobath.dynamics import evolve
+from pseudobath.dynamics import evolve, evolve_chunks
 from pseudobath.linalg import (
+    CHUNK_ROWS,
     DimensionMismatchError,
     LinAlgError,
     NotHermitianError,
     hermitian_eigenvalues,
     propagate_blocks,
+    propagate_chunks,
 )
 from pseudobath.model import BathModel, InitialState, LorentzPeak, SystemHamiltonian
 from pseudobath.pseudomode import build_effective_hamiltonian, dilation_threshold
@@ -202,6 +204,12 @@ class TestPropagateBlocks:
         propagate_blocks(np.zeros((2, 3, 3)), np.ones((2, 3)), t)
         assert seen == [(2, 3, 3)] * calls
 
+    def test_pieces_of_a_grid(self):
+        blocks, z0 = np.zeros((2, 3, 3)), np.ones((2, 3))
+        for points, sizes in ((4096, [4096]), (4097, [4096, 1]), (10000, [4096, 4096, 1808])):
+            pieces = list(propagate_chunks(blocks, z0, np.linspace(0.0, 1.0, points)))
+            assert [piece.shape for piece in pieces] == [(2, size, 3) for size in sizes]
+
     def test_matches_dop853_at_tight_tolerance(self):
         h, bath, init = dilatable_generator(np.random.default_rng(5), 2, 2, 0.5)
         t = np.linspace(0.0, 8.0, 801)
@@ -214,6 +222,19 @@ class TestPropagateBlocks:
         assert sol.success
         assert np.abs(ys - sol.y.T).max() <= 1e-10
 
+    def test_million_steps_match_one_dense_expm(self):
+        # 245 chunks: a row is up to 12 doubling and 244 chunk products from z0
+        h, bath, init = dilatable_generator(np.random.default_rng(9), 2, 2, 0.3)
+        t = np.linspace(0.0, 20.0, 10**6 + 1)
+        for piece in evolve_chunks(h, bath, init, t):
+            assert len(piece.times) <= CHUNK_ROWS
+        assert piece.times[-1] == 20.0
+        exact = expm(-20.0j * build_effective_hamiltonian(h, bath)) @ evolve(
+            h, bath, init, t[:1]
+        ).vectors[0]
+        assert np.abs(exact).max() > 0.05
+        assert np.abs(piece.vectors[-1] - exact).max() <= 1e-12
+
     def test_cli_import_leaves_scipy_integrate_out(self):
         src = str(pathlib.Path(pseudobath.__file__).resolve().parents[1])
         code = "import sys, pseudobath.cli; print('scipy.integrate' in sys.modules)"
@@ -222,3 +243,79 @@ class TestPropagateBlocks:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "False"
+
+
+def doubling_reference(blocks, z0, t):
+    """The propagator before chunking: every run of m equal steps filled by
+    doubling to its end, rows [p, 2p) from rows [0, p) for p up to m."""
+    dt = np.diff(t)
+    z = np.empty((blocks.shape[0], t.size, blocks.shape[1]), dtype=complex)
+    z[:, 0] = z0
+    lo = 0
+    while lo < dt.size:
+        off = np.flatnonzero(np.abs(dt[lo:] - dt[lo]) > linalg._DT_RTOL * t[-1])
+        hi = lo + int(off[0]) if off.size else dt.size
+        step = (t[hi] - t[lo]) / (hi - lo)
+        run = z[:, lo : hi + 1]
+        p = 1
+        while p <= hi - lo:
+            rows = min(p, hi - lo + 1 - p)
+            run[:, p : p + rows] = run[:, :rows] @ expm(-1j * (p * step) * blocks).swapaxes(-1, -2)
+            p *= 2
+        lo = hi
+    return z
+
+
+def runs_grid(*runs):
+    """A grid from 0 made of runs of (steps, step length)."""
+    return np.concatenate([[0.0], np.cumsum(np.concatenate([[dt] * m for m, dt in runs]))])
+
+
+def random_blocks(seed, n=3, d=4):
+    """Non-normal blocks with growing and decaying modes, and a start."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    blocks -= 0.3j * np.eye(d) * np.arange(1, n + 1)[:, np.newaxis, np.newaxis]
+    return blocks, rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+
+
+class TestChunks:
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.linspace(0.0, 8.0, 4001),
+            np.linspace(0.0, 20.0, CHUNK_ROWS),
+            np.array([0.0, 1.0, 5.0, 10.0]),
+            runs_grid((3, 0.1), (1, 0.2), (6, 0.25), (1, 0.5)),
+            runs_grid((1000, 1e-3), (2999, 2e-3)),
+            np.array([0.0]),
+        ],
+        ids=["4001", "4096", "steps 1, 4, 5", "four runs", "two long runs", "one point"],
+    )
+    def test_short_grids_keep_the_doubling_arithmetic(self, t):
+        # one piece per run of equal steps, each bitwise as before
+        blocks, z0 = random_blocks(11)
+        pieces = list(propagate_chunks(blocks, z0, t))
+        runs = 1 + np.count_nonzero(np.abs(np.diff(np.diff(t))) > 1e-12)
+        assert len(pieces) == runs
+        z = np.concatenate(pieces, axis=1)
+        np.testing.assert_array_equal(z, doubling_reference(blocks, z0, t))
+
+    def test_runs_across_chunk_boundaries(self, monkeypatch):
+        # 8-row chunks: runs of 20, 3, 1, 8 and 37 steps start and end
+        # inside chunks, fill several of them and end on a boundary
+        monkeypatch.setattr(linalg, "CHUNK_ROWS", 8)
+        calls = []
+        monkeypatch.setattr(linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+        blocks, z0 = random_blocks(12)
+        t = runs_grid((20, 0.1), (3, 0.05), (1, 0.3), (8, 0.02), (37, 0.01))
+        pieces = list(propagate_chunks(blocks, z0, t))
+        # per run: doubling to min(C, m + 1) rows, plus one chunk step past C
+        assert len(calls) == (3 + 1) + 2 + 1 + (3 + 1) + (3 + 1)
+        assert all(1 <= piece.shape[1] <= 8 for piece in pieces)
+        z = np.concatenate(pieces, axis=1)
+        np.testing.assert_array_equal(z, propagate_blocks(blocks, z0, t))
+        for b, z0_b, z_b in zip(blocks, z0, z):
+            for ti, zi_b in zip(t, z_b):
+                exact = expm(-1j * ti * b) @ z0_b
+                assert np.abs(zi_b - exact).max() <= 1e-12 * (1.0 + np.abs(exact).max())

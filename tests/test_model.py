@@ -50,6 +50,12 @@ class TestTypes:
         s = InitialState(psi=np.array([0.6]), psi0=0.8)
         assert s.n == 1
 
+    @pytest.mark.parametrize("psi0", [float("nan"), complex(0.0, float("nan")), 1e300])
+    def test_initial_state_rejects_a_bad_ground_amplitude(self, psi0):
+        # a NaN norm passed the normalization check; 1e300 ** 2 raised OverflowError
+        with pytest.raises(ModelError, match="not normalized"):
+            InitialState(psi=np.array([0.6]), psi0=psi0)
+
     def test_time_grid(self):
         h = SystemHamiltonian(np.array([[0.0]]))
         init = InitialState(psi=np.array([1.0]), psi0=0.0)
