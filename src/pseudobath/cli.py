@@ -1,9 +1,10 @@
 """Command-line front end: simulation, dilation certification, cross-solver
 comparison, cutoff-convergence studies and parameter sweeps.
 
-Output files are deterministic: fixed %.17g float formatting, sorted JSON
-keys, LF line endings, no timestamps.  Identical configs therefore produce
-byte-identical artifacts.
+Output files are deterministic: %.17g float formatting, sorted JSON keys,
+LF line endings, no timestamps.  Identical configs therefore produce
+byte-identical artifacts.  CSV rows are formatted a block at a time by
+``csvformat.format_rows``, whose text is per-entry %.17g byte for byte.
 """
 
 import argparse
@@ -33,9 +34,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
 
-_FLOAT_FMT = "%.17g"
-
-
 class ArgumentError(ConfigError):
     """A command-line option, or the config section a command needs, is
     invalid."""
@@ -62,10 +60,6 @@ def _describe_error(exc: Exception) -> tuple[int, str]:
     """Exit code and one-line message for an exception in _KNOWN_ERRORS."""
     code, prefix = next(v for cls, v in _ERROR_CODES.items() if isinstance(exc, cls))
     return code, f"{prefix}: {exc}"
-
-
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT % x
 
 
 @contextlib.contextmanager
@@ -116,11 +110,6 @@ def _lorentz_kernel(bath):
     return lambda t: lorentz_correlation(bath.peaks, t)
 
 
-def _row_template(cols: int) -> str:
-    """``template % row`` equals the comma-joined ``_fmt`` of each entry."""
-    return ",".join([_FLOAT_FMT] * cols)
-
-
 def _first_failure(ok: np.ndarray, t: np.ndarray, values: np.ndarray, what: str):
     """Raise LinAlgError at the first t where ``ok`` is false."""
     bad = np.flatnonzero(~ok)
@@ -147,10 +136,12 @@ def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[float, float]:
     return float(trace_dev.max()), float(min_eig.min())
 
 
-def _write_rows(fh, piece: dynamics.Trajectory, init, line: str) -> tuple[float, float, float]:
+def _write_rows(fh, piece: dynamics.Trajectory, init) -> tuple[float, float, float]:
     """Validate and write the CSV rows of one trajectory piece in blocks of
     rows, so that temporaries stay small; return its largest trace
     deviation, its smallest rho eigenvalue and its last excited population."""
+    from .csvformat import format_rows  # on first use: check and compare write no CSV
+
     excited, rho = dynamics.observables(piece, init)
     max_trace_dev, min_rho_eig = 0.0, np.inf
     for lo in range(0, len(piece.times), _BLOCK_ROWS):
@@ -162,7 +153,7 @@ def _write_rows(fh, piece: dynamics.Trajectory, init, line: str) -> tuple[float,
         table = np.column_stack(
             (t_block, rho_block.reshape(len(t_block), -1).view(float), excited[block])
         )
-        fh.write("".join(line % tuple(row) for row in table.tolist()))
+        fh.write(format_rows(table))
     return max_trace_dev, min_rho_eig, float(excited[-1])
 
 
@@ -177,12 +168,11 @@ def _simulate(cfg: RunConfig, out_dir: str):
     levels = range(cfg.system.n + 1)
     rho_cols = [f"rho_{i}_{j}_{part}" for i in levels for j in levels for part in ("re", "im")]
     header = ["t", *rho_cols, "excited_population"]
-    line = _row_template(len(header)) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     with _atomic_open(os.path.join(out_dir, "trajectory.csv")) as fh:
         fh.write(",".join(header) + "\n")
         summaries = [
-            _write_rows(fh, piece, cfg.initial, line) for piece in itertools.chain([first], chunks)
+            _write_rows(fh, piece, cfg.initial) for piece in itertools.chain([first], chunks)
         ]
     trace_devs, min_eigs, excited = zip(*summaries)
 
@@ -222,6 +212,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
 def cmd_compare(cfg: RunConfig, args) -> int:
     if not 0.0 <= args.threshold < math.inf:
         raise ArgumentError(f"--threshold must be finite and >= 0, got {args.threshold}")
+    # simulate and check meet the same guard when they certify
+    pseudomode.check_certifiable(cfg.system, cfg.bath)
     steps = cfg.solver.oracle_steps
     times = np.linspace(0.0, cfg.t_max, steps + 1)
     traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, times)
@@ -269,16 +261,19 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
     mask = reference.times >= args.t_min
     if not np.any(mask):
         raise ArgumentError(f"--t-min {args.t_min} excludes the whole grid")
-    lines = ["Omega,sup_deviation"]
+    from .csvformat import format_rows
+
+    rows = []
     for omega, traj in zip(args.omegas, family):
         diff = np.linalg.norm(traj.states - reference.states, axis=1)
         sup = float(diff[mask].max())
         if not math.isfinite(sup):
             raise LinAlgError(f"deviation at cutoff {omega} is not finite ({sup})")
-        lines.append(f"{_fmt(omega)},{_fmt(sup)}")
+        rows.append((omega, sup))
+    text = "Omega,sup_deviation\n" + format_rows(rows)
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "cutoff_study.csv"), "\n".join(lines) + "\n")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _atomic_write(os.path.join(args.out, "cutoff_study.csv"), text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -105,6 +105,12 @@ def _psd_tolerance(v: np.ndarray) -> float:
     return 1e-10 * (1.0 + norm)
 
 
+def check_certifiable(h_r: SystemHamiltonian, bath: BathModel) -> None:
+    """Raise ModelError where check_dilation_closed_form would find the
+    optical potential too large to certify; builds V, diagonalizes nothing."""
+    _psd_tolerance(optical_potential(build_effective_hamiltonian(h_r, bath)))
+
+
 def block_decompose(h: SystemHamiltonian, bath: BathModel) -> np.ndarray:
     """Decompose the effective Hamiltonian into an (N, K+1, K+1) array of
     blocks, one per eigenvalue E_alpha of the system Hamiltonian (ascending,
@@ -170,6 +176,7 @@ __all__ = [
     "DilationReport",
     "block_decompose",
     "build_effective_hamiltonian",
+    "check_certifiable",
     "check_dilation_closed_form",
     "check_dilation_spectral",
     "dilation_threshold",

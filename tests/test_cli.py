@@ -19,8 +19,6 @@ from pseudobath.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_THRESHOLD,
-    _fmt,
-    _row_template,
     _validate_rho,
     main,
 )
@@ -407,10 +405,10 @@ class TestFuzzFindings:
             "||psi||^2 + |psi0|^2 = inf\n"
         )
 
-    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize("command", ["simulate", "check", "compare"])
     def test_hamiltonian_too_large_to_certify(self, tmp_path, command):
         # the Frobenius norm of V overflowed: "psd_tolerance": Infinity, and
-        # every eigenvalue passed
+        # every eigenvalue passed; compare, which does not certify, exited 3
         doc = base_doc(system={"n": 1, "matrix": [[[1e300, 0.0]]]})
         doc["bath"]["eta"] = 0.2
         out = tmp_path / "out"
@@ -422,10 +420,10 @@ class TestFuzzFindings:
         assert not out.exists()
 
     def test_overflow_prints_no_numpy_warning(self, tmp_path):
-        # exp and matmul overflow in the propagation used to print their
-        # RuntimeWarnings before the message
-        doc = base_doc(system={"n": 1, "matrix": [[[-1e300, 0.0]]]})
-        doc["bath"] = {"peaks": [], "eta": 0.2}
+        # the oracle's overflow used to print numpy's RuntimeWarnings before
+        # the message; at eta = 0 the optical potential is 0 and certifiable
+        doc = base_doc(system={"n": 1, "matrix": [[[1e100, 0.0]]]})
+        doc["bath"] = {"peaks": [], "eta": 0.0}
         doc["solver"] = {"oracle_steps": 40}
         out = tmp_path / "out"
         result = run_cli(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)])
@@ -601,10 +599,6 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 class TestRhoRows:
-    def test_row_template_matches_per_entry_format(self):
-        row = [0.0, -0.0, 1e-300, -1e-300, 3, -7, 0.1, 1.0 / 3.0, 2.5e17, 5e-324]
-        assert _row_template(len(row)) % tuple(row) == ",".join(_fmt(x) for x in row)
-
     @staticmethod
     def valid_stack():
         # mixtures of |0><0| and a pure state (|0> + |1>)/sqrt(2), trace 1, PSD
@@ -722,6 +716,60 @@ class TestCompare:
         out = tmp_path / "out"
         code = main(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)])
         assert code == EXIT_OK
+
+
+def decaying_doc(**overrides):
+    """psi0 = 0, so rho has exact 0 and -0 entries, and an excited amplitude
+    that decays into the subnormal range by t = 420."""
+    doc = base_doc(
+        bath={"peaks": [{"g": 2.0, "gamma": 4.0, "epsilon": 0.1}], "eta": 0.0},
+        initial={"psi": [[1.0, 0.0]], "psi0": [0.0, 0.0]},
+        time={"t_max": 420.0, "points": 43},
+    )
+    doc.update(overrides)
+    return doc
+
+
+def assert_percent_17g(path):
+    """Every field below the header of the CSV file at ``path`` is ``%.17g``
+    of its own value: the file is what per-entry formatting writes, byte for
+    byte.  Returns the values."""
+    text = path.read_bytes().decode("ascii")
+    header, body = text.split("\n", 1)
+    values = [[float(field) for field in line.split(",")] for line in body.splitlines()]
+    rows = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values)
+    assert text == header + "\n" + rows
+    return np.array(values)
+
+
+class TestCsvFiles:
+    def test_trajectory(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", write_config(tmp_path, decaying_doc()), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        values = np.abs(assert_percent_17g(out / "trajectory.csv"))
+        raw = (out / "trajectory.csv").read_text().replace("\n", ",").split(",")
+        assert "0" in raw and "-0" in raw
+        # subnormal and other entries below 1e-269, which csvformat leaves to %
+        assert np.any((values > 0) & (values < np.finfo(float).tiny))
+        assert np.any((values >= np.finfo(float).tiny) & (values < 1e-269))
+
+    def test_sweep_points(self, tmp_path):
+        doc = decaying_doc(sweep={"time.points": [22, 43], "bath.peaks[0].epsilon": [0.1, -0.3]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+        points = sorted(out.glob("point_*/trajectory.csv"))
+        assert len(points) == 4
+        for path in points:
+            assert_percent_17g(path)
+
+    def test_cutoff_study(self, tmp_path):
+        doc = base_doc(bath={"peaks": [], "eta": 0.5}, solver={"oracle_steps": 400})
+        out = tmp_path / "out"
+        argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv + ["--omegas", "2", "4", "--t-min", "0.5"]) == EXIT_OK
+        values = assert_percent_17g(out / "cutoff_study.csv")
+        assert values[:, 0].tolist() == [2.0, 4.0]
 
 
 class TestCutoffStudy:
