@@ -48,6 +48,7 @@ from .volterra import (
     OracleTrajectory,
     StepTooCoarseError,
     compare_trajectories,
+    deviation_norms,
     solve_cutoff_family,
     solve_integro_differential,
     solve_renormalized,

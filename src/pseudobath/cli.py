@@ -222,8 +222,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         cfg.system, cfg.bath.eta, _lorentz_kernel(cfg.bath), cfg.initial.psi, cfg.t_max,
         steps, extrapolate=True,
     )
-    sup = volterra.compare_trajectories(traj, oracle, norm="sup")
-    l2 = volterra.compare_trajectories(traj, oracle, norm="L2")
+    sup, l2 = volterra.deviation_norms(traj, oracle)
     if not (math.isfinite(sup) and math.isfinite(l2)):
         raise LinAlgError(f"route deviation is not finite (sup {sup}, L2 {l2})")
     report = {

@@ -15,8 +15,9 @@ unit lower-triangular block-Toeplitz system, built once per march and
 solved with one triangular solve per block, and the history of finished
 blocks enters as FFT convolutions on dyadic tiles (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): O(steps log^2 steps).
-The FFTs are numpy's; scipy's triangular solver is imported by the first
-march, so importing this module loads numpy alone.
+The FFTs are numpy's; the triangular solves call LAPACK's trtrs directly,
+fetched from scipy by the first march, so importing this module loads numpy
+alone.
 The march reads only H, psi(0), h and the sampled kernel G(k*h): no kernel
 compression, no sum of exponentials and no use of the pseudomode structure,
 so it certifies the effective-Hamiltonian route independently.
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ModelError, SystemHamiltonian, counterterm_shift, ohmic_cutoff_correlation
 
@@ -96,13 +98,14 @@ def _solve_volterra_core(
     the last 2^v(c) of them (v the 2-adic valuation) act on the next
     2^v(c), so every earlier block reaches every later one exactly once.
     """
-    from scipy.linalg import solve_triangular
+    from scipy.linalg import get_lapack_funcs
 
     n = psi0.shape[0]
     eye = np.eye(n)
     a = -1j * generator
     m = a - 0.5 * h * gvals[0] * eye
     q = eye + h * m
+    q_t = q.T
     padded = np.zeros(2 * steps + 1, dtype=complex)
     padded[: steps + 1] = -0.5 * h * h * gvals
     alpha, beta = padded[:-1], padded[1:]
@@ -111,11 +114,16 @@ def _solve_volterra_core(
     kern = alpha[:bsize, None, None] * q + beta[:bsize, None, None] * eye
     kern[0] += 0.5 * h * (q @ a + m) + 0.25 * h * h * gvals[0] * q
     csum = np.cumsum(kern, axis=0)
-    # lower[(i, r), (l, c)] = -C_{i-l-1}[r, c] below the block diagonal, else 0
-    shifted = np.concatenate((np.zeros((1, n, n)), -csum[:-1]))
-    i, c = np.arange(bsize), np.arange(n)
-    lag = np.maximum(np.subtract.outer(i, i), 0)
-    lower = shifted[lag[:, None, :, None], c[:, None, None], c].reshape(bsize * n, bsize * n)
+    # lower[(i, r), (l, c)] = -C_{i-l-1}[r, c] below the block diagonal, else 0:
+    # row (i, r) is the window of band[r] = (-C_{bsize-2}[r], ..., -C_0[r], 0, ..., 0)
+    # that starts at block bsize-1-i, so one strided copy builds the matrix
+    band = np.zeros((n, 2 * bsize - 1, n), dtype=complex)
+    band[:, : bsize - 1] = -csum[: bsize - 1][::-1].transpose(1, 0, 2)
+    windows = sliding_window_view(band.reshape(n, -1), bsize * n, axis=1)[:, ::n]
+    lower = windows[:, ::-1].transpose(1, 0, 2).reshape(bsize * n, bsize * n)
+    # LAPACK reads the Fortran-ordered transpose: an upper triangle, solved transposed
+    upper = lower.T
+    trtrs = get_lapack_funcs("trtrs", (upper,))
 
     # spectra of alpha and beta for the tiles of each level, width 2 * (bsize << level)
     spectra = []
@@ -130,10 +138,8 @@ def _solve_volterra_core(
     for k0 in range(0, steps, bsize):
         b = min(bsize, steps - k0)
         rhs = csum[:b] @ y[k0] + far[k0 : k0 + b]
-        d = solve_triangular(
-            lower[: b * n, : b * n], rhs.ravel(), lower=True, unit_diagonal=True,
-            check_finite=False,
-        )
+        # a unit diagonal is never singular, so info is always 0
+        d, _ = trtrs(upper[: b * n, : b * n], rhs.ravel(), lower=0, trans=1, unitdiag=1)
         y[k0 + 1 : k0 + b + 1] = y[k0] + np.cumsum(d.reshape(b, n), axis=0)
         lo = k0 + b
         if lo >= steps:
@@ -143,7 +149,7 @@ def _solve_volterra_core(
         span = bsize << level
         spec_a, spec_b = spectra[level]
         ys = np.fft.fft(y[lo - span : lo], n=2 * span, axis=0)
-        conv = np.fft.ifft(spec_a[:, None] * (ys @ q.T) + spec_b[:, None] * ys, axis=0)
+        conv = np.fft.ifft(spec_a[:, None] * (ys @ q_t) + spec_b[:, None] * ys, axis=0)
         far[lo : lo + span] += conv[span : span + steps - lo]
     return y
 
@@ -164,12 +170,14 @@ def _solve_on_grid(
     psi0 = np.ascontiguousarray(psi0, dtype=complex).ravel()
     h = t_max / steps
     times = np.arange(steps + 1) * h
-    gvals = kernel_scale * _kernel_on_grid(kernel, times)
-    y = _solve_volterra_core(generator, gvals, psi0, h, steps)
     if not extrapolate:
+        gvals = kernel_scale * _kernel_on_grid(kernel, times)
+        y = _solve_volterra_core(generator, gvals, psi0, h, steps)
         return OracleTrajectory(times=times, states=y)
-    times_fine = np.arange(2 * steps + 1) * (h / 2.0)
-    gvals_fine = kernel_scale * _kernel_on_grid(kernel, times_fine)
+    # h/2 is exact for a normal h, so (2k)(h/2) rounds to kh: every other fine
+    # sample is a coarse one
+    gvals_fine = kernel_scale * _kernel_on_grid(kernel, np.arange(2 * steps + 1) * (h / 2.0))
+    y = _solve_volterra_core(generator, gvals_fine[::2], psi0, h, steps)
     y_half = _solve_volterra_core(generator, gvals_fine, psi0, h / 2.0, 2 * steps)[::2]
     error = float(np.linalg.norm(y_half - y, axis=1).max()) / 3.0
     return OracleTrajectory(times=times, states=(4.0 * y_half - y) / 3.0, error_estimate=error)
@@ -246,15 +254,15 @@ def solve_cutoff_family(
     ]
 
 
-def compare_trajectories(a, b, norm: str = "sup") -> float:
-    """Deviation between the system parts ``states`` of two trajectories
-    (pseudomode or oracle) on their grids ``times``.
+def deviation_norms(a, b) -> tuple[float, float]:
+    """Sup and L2 deviation between the system parts ``states`` of two
+    trajectories (pseudomode or oracle) on their grids ``times``: the max
+    pointwise 2-norm, and the trapezoidal time integral of the squared
+    2-norm, square-rooted.
 
     The grids must be equal: same length, every point within
     1e-12*(1 + t_last), a relative slack for the ulps by which a linspace
-    grid and the oracle's arange(steps+1)*h differ.  ``norm`` is "sup" (max
-    pointwise 2-norm) or "L2" (trapezoidal time integral of the squared
-    2-norm, square-rooted).
+    grid and the oracle's arange(steps+1)*h differ.
     """
     ta, tb = a.times, b.times
     if a.states.shape[1] != b.states.shape[1]:
@@ -262,10 +270,17 @@ def compare_trajectories(a, b, norm: str = "sup") -> float:
     if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12 * (1.0 + ta[-1]):
         raise GridMismatchError(f"grids differ ({ta.size} and {tb.size} points)")
     diff = np.linalg.norm(a.states - b.states, axis=1)
+    return float(diff.max()), float(np.sqrt(np.trapezoid(diff**2, ta)))
+
+
+def compare_trajectories(a, b, norm: str = "sup") -> float:
+    """One of the ``deviation_norms`` of two trajectories: ``norm`` is
+    "sup" or "L2"."""
+    sup, l2 = deviation_norms(a, b)
     if norm == "sup":
-        return float(diff.max())
+        return sup
     if norm == "L2":
-        return float(np.sqrt(np.trapezoid(diff**2, ta)))
+        return l2
     raise ValueError(f"unknown norm {norm!r}")
 
 
@@ -275,6 +290,7 @@ __all__ = [
     "OracleTrajectory",
     "StepTooCoarseError",
     "compare_trajectories",
+    "deviation_norms",
     "solve_cutoff_family",
     "solve_integro_differential",
     "solve_renormalized",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudobath import pseudomode
 from pseudobath.model import BathModel, LorentzPeak, SystemHamiltonian
 from pseudobath.linalg import hermitian_eigenvalues
 from pseudobath.pseudomode import (
@@ -243,6 +244,22 @@ class TestDilation:
         passed, min_eig = check_dilation_spectral(v)
         assert not passed
         assert min_eig < 0
+
+    def test_one_tolerance_per_certification(self, monkeypatch):
+        # the Frobenius norm of V is taken once, for every verdict
+        rng = np.random.default_rng(4)
+        h = SystemHamiltonian(random_hermitian(rng, 3) + 3.0 * np.eye(3))
+        bath = random_bath(rng, 2, eta=0.5)
+        calls = []
+        tolerance = pseudomode._psd_tolerance
+        monkeypatch.setattr(
+            pseudomode, "_psd_tolerance", lambda v: calls.append(v.shape) or tolerance(v)
+        )
+        report = check_dilation_closed_form(h, bath)
+        assert calls == [(9, 9)]
+        v = optical_potential(build_effective_hamiltonian(h, bath))
+        assert report.psd_tolerance == 1e-10 * (1.0 + np.linalg.norm(v))
+        assert report.spectral_pass == check_dilation_spectral(v)[0]
 
     def test_threshold_beats_small_system_energy(self):
         # threshold (eta/4) g^2/gamma = 0.25 exceeds E = 0.2

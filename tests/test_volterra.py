@@ -20,6 +20,7 @@ from pseudobath.volterra import (
     OracleTrajectory,
     StepTooCoarseError,
     compare_trajectories,
+    deviation_norms,
     solve_cutoff_family,
     solve_integro_differential,
     solve_renormalized,
@@ -84,6 +85,71 @@ def one_sum_march(generator, gvals, psi0, h, steps):
     return y
 
 
+def blocked_march_reference(generator, gvals, psi0, h, steps):
+    """The blocked march as first written: the near-field matrix built by one
+    4-D index and each block solved by scipy's solve_triangular."""
+    from scipy.linalg import solve_triangular
+
+    n = psi0.shape[0]
+    eye = np.eye(n)
+    a = -1j * generator
+    m = a - 0.5 * h * gvals[0] * eye
+    q = eye + h * m
+    padded = np.zeros(2 * steps + 1, dtype=complex)
+    padded[: steps + 1] = -0.5 * h * h * gvals
+    alpha, beta = padded[:-1], padded[1:]
+    bsize = min(max(1, volterra._BLOCK_ORDER // n), steps)
+    kern = alpha[:bsize, None, None] * q + beta[:bsize, None, None] * eye
+    kern[0] += 0.5 * h * (q @ a + m) + 0.25 * h * h * gvals[0] * q
+    csum = np.cumsum(kern, axis=0)
+    shifted = np.concatenate((np.zeros((1, n, n)), -csum[:-1]))
+    i, c = np.arange(bsize), np.arange(n)
+    lag = np.maximum(np.subtract.outer(i, i), 0)
+    lower = shifted[lag[:, None, :, None], c[:, None, None], c].reshape(bsize * n, bsize * n)
+    spectra = []
+    while (bsize << len(spectra)) < steps:
+        width = 2 * (bsize << len(spectra))
+        spectra.append(np.fft.fft(np.stack((alpha[:width], beta[:width])), axis=1))
+    y = np.empty((steps + 1, n), dtype=complex)
+    y[0] = psi0
+    far = -0.5 * (alpha[:steps, None] * (q @ psi0) + beta[:steps, None] * psi0)
+    for k0 in range(0, steps, bsize):
+        b = min(bsize, steps - k0)
+        rhs = csum[:b] @ y[k0] + far[k0 : k0 + b]
+        d = solve_triangular(
+            lower[: b * n, : b * n], rhs.ravel(), lower=True, unit_diagonal=True,
+            check_finite=False,
+        )
+        y[k0 + 1 : k0 + b + 1] = y[k0] + np.cumsum(d.reshape(b, n), axis=0)
+        lo = k0 + b
+        if lo >= steps:
+            break
+        done = lo // bsize
+        level = (done & -done).bit_length() - 1
+        span = bsize << level
+        spec_a, spec_b = spectra[level]
+        ys = np.fft.fft(y[lo - span : lo], n=2 * span, axis=0)
+        conv = np.fft.ifft(spec_a[:, None] * (ys @ q.T) + spec_b[:, None] * ys, axis=0)
+        far[lo : lo + span] += conv[span : span + steps - lo]
+    return y
+
+
+def oracle_reference(generator, kernel, kernel_scale, psi0, t_max, steps, extrapolate):
+    """States and error estimate of ``_solve_on_grid`` as first written: the
+    kernel sampled on the coarse and on the fine grid, each march by
+    ``blocked_march_reference``."""
+    h = t_max / steps
+    gvals = kernel_scale * volterra._kernel_on_grid(kernel, np.arange(steps + 1) * h)
+    y = blocked_march_reference(generator, gvals, psi0, h, steps)
+    if not extrapolate:
+        return y, None
+    times_fine = np.arange(2 * steps + 1) * (h / 2.0)
+    gvals_fine = kernel_scale * volterra._kernel_on_grid(kernel, times_fine)
+    y_half = blocked_march_reference(generator, gvals_fine, psi0, h / 2.0, 2 * steps)[::2]
+    error = float(np.linalg.norm(y_half - y, axis=1).max()) / 3.0
+    return (4.0 * y_half - y) / 3.0, error
+
+
 def assert_matches_reference(monkeypatch, reference, solve):
     new = solve().states
     monkeypatch.setattr(volterra, "_solve_volterra_core", reference)
@@ -124,6 +190,40 @@ class TestMarch:
             h_s, self.KERNELS["lorentz"], psi0, 2.0, steps, extrapolate=extrapolate
         )
         assert_matches_reference(monkeypatch, two_sum_march, solve)
+
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    @pytest.mark.parametrize("offset", [-37, 0, 1, 93])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_for_bit_with_the_first_march(self, n, offset, extrapolate):
+        # the direct trtrs call, the strided near-field build and the one
+        # kernel sampling change no bit of any oracle state
+        h_s, psi0 = self.SYSTEMS[n]
+        steps = volterra._BLOCK_ORDER // n + offset
+        f = 1.0 / (1.0 + 0.5j * 0.7)
+        args = (f * h_s.matrix, self.KERNELS["lorentz"], f, f * psi0, 2.0, steps, extrapolate)
+        traj = volterra._solve_on_grid(*args)
+        states, error = oracle_reference(*args)
+        assert np.array_equal(traj.states, states)
+        assert traj.error_estimate == error
+
+    @pytest.mark.parametrize("order", [1, 5, 7])
+    def test_bit_for_bit_with_small_blocks(self, monkeypatch, order):
+        # blocks of one and two steps, with ragged last blocks
+        monkeypatch.setattr(volterra, "_BLOCK_ORDER", order)
+        args = (self.H3.matrix, self.KERNELS["ohmic-cutoff"], 1.0, self.PSI3, 1.0, 23, True)
+        traj = volterra._solve_on_grid(*args)
+        states, error = oracle_reference(*args)
+        assert np.array_equal(traj.states, states)
+        assert traj.error_estimate == error
+
+    def test_fine_grid_holds_the_coarse_grid(self):
+        # the coarse march of an extrapolated run reads every other fine kernel sample
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            s = int(rng.integers(10, 100_000))
+            h = float(10.0 ** rng.uniform(-3.0, 4.0)) / s
+            coarse = np.arange(s + 1) * h
+            assert np.array_equal(coarse, (np.arange(2 * s + 1) * (h / 2.0))[::2])
 
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_sharp_ohmic_cutoff(self, monkeypatch, extrapolate):
@@ -285,6 +385,16 @@ class TestCompare:
         traj = solve_integro_differential(h, None, PSI0, 1.0, 100)
         assert compare_trajectories(traj, traj) == 0.0
         assert compare_trajectories(traj, traj, norm="L2") == 0.0
+
+    def test_deviation_norms_are_both_norms(self):
+        h = SystemHamiltonian(np.array([[0.3]]))
+        a = solve_integro_differential(h, None, PSI0, 1.0, 100)
+        b = solve_integro_differential(h, peak_kernel(LorentzPeak(0.5, 0.2, 0.0)), PSI0, 1.0, 100)
+        assert deviation_norms(a, b) == (
+            compare_trajectories(a, b), compare_trajectories(a, b, norm="L2")
+        )
+        with pytest.raises(ValueError, match="unknown norm"):
+            compare_trajectories(a, b, norm="max")
 
     def test_grid_mismatch(self):
         h = SystemHamiltonian(np.array([[0.3]]))
