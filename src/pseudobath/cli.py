@@ -5,6 +5,10 @@ Output files are deterministic: %.17g float formatting, sorted JSON keys,
 LF line endings, no timestamps.  Identical configs therefore produce
 byte-identical artifacts.  CSV rows are formatted a block at a time by
 ``csvformat.format_rows``, whose text is per-entry %.17g byte for byte.
+
+Importing this module loads numpy and the modules ``check`` runs (config,
+model, linalg, pseudomode); a command imports ``dynamics``, ``volterra`` and
+``csvformat`` when it first runs them.
 """
 
 import argparse
@@ -17,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, pseudomode, volterra
+from . import pseudomode
 from .config import (
     ConfigError,
     RunConfig,
@@ -48,8 +52,6 @@ _ERROR_CODES = {
     ConfigError: (EXIT_CONFIG, "invalid config"),
     ModelError: (EXIT_CONFIG, "invalid input"),
     LinAlgError: (EXIT_NUMERICAL, "numerical failure"),
-    dynamics.NormExceededError: (EXIT_NUMERICAL, "numerical failure"),
-    volterra.StepTooCoarseError: (EXIT_NUMERICAL, "numerical failure"),
     MemoryError: (EXIT_CONFIG, "out of memory"),
     OSError: (EXIT_CONFIG, "file error"),
 }
@@ -136,10 +138,11 @@ def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[float, float]:
     return float(trace_dev.max()), float(min_eig.min())
 
 
-def _write_rows(fh, piece: dynamics.Trajectory, init) -> tuple[float, float, float]:
+def _write_rows(fh, piece, init) -> tuple[float, float, float]:
     """Validate and write the CSV rows of one trajectory piece in blocks of
     rows, so that temporaries stay small; return its largest trace
     deviation, its smallest rho eigenvalue and its last excited population."""
+    from . import dynamics
     from .csvformat import format_rows  # on first use: check and compare write no CSV
 
     excited, rho = dynamics.observables(piece, init)
@@ -160,6 +163,8 @@ def _write_rows(fh, piece: dynamics.Trajectory, init) -> tuple[float, float, flo
 def _simulate(cfg: RunConfig, out_dir: str):
     """Stream the trajectory to ``trajectory.csv`` one propagated piece at a
     time, then write ``report.json``.  Only the time axis is held whole."""
+    from . import dynamics
+
     t = np.linspace(0.0, cfg.t_max, cfg.output_points)
     chunks = dynamics.evolve_chunks(cfg.system, cfg.bath, cfg.initial, t)
     first = next(chunks)  # grid and propagation errors come before the dilation check
@@ -214,6 +219,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         raise ArgumentError(f"--threshold must be finite and >= 0, got {args.threshold}")
     # simulate and check meet the same guard when they certify
     pseudomode.check_certifiable(cfg.system, cfg.bath)
+    from . import dynamics, volterra
+
     steps = cfg.solver.oracle_steps
     times = np.linspace(0.0, cfg.t_max, steps + 1)
     traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, times)
@@ -247,6 +254,8 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
         raise ArgumentError("cutoff-study requires an Ohmic bath (eta > 0)")
     if not (math.isfinite(args.t_min) and args.t_min <= cfg.t_max):
         raise ArgumentError(f"--t-min must be finite and <= t_max {cfg.t_max}, got {args.t_min}")
+    from . import volterra
+
     steps = cfg.solver.oracle_steps
     kernel = _lorentz_kernel(cfg.bath)
     # the family checks every cutoff before its first march, so it runs first
@@ -301,8 +310,11 @@ def _run_sweep(jobs: list, workers: int) -> list:
         return [_sweep_point(payload) for payload in jobs]
     import multiprocessing
 
-    # forked workers inherit scipy.linalg; else each imports it on its first point
+    # forked workers inherit scipy.linalg and the modules a point runs; else
+    # each imports them on its first point
     import scipy.linalg  # noqa: F401
+
+    from . import csvformat, dynamics  # noqa: F401
 
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     context = multiprocessing.get_context(method)

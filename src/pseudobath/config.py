@@ -7,7 +7,7 @@ errors are directly actionable.
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,20 +36,24 @@ class ValidationError(ConfigError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    oracle_steps: int = 4000
+class SolverSettings(namedtuple("SolverSettings", "oracle_steps", defaults=(4000,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    system: SystemHamiltonian
-    bath: BathModel
-    initial: InitialState
-    t_max: float
-    output_points: int
-    solver: SolverSettings = field(default_factory=SolverSettings)
-    sweep: dict = field(default_factory=dict)
+class RunConfig(
+    namedtuple("RunConfig", "system bath initial t_max output_points solver sweep")
+):
+    """A validated run configuration: a ``SystemHamiltonian``, a
+    ``BathModel``, an ``InitialState``, the grid and the solver settings.
+    ``solver`` and ``sweep`` default to a new ``SolverSettings()`` and a new
+    empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, system, bath, initial, t_max, output_points, solver=None, sweep=None):
+        solver = SolverSettings() if solver is None else solver
+        sweep = {} if sweep is None else sweep
+        return super().__new__(cls, system, bath, initial, t_max, output_points, solver, sweep)
 
 
 def _get(obj: dict, key: str, path: str, kind=None, required: bool = True, default=None):

@@ -13,17 +13,18 @@ Tracing out the reservoirs maps the system part straight onto an
 ``observables`` builds those matrices for a whole trajectory or piece at once.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .linalg import propagate_chunks
-from .model import BathModel, InitialState, SystemHamiltonian
+from .linalg import LinAlgError, propagate_chunks
+from .model import BathModel, InitialState, SystemHamiltonian, _make_validated
 from .pseudomode import _blocks, _scale_factor
 
 
-class NormExceededError(Exception):
-    """System norm grew beyond 1: propagation failure or non-dilatable model."""
+class NormExceededError(LinAlgError):
+    """System norm grew beyond 1, or the state is not finite: propagation
+    failure or non-dilatable model."""
 
 
 #: Largest accepted squared system norm; the slack absorbs rounding in the
@@ -31,21 +32,19 @@ class NormExceededError(Exception):
 _MAX_NORM2 = (1.0 + 1e-9) ** 2
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "times n k vectors")):
     """Extended states along a grid: row k of ``vectors`` is the
     (K+1)N-vector at ``times[k]``, system amplitudes first, then
     pseudomode j (1-based) in columns j*N .. (j+1)*N - 1."""
 
-    times: np.ndarray
-    n: int
-    k: int
-    vectors: np.ndarray
+    __slots__ = ()
+    _make = classmethod(_make_validated)
 
-    def __post_init__(self):
-        expected = (len(self.times), (self.k + 1) * self.n)
-        if self.vectors.shape != expected:
-            raise ValueError(f"state array shape {self.vectors.shape} != {expected}")
+    def __new__(cls, times: np.ndarray, n: int, k: int, vectors: np.ndarray):
+        expected = (len(times), (k + 1) * n)
+        if vectors.shape != expected:
+            raise ValueError(f"state array shape {vectors.shape} != {expected}")
+        return super().__new__(cls, times, n, k, vectors)
 
     @property
     def states(self) -> np.ndarray:
@@ -103,15 +102,17 @@ def observables(traj: Trajectory, init: InitialState) -> tuple[np.ndarray, np.nd
     With psi the system amplitudes at one time: rho[0, 0] = 1 - ||psi||^2,
     rho[0, i] = psi0(0) * conj(psi_i), rho[i, j] = psi_i * conj(psi_j).  The
     ground population is ``1 - excited``.  Raises NormExceededError naming
-    the first point whose system norm exceeds 1.
+    the first point whose system norm exceeds 1 or is not finite.
     """
     psi = traj.states
     excited = np.vecdot(psi, psi).real
-    over = np.flatnonzero(excited > _MAX_NORM2)
-    if over.size:
-        t = float(traj.times[over[0]])
+    bad = np.flatnonzero(~(excited <= _MAX_NORM2))  # NaN fails too
+    if bad.size:
+        t, norm2 = float(traj.times[bad[0]]), excited[bad[0]]
+        if not np.isfinite(norm2):
+            raise NormExceededError(f"system state at t={t} is not finite: propagation failed")
         raise NormExceededError(
-            f"system norm {np.sqrt(excited[over[0]]):.12f} at t={t} exceeds 1: "
+            f"system norm {np.sqrt(norm2):.12f} at t={t} exceeds 1: "
             "propagation failed or the model is not dilatable"
         )
     psi_conj = psi.conj()

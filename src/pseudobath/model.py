@@ -5,7 +5,7 @@ Units: hbar = 1, all energies and frequencies share one unit, times are in
 its inverse.  The Ohmic coefficient eta is dimensionless.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,14 +30,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SystemHamiltonian:
+def _make_validated(cls, fields):
+    """``_make`` of a record that validates in ``__new__``, so that
+    ``_make`` and ``_replace`` validate too: the namedtuple versions build
+    the tuple directly."""
+    return cls(*fields)
+
+
+class SystemHamiltonian(namedtuple("SystemHamiltonian", "matrix")):
     """N x N Hermitian matrix acting on the excited-state subspace."""
 
-    matrix: np.ndarray
+    __slots__ = ()
+    _make = classmethod(_make_validated)
 
-    def __post_init__(self):
-        m = as_square_matrix(self.matrix)
+    def __new__(cls, matrix):
+        m = as_square_matrix(matrix)
         if m.shape[0] < 1:
             raise ModelError("system must have at least one level")
         defect = hermiticity_defect(m)
@@ -45,7 +52,7 @@ class SystemHamiltonian:
             raise ModelError(
                 f"system Hamiltonian is not Hermitian (relative defect {defect:.3e})"
             )
-        object.__setattr__(self, "matrix", _readonly(m))
+        return super().__new__(cls, _readonly(m))
 
     @property
     def n(self) -> int:
@@ -56,29 +63,27 @@ class SystemHamiltonian:
         return SystemHamiltonian(self.matrix + shift * np.eye(self.n))
 
 
-@dataclass(frozen=True)
-class LorentzPeak:
+class LorentzPeak(namedtuple("LorentzPeak", "g gamma epsilon")):
     """One Lorentzian term of the spectral density.
 
     Contributes gamma*g^2 / ((gamma/2)^2 + (omega - epsilon)^2) to J(omega)
     and g^2 * exp(-(gamma/2)|t| - i*epsilon*t) to G(t).
     """
 
-    g: float
-    gamma: float
-    epsilon: float = 0.0
+    __slots__ = ()
+    _make = classmethod(_make_validated)
 
-    def __post_init__(self):
-        if not (self.g > 0.0):
-            raise ModelError(f"peak coupling must be positive, got g={self.g}")
-        if not (self.gamma > 0.0):
-            raise ModelError(f"peak width must be positive, got gamma={self.gamma}")
-        if not np.isfinite(self.g * self.g / self.gamma):
-            raise ModelError(f"g^2/gamma overflows for g={self.g}, gamma={self.gamma}")
+    def __new__(cls, g: float, gamma: float, epsilon: float = 0.0):
+        if not (g > 0.0):
+            raise ModelError(f"peak coupling must be positive, got g={g}")
+        if not (gamma > 0.0):
+            raise ModelError(f"peak width must be positive, got gamma={gamma}")
+        if not np.isfinite(g * g / gamma):
+            raise ModelError(f"g^2/gamma overflows for g={g}, gamma={gamma}")
+        return super().__new__(cls, g, gamma, epsilon)
 
 
-@dataclass(frozen=True)
-class BathModel:
+class BathModel(namedtuple("BathModel", "peaks eta cutoff")):
     """Structured reservoir: Lorentz peaks plus an optional Ohmic term.
 
     ``cutoff`` is the exponential cutoff frequency for the Ohmic part; when
@@ -86,45 +91,43 @@ class BathModel:
     only.  An empty bath (no peaks, eta = 0) describes a closed system.
     """
 
-    peaks: tuple[LorentzPeak, ...] = ()
-    eta: float = 0.0
-    cutoff: float | None = None
+    __slots__ = ()
+    _make = classmethod(_make_validated)
 
-    def __post_init__(self):
-        object.__setattr__(self, "peaks", tuple(self.peaks))
-        if self.eta < 0.0:
-            raise ModelError(f"Ohmic coefficient must be non-negative, got {self.eta}")
-        if self.cutoff is not None and not (self.cutoff > 0.0):
-            raise ModelError(f"cutoff frequency must be positive, got {self.cutoff}")
+    def __new__(cls, peaks=(), eta: float = 0.0, cutoff: float | None = None):
+        peaks = tuple(peaks)
+        if eta < 0.0:
+            raise ModelError(f"Ohmic coefficient must be non-negative, got {eta}")
+        if cutoff is not None and not (cutoff > 0.0):
+            raise ModelError(f"cutoff frequency must be positive, got {cutoff}")
+        return super().__new__(cls, peaks, eta, cutoff)
 
     @property
     def k(self) -> int:
         return len(self.peaks)
 
 
-@dataclass(frozen=True)
-class InitialState:
+class InitialState(namedtuple("InitialState", "psi psi0")):
     """Factorized initial state: excited amplitudes psi and ground amplitude
     psi0, normalized so that ||psi||^2 + |psi0|^2 = 1."""
 
-    psi: np.ndarray
-    psi0: complex = 0.0
+    __slots__ = ()
+    _make = classmethod(_make_validated)
 
-    def __post_init__(self):
-        psi = np.ascontiguousarray(self.psi, dtype=complex).ravel()
+    def __new__(cls, psi, psi0: complex = 0.0):
+        psi = np.ascontiguousarray(psi, dtype=complex).ravel()
         if psi.size < 1:
             raise ModelError("initial excited vector must have dim >= 1")
         if not np.all(np.isfinite(psi.view(float))):
             raise ModelError("initial state contains non-finite entries")
-        ground = abs(complex(self.psi0))
+        ground = abs(complex(psi0))
         # ground * ground overflows to inf, where ground ** 2 raises OverflowError
         total = float(np.vdot(psi, psi).real) + ground * ground
         if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise ModelError(
                 f"initial state is not normalized: ||psi||^2 + |psi0|^2 = {total!r}"
             )
-        object.__setattr__(self, "psi", _readonly(psi))
-        object.__setattr__(self, "psi0", complex(self.psi0))
+        return super().__new__(cls, _readonly(psi), complex(psi0))
 
     @property
     def n(self) -> int:

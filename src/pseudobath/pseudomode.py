@@ -14,7 +14,7 @@ its optical potential and the block stack are plain complex arrays.  An
 empty bath (K = 0, eta = 0) is the closed system: the generator is H_S.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -27,31 +27,26 @@ def _scale_factor(eta: float) -> complex:
     return 1.0 / (1.0 + 0.5j * eta)
 
 
-@dataclass(frozen=True)
-class BlockResult:
-    alpha: int
-    e_alpha: float
-    min_eigenvalue: float
-    passed: bool
+class BlockResult(namedtuple("BlockResult", "alpha e_alpha min_eigenvalue passed")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DilationReport:
+class DilationReport(
+    namedtuple(
+        "DilationReport",
+        "spectral_pass min_eigenvalue_v closed_form_pass threshold min_eigenvalue_h "
+        "psd_tolerance per_block",
+    )
+):
     """Outcome of both dilation checks.
 
     ``threshold`` is (eta/4) * sum g_j^2/gamma_j; the closed-form criterion
     compares the smallest eigenvalue of the (renormalized) system Hamiltonian
     against it.  The spectral criterion diagonalizes the optical potential
-    directly.
+    directly.  ``per_block`` is a tuple of ``BlockResult``.
     """
 
-    spectral_pass: bool
-    min_eigenvalue_v: float
-    closed_form_pass: bool
-    threshold: float
-    min_eigenvalue_h: float
-    psd_tolerance: float
-    per_block: tuple[BlockResult, ...]
+    __slots__ = ()
 
 
 def _bath_block(bath: BathModel) -> np.ndarray:

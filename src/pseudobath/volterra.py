@@ -23,12 +23,13 @@ compression, no sum of exponentials and no use of the pseudomode structure,
 so it certifies the effective-Hamiltonian route independently.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .linalg import LinAlgError
 from .model import ModelError, SystemHamiltonian, counterterm_shift, ohmic_cutoff_correlation
 
 Kernel = Callable[[np.ndarray], np.ndarray]
@@ -41,21 +42,20 @@ class GridMismatchError(Exception):
     """Trajectories are not sampled on the same grid."""
 
 
-class StepTooCoarseError(Exception):
+class StepTooCoarseError(LinAlgError):
     """Step size too large to resolve the cutoff kernel."""
 
 
-@dataclass(frozen=True)
-class OracleTrajectory:
+class OracleTrajectory(
+    namedtuple("OracleTrajectory", "times states error_estimate", defaults=(None,))
+):
     """States on a uniform grid (required by the history quadrature).
 
     ``error_estimate`` is max_t |y_h - y_{h/2}|/3 for an extrapolated run
     and None otherwise.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    error_estimate: float | None = None
+    __slots__ = ()
 
 
 def _kernel_on_grid(kernel: Kernel | None, times: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pseudobath
-from pseudobath import cli, volterra
+from pseudobath import cli, dynamics, volterra
 from pseudobath.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -349,6 +349,42 @@ class TestInputErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (
+                ["simulate"],
+                base_doc(
+                    system={"n": 1, "matrix": [[[-5.0, 0.0]]]},
+                    bath={"peaks": [{"g": 0.5, "gamma": 0.4, "epsilon": 0.1}], "eta": 0.5},
+                ),
+                "system norm 1.035318160975 at t=0.5 exceeds 1: "
+                "propagation failed or the model is not dilatable",
+            ),
+            # the propagation overflows; this used to be reported as a rho
+            # that is not Hermitian (defect nan)
+            (
+                ["simulate"],
+                base_doc(time={"t_max": 1e300, "points": 51}),
+                "system state at t=2.0000000000000002e+298 is not finite: propagation failed",
+            ),
+            (
+                ["cutoff-study", "--omegas", "40"],
+                base_doc(
+                    bath={"peaks": [{"g": 0.5, "gamma": 0.4, "epsilon": 0.1}], "eta": 0.5},
+                    solver={"oracle_steps": 1000},
+                ),
+                "step 5.000e-03 too coarse for cutoff 40.0: need h <= 2.500e-03",
+            ),
+        ],
+        ids=["norm-exceeded", "not-finite", "step-too-coarse"],
+    )
+    def test_numerical_failure(self, tmp_path, capsys, argv, doc, message):
+        # NormExceededError and StepTooCoarseError are LinAlgErrors
+        argv = argv + ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("time.t_max", float("nan")),
@@ -502,14 +538,14 @@ class TestTempFiles:
     def test_validation_failure_in_a_later_block(self, tmp_path, monkeypatch, capsys):
         # row 300 of 301, in the second 256-row block, is damaged after the
         # first block has been written
-        observables = cli.dynamics.observables
+        observables = dynamics.observables
 
         def damaged(traj, init):
             excited, rho = observables(traj, init)
             rho[300, 0, 1] += 1e-6
             return excited, rho
 
-        monkeypatch.setattr(cli.dynamics, "observables", damaged)
+        monkeypatch.setattr(dynamics, "observables", damaged)
         doc = base_doc(time={"t_max": 3.0, "points": 301})
         out = tmp_path / "out"
         argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]
@@ -1025,25 +1061,36 @@ argv = {argv!r}
 """
 
 
-# prints the scipy modules loaded so far, one line, in a fresh process
-_SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-# likewise the concurrent.futures and multiprocessing modules, as JSON
+# prints the scipy, dataclasses and package modules loaded so far, as JSON
+_LOADED_MODULES = (
+    "import json; print(json.dumps(sorted(m for m in sys.modules"
+    " if m.split('.')[0] in ('scipy', 'dataclasses', 'pseudobath'))))"
+)
+# likewise the concurrent.futures and multiprocessing modules
 _PROCESS_MODULES = (
     "import json; print(json.dumps(sorted(m for m in sys.modules"
     " if m.split('.')[0] in ('concurrent', 'multiprocessing'))))"
 )
+# what importing the command line loads of the package: the modules check runs
+_CHECK_MODULES = [
+    "pseudobath", "pseudobath.cli", "pseudobath.config", "pseudobath.linalg",
+    "pseudobath.model", "pseudobath.pseudomode",
+]
 
 class TestImports:
-    """Only the commands that propagate or march load scipy, and only a
-    sweep that starts workers loads multiprocessing."""
+    """Importing the command line loads numpy and the modules ``check`` runs,
+    and no dataclasses; only the commands that propagate or march load scipy
+    and their modules, and only a sweep that starts workers loads
+    multiprocessing."""
 
     def test_cli_import_is_numpy_only(self):
-        assert run_python("import sys, pseudobath.cli; " + _SCIPY_MODULES) == "[]\n"
+        loaded = run_python("import sys, pseudobath.cli; " + _LOADED_MODULES)
+        assert json.loads(loaded) == _CHECK_MODULES
 
     def test_check_is_numpy_only(self, tmp_path):
         argv = ["check", "--config", write_config(tmp_path, base_doc()), "--out", str(tmp_path)]
-        code = f"import sys; from pseudobath.cli import main; main({argv!r}); " + _SCIPY_MODULES
-        assert run_python(code).splitlines()[-1] == "[]"
+        code = f"import sys; from pseudobath.cli import main; main({argv!r}); " + _LOADED_MODULES
+        assert json.loads(run_python(code).splitlines()[-1]) == _CHECK_MODULES
         assert (tmp_path / "dilation.json").exists()
 
     @pytest.mark.parametrize("argv", [[], ["check"], ["sweep", "--jobs", "1"]])
@@ -1052,9 +1099,13 @@ class TestImports:
         if argv:
             argv += ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
         call = f"main({argv!r}); " if argv else ""
-        code = f"import sys; from pseudobath.cli import main; {call}" + _PROCESS_MODULES
-        loaded = json.loads(run_python(code).splitlines()[-1])
+        code = f"import sys; from pseudobath.cli import main; {call}"
+        out = run_python(code + _LOADED_MODULES + "; " + _PROCESS_MODULES).splitlines()
+        loaded = json.loads(out[-1])
         if "sweep" in argv:
+            # each point ran simulate in this process: it propagates, but no oracle
+            assert "pseudobath.dynamics" in json.loads(out[-2])
+            assert "pseudobath.volterra" not in json.loads(out[-2])
             # scipy.linalg imports numpy.testing, which loads the base of
             # concurrent.futures but neither its process pool nor multiprocessing
             loaded = [m for m in loaded if m.startswith("multiprocessing")
@@ -1062,7 +1113,8 @@ class TestImports:
         assert loaded == []
 
     def test_sweep_loads_scipy_linalg_before_the_pool(self, tmp_path):
-        # fork-started workers inherit what the parent has imported
+        # fork-started workers inherit what the parent has imported: scipy.linalg
+        # and the modules a point runs
         doc = base_doc()
         doc["time"] = {"t_max": 1.0, "points": 6}
         doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6]}
@@ -1077,7 +1129,8 @@ class InlineProcess:
         self.target, self.args = target, args
 
     def start(self):
-        print("scipy.linalg" in sys.modules)
+        print(all(m in sys.modules for m in
+                  ("scipy.linalg", "pseudobath.dynamics", "pseudobath.csvformat")))
         self.target(*self.args)
 
     def terminate(self):

@@ -167,3 +167,14 @@ class TestObservables:
         init = InitialState(psi=np.array([1.0]), psi0=0.0)
         with pytest.raises(NormExceededError, match=r"at t=2\.0 exceeds 1"):
             observables(traj, init)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_non_finite_state_names_first_point(self, bad):
+        # the first bad point decides the message, whichever kind it is
+        vectors = np.array([[1.0], [0.5], [bad], [1.2]], dtype=complex)
+        traj = Trajectory(times=np.linspace(0.0, 3.0, 4), n=1, k=0, vectors=vectors)
+        init = InitialState(psi=np.array([1.0]), psi0=0.0)
+        with np.errstate(all="ignore"), pytest.raises(
+            NormExceededError, match=r"^system state at t=2\.0 is not finite"
+        ):
+            observables(traj, init)

@@ -76,9 +76,8 @@ ARGVS = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=2000)
-@given(doc=mutated_docs(), argv=ARGVS)
-def test_every_input_ends_in_a_known_exit_code(doc, argv):
+def check_exit_contract(doc, argv):
+    """Run ``argv`` on the config ``doc`` and assert the exit-code contract."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "run.json")
@@ -91,3 +90,9 @@ def test_every_input_ends_in_a_known_exit_code(doc, argv):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     else:
         assert err.getvalue() == ""
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=2000)
+@given(doc=mutated_docs(), argv=ARGVS)
+def test_every_input_ends_in_a_known_exit_code(doc, argv):
+    check_exit_contract(doc, argv)
