@@ -27,8 +27,8 @@ _EXPORTS = {
         "optical_potential"
     ),
     "volterra": (
-        "GridMismatchError OracleTrajectory StepTooCoarseError compare_trajectories "
-        "deviation_norms solve_cutoff_family solve_integro_differential solve_renormalized"
+        "GridMismatchError OracleTrajectory StepTooCoarseError deviation_norms "
+        "solve_cutoff_family solve_integro_differential"
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

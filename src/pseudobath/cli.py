@@ -30,7 +30,7 @@ from .config import (
     parse_config,
 )
 from .linalg import LinAlgError
-from .model import ModelError, lorentz_correlation
+from .model import ModelError
 from .pseudomode import DilationReport
 
 EXIT_OK = 0
@@ -106,10 +106,6 @@ def _dilation_dict(report: DilationReport) -> dict:
             for b in report.per_block
         ],
     }
-
-
-def _lorentz_kernel(bath):
-    return lambda t: lorentz_correlation(bath.peaks, t)
 
 
 def _first_failure(ok: np.ndarray, t: np.ndarray, values: np.ndarray, what: str):
@@ -221,13 +217,11 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     pseudomode.check_certifiable(cfg.system, cfg.bath)
     from . import dynamics, volterra
 
-    steps = cfg.solver.oracle_steps
+    steps = cfg.oracle_steps
     times = np.linspace(0.0, cfg.t_max, steps + 1)
     traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, times)
-    # at eta = 0 this is exactly solve_integro_differential
-    oracle = volterra.solve_renormalized(
-        cfg.system, cfg.bath.eta, _lorentz_kernel(cfg.bath), cfg.initial.psi, cfg.t_max,
-        steps, extrapolate=True,
+    oracle = volterra.solve_integro_differential(
+        cfg.system, cfg.bath, cfg.initial.psi, cfg.t_max, steps, extrapolate=True
     )
     sup, l2 = volterra.deviation_norms(traj, oracle)
     if not (math.isfinite(sup) and math.isfinite(l2)):
@@ -256,15 +250,13 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
         raise ArgumentError(f"--t-min must be finite and <= t_max {cfg.t_max}, got {args.t_min}")
     from . import volterra
 
-    steps = cfg.solver.oracle_steps
-    kernel = _lorentz_kernel(cfg.bath)
+    steps = cfg.oracle_steps
     # the family checks every cutoff before its first march, so it runs first
     family = volterra.solve_cutoff_family(
-        cfg.system, cfg.bath.eta, args.omegas, kernel, cfg.initial.psi, cfg.t_max, steps
+        cfg.system, cfg.bath, args.omegas, cfg.initial.psi, cfg.t_max, steps
     )
-    reference = volterra.solve_renormalized(
-        cfg.system, cfg.bath.eta, kernel, cfg.initial.psi, cfg.t_max, steps,
-        extrapolate=True,
+    reference = volterra.solve_integro_differential(
+        cfg.system, cfg.bath, cfg.initial.psi, cfg.t_max, steps, extrapolate=True
     )
     mask = reference.times >= args.t_min
     if not np.any(mask):

@@ -36,24 +36,21 @@ class ValidationError(ConfigError):
         self.path = path
 
 
-class SolverSettings(namedtuple("SolverSettings", "oracle_steps", defaults=(4000,))):
-    __slots__ = ()
-
-
 class RunConfig(
-    namedtuple("RunConfig", "system bath initial t_max output_points solver sweep")
+    namedtuple("RunConfig", "system bath initial t_max output_points oracle_steps sweep")
 ):
     """A validated run configuration: a ``SystemHamiltonian``, a
-    ``BathModel``, an ``InitialState``, the grid and the solver settings.
-    ``solver`` and ``sweep`` default to a new ``SolverSettings()`` and a new
-    empty dict."""
+    ``BathModel``, an ``InitialState``, the grid and the oracle's step count
+    (the wire key ``solver.oracle_steps``).  ``oracle_steps`` defaults to
+    4000 and ``sweep`` to a new empty dict."""
 
     __slots__ = ()
 
-    def __new__(cls, system, bath, initial, t_max, output_points, solver=None, sweep=None):
-        solver = SolverSettings() if solver is None else solver
+    def __new__(cls, system, bath, initial, t_max, output_points, oracle_steps=4000, sweep=None):
         sweep = {} if sweep is None else sweep
-        return super().__new__(cls, system, bath, initial, t_max, output_points, solver, sweep)
+        return super().__new__(
+            cls, system, bath, initial, t_max, output_points, oracle_steps, sweep
+        )
 
 
 def _get(obj: dict, key: str, path: str, kind=None, required: bool = True, default=None):
@@ -198,7 +195,7 @@ def parse_config(text) -> RunConfig:
         initial=initial,
         t_max=t_max,
         output_points=points,
-        solver=SolverSettings(oracle_steps=oracle_steps),
+        oracle_steps=oracle_steps,
         sweep=dict(sweep),
     )
 
@@ -228,7 +225,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "psi0": _complex_pair(cfg.initial.psi0),
         },
         "time": {"t_max": cfg.t_max, "points": cfg.output_points},
-        "solver": {"oracle_steps": cfg.solver.oracle_steps},
+        "solver": {"oracle_steps": cfg.oracle_steps},
     }
     if cfg.sweep:
         doc["sweep"] = cfg.sweep
@@ -267,7 +264,6 @@ __all__ = [
     "ConfigError",
     "ParseError",
     "RunConfig",
-    "SolverSettings",
     "ValidationError",
     "apply_override",
     "config_to_dict",

@@ -18,8 +18,8 @@ from collections import namedtuple
 import numpy as np
 
 from .linalg import LinAlgError, propagate_chunks
-from .model import BathModel, InitialState, SystemHamiltonian, _make_validated
-from .pseudomode import _blocks, _scale_factor
+from .model import BathModel, InitialState, SystemHamiltonian, _make_validated, renormalization
+from .pseudomode import _blocks
 
 
 class NormExceededError(LinAlgError):
@@ -64,11 +64,11 @@ def evolve_chunks(h: SystemHamiltonian, bath: BathModel, init: InitialState, tim
     psi(0), runs through ``linalg.propagate_chunks`` and each piece is rotated
     back by W.  With an Ohmic bath the system part of the initial vector is
     scaled by 1/(1 + i*eta/2), matching the cutoff-removal limit that the
-    direct solver (``volterra.solve_renormalized``) also starts from.
+    direct solver (``volterra.solve_integro_differential``) also starts from.
     """
     if init.n != h.n:
         raise ValueError(f"initial state dim {init.n} != system dim {h.n}")
-    psi = _scale_factor(bath.eta) * init.psi
+    psi = renormalization(bath.eta) * init.psi
     e, w = np.linalg.eigh(h.matrix)
     z0 = np.zeros((h.n, bath.k + 1), dtype=complex)
     z0[:, 0] = w.conj().T @ psi

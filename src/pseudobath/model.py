@@ -1,6 +1,12 @@
 """Physical problem description: system Hamiltonian, bath spectral density,
 reservoir correlation functions and initial states.
 
+The bath fixes the reduced dynamics, so this module holds the one definition
+of each quantity both solver routes read: the correlation function
+(``correlation``, ``lorentz_correlation``), the cutoff counterterm
+(``counterterm_shift``) and the prefactor f = 1/(1 + i*eta/2) of the
+cutoff-removed Ohmic equation (``renormalization``).
+
 Units: hbar = 1, all energies and frequencies share one unit, times are in
 its inverse.  The Ohmic coefficient eta is dimensionless.
 """
@@ -86,9 +92,10 @@ class LorentzPeak(namedtuple("LorentzPeak", "g gamma epsilon")):
 class BathModel(namedtuple("BathModel", "peaks eta cutoff")):
     """Structured reservoir: Lorentz peaks plus an optional Ohmic term.
 
-    ``cutoff`` is the exponential cutoff frequency for the Ohmic part; when
-    absent the Ohmic part is treated through the renormalized equations
-    only.  An empty bath (no peaks, eta = 0) describes a closed system.
+    ``cutoff`` is the exponential cutoff frequency for the Ohmic part, in
+    (0, inf); when absent the Ohmic part is treated through the renormalized
+    equations only.  An empty bath (no peaks, eta = 0) describes a closed
+    system.
     """
 
     __slots__ = ()
@@ -98,8 +105,8 @@ class BathModel(namedtuple("BathModel", "peaks eta cutoff")):
         peaks = tuple(peaks)
         if eta < 0.0:
             raise ModelError(f"Ohmic coefficient must be non-negative, got {eta}")
-        if cutoff is not None and not (cutoff > 0.0):
-            raise ModelError(f"cutoff frequency must be positive, got {cutoff}")
+        if cutoff is not None and not 0.0 < cutoff < np.inf:
+            raise ModelError(f"cutoff must be positive and finite, got {cutoff}")
         return super().__new__(cls, peaks, eta, cutoff)
 
     @property
@@ -132,6 +139,12 @@ class InitialState(namedtuple("InitialState", "psi psi0")):
     @property
     def n(self) -> int:
         return self.psi.shape[0]
+
+
+def renormalization(eta: float) -> complex:
+    """The prefactor f = 1/(1 + i*eta/2) of the cutoff-removed Ohmic equation;
+    exactly 1 at eta = 0."""
+    return 1.0 / (1.0 + 0.5j * eta)
 
 
 def spectral_density(bath: BathModel, omega):
@@ -190,13 +203,10 @@ def correlation(bath: BathModel, t):
     return out
 
 
-def counterterm_shift(h_r: SystemHamiltonian, eta: float, omega: float) -> SystemHamiltonian:
-    """Add the cutoff counterterm eta*Omega/pi to the system Hamiltonian."""
-    if eta < 0.0:
-        raise ModelError(f"eta must be non-negative, got {eta}")
-    if not 0.0 < omega < np.inf:
-        raise ModelError(f"cutoff must be positive and finite, got {omega}")
-    return h_r.shifted(eta * omega / np.pi)
+def counterterm_shift(h_r: SystemHamiltonian, bath: BathModel) -> SystemHamiltonian:
+    """Add the counterterm eta*Omega/pi of a bath with a cutoff Omega to the
+    system Hamiltonian."""
+    return h_r.shifted(bath.eta * bath.cutoff / np.pi)
 
 
 def correlation_by_quadrature(
@@ -244,5 +254,6 @@ __all__ = [
     "counterterm_shift",
     "lorentz_correlation",
     "ohmic_cutoff_correlation",
+    "renormalization",
     "spectral_density",
 ]

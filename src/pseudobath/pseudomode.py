@@ -19,12 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from .linalg import hermitian_eigenvalues
-from .model import BathModel, ModelError, SystemHamiltonian
-
-
-def _scale_factor(eta: float) -> complex:
-    """The 1/(1 + i*eta/2) renormalization prefactor."""
-    return 1.0 / (1.0 + 0.5j * eta)
+from .model import BathModel, ModelError, SystemHamiltonian, renormalization
 
 
 class BlockResult(namedtuple("BlockResult", "alpha e_alpha min_eigenvalue passed")):
@@ -54,7 +49,7 @@ def _bath_block(bath: BathModel) -> np.ndarray:
     A[0, 0] = 0, A[0, j] = f*g_j, A[j, 0] = g_j, A[j, j] = eps_j - i*gamma_j/2."""
     g = np.array([p.g for p in bath.peaks])
     a = np.zeros((bath.k + 1, bath.k + 1), dtype=complex)
-    a[0, 1:] = _scale_factor(bath.eta) * g
+    a[0, 1:] = renormalization(bath.eta) * g
     a[1:, 0] = g
     a[1:, 1:] = np.diag([p.epsilon - 0.5j * p.gamma for p in bath.peaks])
     return a
@@ -63,7 +58,7 @@ def _bath_block(bath: BathModel) -> np.ndarray:
 def _blocks(e: np.ndarray, bath: BathModel) -> np.ndarray:
     """(N, K+1, K+1) stack: the bath block with f*E_alpha in corner alpha."""
     blocks = np.repeat(_bath_block(bath)[np.newaxis], e.shape[0], axis=0)
-    blocks[:, 0, 0] = _scale_factor(bath.eta) * e
+    blocks[:, 0, 0] = renormalization(bath.eta) * e
     return blocks
 
 
@@ -78,7 +73,7 @@ def build_effective_hamiltonian(h: SystemHamiltonian, bath: BathModel) -> np.nda
     empty bath gives the N x N generator H.
     """
     m = np.kron(_bath_block(bath), np.eye(h.n))
-    m[: h.n, : h.n] = _scale_factor(bath.eta) * h.matrix
+    m[: h.n, : h.n] = renormalization(bath.eta) * h.matrix
     return m
 
 

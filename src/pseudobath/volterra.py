@@ -9,6 +9,11 @@ Richardson extrapolation, which removes the leading error term and is what
 the tight cross-solver comparisons use; max_t |y_h - y_{h/2}|/3 is kept as
 the oracle's own error estimate.
 
+The bath selects the equation.  With a cutoff Omega it is the finite-cutoff
+one: H + eta*Omega/pi and the kernel G = ``model.correlation``.  Without one
+it is the cutoff-removed limit: H, the Lorentz kernel and psi(0) each carry
+f = 1/(1 + i*eta/2).  The kernel, the counterterm and f are ``model``'s.
+
 The scheme is linear in psi, so the march solves a block of B steps at a
 time (B*N <= 256): the increments y_{k+1} - y_k of one block satisfy one
 unit lower-triangular block-Toeplitz system, built once per march and
@@ -24,15 +29,20 @@ so it certifies the effective-Hamiltonian route independently.
 """
 
 from collections import namedtuple
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import LinAlgError
-from .model import ModelError, SystemHamiltonian, counterterm_shift, ohmic_cutoff_correlation
-
-Kernel = Callable[[np.ndarray], np.ndarray]
+from .model import (
+    BathModel,
+    ModelError,
+    SystemHamiltonian,
+    correlation,
+    counterterm_shift,
+    lorentz_correlation,
+    renormalization,
+)
 
 #: Largest order B*n of the triangular system solved for one block of B steps.
 _BLOCK_ORDER = 256
@@ -58,17 +68,18 @@ class OracleTrajectory(
     __slots__ = ()
 
 
-def _kernel_on_grid(kernel: Kernel | None, times: np.ndarray) -> np.ndarray:
-    if kernel is None:
-        return np.zeros(times.shape, dtype=complex)
+def _kernel_on_grid(bath: BathModel, times: np.ndarray) -> np.ndarray:
+    """The kernel of the equation that ``bath`` selects, on a grid:
+    ``correlation(bath)`` with a cutoff, f * ``lorentz_correlation`` without."""
     # an overflow shows as a non-finite value, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(kernel(times), dtype=complex)
-    if vals.shape != times.shape:
-        raise ValueError("kernel must evaluate elementwise on a time array")
+        if bath.cutoff is None:
+            vals = lorentz_correlation(bath.peaks, times)
+        else:
+            vals = correlation(bath, times)
     if not np.all(np.isfinite(vals.view(float))):
         raise ModelError("kernel is not finite on the grid")
-    return vals
+    return vals if bath.cutoff is not None else renormalization(bath.eta) * vals
 
 
 # a non-finite march shows in the deviations, which compare and cutoff-study reject
@@ -154,104 +165,69 @@ def _solve_volterra_core(
     return y
 
 
-def _solve_on_grid(
-    generator: np.ndarray,
-    kernel: Kernel | None,
-    kernel_scale: complex,
+def solve_integro_differential(
+    h_s: SystemHamiltonian,
+    bath: BathModel,
     psi0: np.ndarray,
     t_max: float,
     steps: int,
-    extrapolate: bool,
+    extrapolate: bool = False,
 ) -> OracleTrajectory:
+    """Integrate the memory equation of system Hamiltonian ``h_s`` in ``bath``.
+
+    A bath with a cutoff Omega gives H + eta*Omega/pi (``counterterm_shift``)
+    with the kernel ``correlation(bath)``.  A bath without one gives the
+    cutoff-removed equation: H, the Lorentz kernel and psi(0) all carry the
+    prefactor f = ``renormalization(eta)``, which is exactly 1 at eta = 0.
+    """
     if steps < 10:
         raise ValueError("need at least 10 steps")
     if not (t_max > 0.0):
         raise ValueError("t_max must be positive")
     psi0 = np.ascontiguousarray(psi0, dtype=complex).ravel()
+    if bath.cutoff is None:
+        f = renormalization(bath.eta)
+        generator, psi0 = f * h_s.matrix, f * psi0
+    else:
+        generator = counterterm_shift(h_s, bath).matrix
     h = t_max / steps
     times = np.arange(steps + 1) * h
     if not extrapolate:
-        gvals = kernel_scale * _kernel_on_grid(kernel, times)
-        y = _solve_volterra_core(generator, gvals, psi0, h, steps)
+        y = _solve_volterra_core(generator, _kernel_on_grid(bath, times), psi0, h, steps)
         return OracleTrajectory(times=times, states=y)
     # h/2 is exact for a normal h, so (2k)(h/2) rounds to kh: every other fine
     # sample is a coarse one
-    gvals_fine = kernel_scale * _kernel_on_grid(kernel, np.arange(2 * steps + 1) * (h / 2.0))
+    gvals_fine = _kernel_on_grid(bath, np.arange(2 * steps + 1) * (h / 2.0))
     y = _solve_volterra_core(generator, gvals_fine[::2], psi0, h, steps)
     y_half = _solve_volterra_core(generator, gvals_fine, psi0, h / 2.0, 2 * steps)[::2]
     error = float(np.linalg.norm(y_half - y, axis=1).max()) / 3.0
     return OracleTrajectory(times=times, states=(4.0 * y_half - y) / 3.0, error_estimate=error)
 
 
-def solve_integro_differential(
-    h_s: SystemHamiltonian,
-    kernel: Kernel | None,
-    psi0: np.ndarray,
-    t_max: float,
-    steps: int,
-    extrapolate: bool = False,
-) -> OracleTrajectory:
-    """Integrate the memory equation with system Hamiltonian ``h_s`` and
-    kernel G(t)."""
-    return _solve_on_grid(h_s.matrix, kernel, 1.0, psi0, t_max, steps, extrapolate)
-
-
-def solve_renormalized(
-    h_r: SystemHamiltonian,
-    eta: float,
-    kernel_c: Kernel | None,
-    psi0: np.ndarray,
-    t_max: float,
-    steps: int,
-    extrapolate: bool = False,
-) -> OracleTrajectory:
-    """Integrate the cutoff-removed equation for an Ohmic bath.
-
-    Both the Hamiltonian and the continuous kernel part carry the
-    1/(1 + i*eta/2) prefactor, and the initial vector is rescaled by the
-    same factor.  With eta = 0 this reduces exactly to
-    ``solve_integro_differential``.
-    """
-    if eta < 0.0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
-    f = 1.0 / (1.0 + 0.5j * eta)
-    psi0 = f * np.ascontiguousarray(psi0, dtype=complex).ravel()
-    return _solve_on_grid(f * h_r.matrix, kernel_c, f, psi0, t_max, steps, extrapolate)
-
-
 def solve_cutoff_family(
     h_r: SystemHamiltonian,
-    eta: float,
+    bath: BathModel,
     omegas,
-    kernel_c: Kernel | None,
     psi0: np.ndarray,
     t_max: float,
     steps: int,
 ) -> list[OracleTrajectory]:
-    """Finite-cutoff runs whose large-cutoff limit is ``solve_renormalized``.
+    """Runs of ``bath`` at each finite cutoff in ``omegas``, whose
+    large-cutoff limit is the run of ``bath`` itself (without a cutoff).
 
-    For each cutoff the kernel gains the near-delta Ohmic part and the
-    Hamiltonian the counterterm shift eta*Omega/pi (``counterterm_shift``,
-    which rejects a negative eta or an Omega outside (0, inf) with ModelError).
-    The step must resolve the kernel's 1/Omega timescale: h <= 0.1/Omega.
+    ``BathModel`` rejects an Omega outside (0, inf) with ModelError, and the
+    step must resolve the kernel's 1/Omega timescale: h <= 0.1/Omega.
     Every cutoff is checked before the first march.
     """
     h = t_max / steps
-    shifted = []
+    baths = []
     for omega in omegas:
-        shifted.append((omega, counterterm_shift(h_r, eta, omega)))
-        if eta > 0.0 and h > 0.1 / omega * (1.0 + 1e-12):
+        baths.append(bath._replace(cutoff=omega))
+        if bath.eta > 0.0 and h > 0.1 / omega * (1.0 + 1e-12):
             raise StepTooCoarseError(
                 f"step {h:.3e} too coarse for cutoff {omega}: need h <= {0.1 / omega:.3e}"
             )
-
-    def kernel(omega):
-        return lambda t: ohmic_cutoff_correlation(eta, omega, t) + _kernel_on_grid(kernel_c, t)
-
-    return [
-        solve_integro_differential(h_s, kernel(omega), psi0, t_max, steps)
-        for omega, h_s in shifted
-    ]
+    return [solve_integro_differential(h_r, b, psi0, t_max, steps) for b in baths]
 
 
 def deviation_norms(a, b) -> tuple[float, float]:
@@ -273,25 +249,11 @@ def deviation_norms(a, b) -> tuple[float, float]:
     return float(diff.max()), float(np.sqrt(np.trapezoid(diff**2, ta)))
 
 
-def compare_trajectories(a, b, norm: str = "sup") -> float:
-    """One of the ``deviation_norms`` of two trajectories: ``norm`` is
-    "sup" or "L2"."""
-    sup, l2 = deviation_norms(a, b)
-    if norm == "sup":
-        return sup
-    if norm == "L2":
-        return l2
-    raise ValueError(f"unknown norm {norm!r}")
-
-
 __all__ = [
     "GridMismatchError",
-    "Kernel",
     "OracleTrajectory",
     "StepTooCoarseError",
-    "compare_trajectories",
     "deviation_norms",
     "solve_cutoff_family",
     "solve_integro_differential",
-    "solve_renormalized",
 ]

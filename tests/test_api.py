@@ -29,14 +29,13 @@ EXPORTS = {
                    "check_dilation_closed_form", "check_dilation_spectral",
                    "dilation_threshold", "optical_potential"],
     "volterra": ["GridMismatchError", "OracleTrajectory", "StepTooCoarseError",
-                 "compare_trajectories", "deviation_norms", "solve_cutoff_family",
-                 "solve_integro_differential", "solve_renormalized"],
+                 "deviation_norms", "solve_cutoff_family", "solve_integro_differential"],
 }
 
 
 def test_package_exports_resolve_on_first_access():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 34
+    assert len(names) == 32
     assert sorted(pseudobath.__all__) == names
     for module_name, exported in EXPORTS.items():
         module = importlib.import_module(f"pseudobath.{module_name}")

@@ -30,7 +30,6 @@ from pseudobath.config import (
     parse_config,
 )
 from pseudobath.linalg import LinAlgError
-from pseudobath.model import lorentz_correlation
 
 
 def base_doc(**overrides):
@@ -709,9 +708,8 @@ class TestCompare:
             "oracle_error_estimate"
         ]
         cfg = parse_config(json.dumps(doc))
-        oracle = volterra.solve_renormalized(
-            cfg.system, 0.0, lambda t: lorentz_correlation(cfg.bath.peaks, t),
-            cfg.initial.psi, cfg.t_max, 2000, extrapolate=True,
+        oracle = volterra.solve_integro_differential(
+            cfg.system, cfg.bath, cfg.initial.psi, cfg.t_max, 2000, extrapolate=True
         )
         assert estimate == oracle.error_estimate
         assert 0.0 < estimate < 1e-4

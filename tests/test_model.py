@@ -128,15 +128,15 @@ class TestCorrelation:
 class TestCounterterm:
     def test_zero_eta_unchanged(self):
         h = SystemHamiltonian(np.diag([1.0, 2.0]))
-        np.testing.assert_array_equal(counterterm_shift(h, 0.0, 1.0).matrix, h.matrix)
+        np.testing.assert_array_equal(counterterm_shift(h, BathModel(eta=0.0, cutoff=1.0)).matrix, h.matrix)
 
     def test_scalar(self):
         h = SystemHamiltonian(np.zeros((1, 1)))
-        assert counterterm_shift(h, np.pi, 1.0).matrix[0, 0] == pytest.approx(1.0)
+        assert counterterm_shift(h, BathModel(eta=np.pi, cutoff=1.0)).matrix[0, 0] == pytest.approx(1.0)
 
     def test_diagonal_shift(self):
         h = SystemHamiltonian(np.diag([1.0, 2.0]))
-        shifted = counterterm_shift(h, np.pi, 2.0)
+        shifted = counterterm_shift(h, BathModel(eta=np.pi, cutoff=2.0))
         np.testing.assert_allclose(shifted.matrix, np.diag([3.0, 4.0]))
 
 

@@ -5,7 +5,7 @@ equality are those of the frozen dataclasses they replaced."""
 import numpy as np
 import pytest
 
-from pseudobath.config import RunConfig, SolverSettings
+from pseudobath.config import RunConfig
 from pseudobath.dynamics import Trajectory
 from pseudobath.model import BathModel, InitialState, LorentzPeak, ModelError, SystemHamiltonian
 from pseudobath.pseudomode import BlockResult, DilationReport
@@ -35,11 +35,10 @@ RECORDS = [
      "BathModel(peaks=(), eta=0.0, cutoff=None)"),
     (InitialState, ("psi", "psi0"), (np.array([1.0 + 0j]),), (0j,),
      "InitialState(psi=array([1.+0.j]), psi0=0j)"),
-    (SolverSettings, ("oracle_steps",), (), (4000,), "SolverSettings(oracle_steps=4000)"),
-    (RunConfig, ("system", "bath", "initial", "t_max", "output_points", "solver", "sweep"),
-     (H, BATH, INIT, 5.0, 51), (SolverSettings(4000), {}),
+    (RunConfig, ("system", "bath", "initial", "t_max", "output_points", "oracle_steps", "sweep"),
+     (H, BATH, INIT, 5.0, 51), (4000, {}),
      f"RunConfig(system={_H_REPR}, bath={_BATH_REPR}, initial={_INIT_REPR}, t_max=5.0, "
-     "output_points=51, solver=SolverSettings(oracle_steps=4000), sweep={})"),
+     "output_points=51, oracle_steps=4000, sweep={})"),
     (BlockResult, ("alpha", "e_alpha", "min_eigenvalue", "passed"), (0, 0.5, 0.0, True), (),
      _BLOCK_REPR),
     (DilationReport,
@@ -108,7 +107,9 @@ class TestRecord:
          "g^2/gamma overflows for g=1e+160, gamma=1.0"),
         (lambda: BathModel(eta=-1.0), ModelError,
          "Ohmic coefficient must be non-negative, got -1.0"),
-        (lambda: BathModel(cutoff=0.0), ModelError, "cutoff frequency must be positive, got 0.0"),
+        (lambda: BathModel(cutoff=0.0), ModelError, "cutoff must be positive and finite, got 0.0"),
+        (lambda: BathModel(cutoff=np.inf), ModelError,
+         "cutoff must be positive and finite, got inf"),
         (lambda: InitialState(np.array([])), ModelError,
          "initial excited vector must have dim >= 1"),
         (lambda: InitialState(np.array([np.nan])), ModelError,
@@ -119,7 +120,7 @@ class TestRecord:
          "state array shape (2, 1) != (2, 2)"),
     ],
     ids=["not-hermitian", "no-levels", "g", "gamma", "g2-over-gamma", "eta", "cutoff",
-         "empty-psi", "non-finite-psi", "not-normalized", "trajectory-shape"],
+         "cutoff-inf", "empty-psi", "non-finite-psi", "not-normalized", "trajectory-shape"],
 )
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
@@ -139,7 +140,7 @@ def test_run_configs_do_not_share_a_sweep():
     a, b = RunConfig(H, BATH, INIT, 5.0, 51), RunConfig(H, BATH, INIT, 5.0, 51)
     assert a.sweep == b.sweep == {}
     assert a.sweep is not b.sweep
-    assert a.solver == SolverSettings(oracle_steps=4000)
+    assert a.oracle_steps == 4000
 
 
 @pytest.mark.parametrize(
@@ -148,10 +149,12 @@ def test_run_configs_do_not_share_a_sweep():
         (H, {"matrix": np.array([[0.0, 1.0], [0.0, 0.0]])}, ModelError),
         (PEAK, {"g": 0.0}, ModelError),
         (BATH, {"eta": -1.0}, ModelError),
+        (BATH, {"cutoff": np.inf}, ModelError),
         (INIT, {"psi0": 1.0}, ModelError),
         (Trajectory(TIMES, 1, 0, STATES), {"k": 1}, ValueError),
     ],
-    ids=["SystemHamiltonian", "LorentzPeak", "BathModel", "InitialState", "Trajectory"],
+    ids=["SystemHamiltonian", "LorentzPeak", "BathModel", "BathModel-cutoff-inf", "InitialState",
+         "Trajectory"],
 )
 def test_replace_and_make_validate(record, change, error):
     # namedtuple's own _make, which _replace calls, skips __new__

@@ -1,9 +1,14 @@
 import ast
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pseudobath
 from pseudobath import volterra
 from pseudobath.dynamics import evolve
 from pseudobath.model import (
@@ -19,19 +24,12 @@ from pseudobath.volterra import (
     GridMismatchError,
     OracleTrajectory,
     StepTooCoarseError,
-    compare_trajectories,
     deviation_norms,
     solve_cutoff_family,
     solve_integro_differential,
-    solve_renormalized,
 )
 
 PSI0 = np.array([1.0 + 0.0j])
-
-
-def peak_kernel(*peaks):
-    peaks = tuple(peaks)
-    return lambda t: lorentz_correlation(peaks, t)
 
 
 def two_sum_march(generator, gvals, psi0, h, steps):
@@ -139,12 +137,12 @@ def oracle_reference(generator, kernel, kernel_scale, psi0, t_max, steps, extrap
     kernel sampled on the coarse and on the fine grid, each march by
     ``blocked_march_reference``."""
     h = t_max / steps
-    gvals = kernel_scale * volterra._kernel_on_grid(kernel, np.arange(steps + 1) * h)
+    gvals = kernel_scale * kernel(np.arange(steps + 1) * h)
     y = blocked_march_reference(generator, gvals, psi0, h, steps)
     if not extrapolate:
         return y, None
     times_fine = np.arange(2 * steps + 1) * (h / 2.0)
-    gvals_fine = kernel_scale * volterra._kernel_on_grid(kernel, times_fine)
+    gvals_fine = kernel_scale * kernel(times_fine)
     y_half = blocked_march_reference(generator, gvals_fine, psi0, h / 2.0, 2 * steps)[::2]
     error = float(np.linalg.norm(y_half - y, axis=1).max()) / 3.0
     return (4.0 * y_half - y) / 3.0, error
@@ -160,9 +158,10 @@ def assert_matches_reference(monkeypatch, reference, solve):
 class TestMarch:
     H2 = SystemHamiltonian(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.9]]))
     PSI2 = np.array([0.6, 0.5j])
-    KERNELS = {
-        "lorentz": peak_kernel(LorentzPeak(0.7, 0.5, 0.2), LorentzPeak(0.4, 1.1, -0.3)),
-        "ohmic-cutoff": lambda t: ohmic_cutoff_correlation(0.5, 20.0, t),
+    PEAKS = (LorentzPeak(0.7, 0.5, 0.2), LorentzPeak(0.4, 1.1, -0.3))
+    BATHS = {
+        "lorentz": BathModel(PEAKS),
+        "ohmic-cutoff": BathModel(eta=0.5, cutoff=20.0),
     }
 
     H3 = SystemHamiltonian(
@@ -172,10 +171,10 @@ class TestMarch:
     SYSTEMS = {1: (SystemHamiltonian(np.array([[0.3]])), PSI0), 2: (H2, PSI2), 3: (H3, PSI3)}
 
     @pytest.mark.parametrize("extrapolate", [False, True])
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_matches_two_sum_reference(self, monkeypatch, kernel, extrapolate):
+    @pytest.mark.parametrize("bath", sorted(BATHS))
+    def test_matches_two_sum_reference(self, monkeypatch, bath, extrapolate):
         solve = lambda: solve_integro_differential(
-            self.H2, self.KERNELS[kernel], self.PSI2, 2.0, 400, extrapolate=extrapolate
+            self.H2, self.BATHS[bath], self.PSI2, 2.0, 400, extrapolate=extrapolate
         )
         assert_matches_reference(monkeypatch, two_sum_march, solve)
 
@@ -187,7 +186,7 @@ class TestMarch:
         h_s, psi0 = self.SYSTEMS[n]
         steps = volterra._BLOCK_ORDER // n + offset
         solve = lambda: solve_integro_differential(
-            h_s, self.KERNELS["lorentz"], psi0, 2.0, steps, extrapolate=extrapolate
+            h_s, self.BATHS["lorentz"], psi0, 2.0, steps, extrapolate=extrapolate
         )
         assert_matches_reference(monkeypatch, two_sum_march, solve)
 
@@ -200,9 +199,13 @@ class TestMarch:
         h_s, psi0 = self.SYSTEMS[n]
         steps = volterra._BLOCK_ORDER // n + offset
         f = 1.0 / (1.0 + 0.5j * 0.7)
-        args = (f * h_s.matrix, self.KERNELS["lorentz"], f, f * psi0, 2.0, steps, extrapolate)
-        traj = volterra._solve_on_grid(*args)
-        states, error = oracle_reference(*args)
+        kernel = lambda t: lorentz_correlation(self.PEAKS, t)
+        traj = solve_integro_differential(
+            h_s, BathModel(self.PEAKS, 0.7), psi0, 2.0, steps, extrapolate
+        )
+        states, error = oracle_reference(
+            f * h_s.matrix, kernel, f, f * psi0, 2.0, steps, extrapolate
+        )
         assert np.array_equal(traj.states, states)
         assert traj.error_estimate == error
 
@@ -210,9 +213,12 @@ class TestMarch:
     def test_bit_for_bit_with_small_blocks(self, monkeypatch, order):
         # blocks of one and two steps, with ragged last blocks
         monkeypatch.setattr(volterra, "_BLOCK_ORDER", order)
-        args = (self.H3.matrix, self.KERNELS["ohmic-cutoff"], 1.0, self.PSI3, 1.0, 23, True)
-        traj = volterra._solve_on_grid(*args)
-        states, error = oracle_reference(*args)
+        kernel = lambda t: ohmic_cutoff_correlation(0.5, 20.0, t)
+        h_s = self.H3.matrix + 0.5 * 20.0 / np.pi * np.eye(3)
+        traj = solve_integro_differential(
+            self.H3, self.BATHS["ohmic-cutoff"], self.PSI3, 1.0, 23, True
+        )
+        states, error = oracle_reference(h_s, kernel, 1.0, self.PSI3, 1.0, 23, True)
         assert np.array_equal(traj.states, states)
         assert traj.error_estimate == error
 
@@ -229,17 +235,16 @@ class TestMarch:
     def test_sharp_ohmic_cutoff(self, monkeypatch, extrapolate):
         # Omega = 80 at the coarsest step the cutoff family accepts, h = 0.1 / Omega
         omega, steps = 80.0, 1000
-        h_s = SystemHamiltonian(self.H3.matrix + 0.5 * omega / np.pi * np.eye(3))
-        kernel = lambda t: ohmic_cutoff_correlation(0.5, omega, t)
+        bath = BathModel(eta=0.5, cutoff=omega)
         solve = lambda: solve_integro_differential(
-            h_s, kernel, self.PSI3, steps * 0.1 / omega, steps, extrapolate=extrapolate
+            self.H3, bath, self.PSI3, steps * 0.1 / omega, steps, extrapolate=extrapolate
         )
         assert_matches_reference(monkeypatch, two_sum_march, solve)
 
     def test_no_drift_over_a_long_march(self, monkeypatch):
-        h_s = SystemHamiltonian(np.array([[1.0 + 0.5 * 80.0 / np.pi]]))
-        kernel = lambda t: ohmic_cutoff_correlation(0.5, 80.0, t)
-        solve = lambda: solve_integro_differential(h_s, kernel, PSI0, 20.0, 16000)
+        h_s = SystemHamiltonian(np.array([[1.0]]))
+        bath = BathModel(eta=0.5, cutoff=80.0)
+        solve = lambda: solve_integro_differential(h_s, bath, PSI0, 20.0, 16000)
         assert_matches_reference(monkeypatch, one_sum_march, solve)
 
     def test_independent_of_the_pseudomode_route(self):
@@ -253,33 +258,46 @@ class TestMarch:
         }
         assert not {name.rsplit(".", 1)[-1] for name in imported} & {"pseudomode", "dynamics"}
 
+    def test_independent_of_the_pseudomode_route_at_run_time(self):
+        # the oracle reads the bath from model; nothing it imports may load the other route
+        code = (
+            "import sys, pseudobath.volterra; "
+            "print(sorted({'pseudobath.pseudomode', 'pseudobath.dynamics'} & set(sys.modules)))"
+        )
+        src = str(pathlib.Path(pseudobath.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert result.stdout == "[]\n"
+
 
 class TestIntegroDifferential:
     def test_memoryless_limit(self):
         h = SystemHamiltonian(np.array([[1.0]]))
-        traj = solve_integro_differential(h, None, PSI0, np.pi, 2000)
+        traj = solve_integro_differential(h, BathModel(), PSI0, np.pi, 2000)
         assert abs(traj.states[-1, 0] - (-1.0)) < 1e-5
 
     def test_matches_pseudomode_route(self):
         # two independent derivations of the same dynamics
         peak = LorentzPeak(g=0.5, gamma=0.2, epsilon=0.0)
         h = SystemHamiltonian(np.zeros((1, 1)))
-        oracle = solve_integro_differential(h, peak_kernel(peak), PSI0, 10.0, 4000)
+        oracle = solve_integro_differential(h, BathModel((peak,)), PSI0, 10.0, 4000)
         init = InitialState(psi=PSI0, psi0=0.0)
         traj = evolve(h, BathModel(peaks=(peak,)), init, oracle.times)
-        assert compare_trajectories(traj, oracle) < 1e-6
+        assert deviation_norms(traj, oracle)[0] < 1e-6
 
     def test_second_order_convergence(self):
         peak = LorentzPeak(g=1.5, gamma=0.5, epsilon=1.0)
         h = SystemHamiltonian(np.array([[0.8]]))
-        kernel = peak_kernel(peak)
-        fine = solve_integro_differential(h, kernel, PSI0, 10.0, 16000)
+        bath = BathModel((peak,))
+        fine = solve_integro_differential(h, bath, PSI0, 10.0, 16000)
         errs = []
         for steps in (1000, 2000, 4000):
-            traj = solve_integro_differential(h, kernel, PSI0, 10.0, steps)
+            traj = solve_integro_differential(h, bath, PSI0, 10.0, steps)
             r = 16000 // steps
             shared = OracleTrajectory(fine.times[::r], fine.states[::r])
-            errs.append(compare_trajectories(traj, shared))
+            errs.append(deviation_norms(traj, shared)[0])
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert all(1.7 <= p <= 2.3 for p in orders)
 
@@ -288,9 +306,9 @@ class TestIntegroDifferential:
         h = SystemHamiltonian(np.array([[1.0]]))
         lam, v = np.linalg.eig(build_effective_hamiltonian(h, BathModel(peaks=(peak,))))
         c = np.linalg.solve(v, np.array([1.0, 0.0], dtype=complex))
-        kernel = peak_kernel(peak)
-        plain = solve_integro_differential(h, kernel, PSI0, 10.0, 4000)
-        extra = solve_integro_differential(h, kernel, PSI0, 10.0, 4000, extrapolate=True)
+        bath = BathModel((peak,))
+        plain = solve_integro_differential(h, bath, PSI0, 10.0, 4000)
+        extra = solve_integro_differential(h, bath, PSI0, 10.0, 4000, extrapolate=True)
         exact = (v[0, :] * (np.exp(-1j * np.outer(plain.times, lam)) * c)).sum(axis=1)
         err_plain = np.abs(plain.states[:, 0] - exact).max()
         err_extra = np.abs(extra.states[:, 0] - exact).max()
@@ -302,18 +320,18 @@ class TestIntegroDifferential:
         h = SystemHamiltonian(np.array([[0.8]]))
         estimates = [
             solve_integro_differential(
-                h, peak_kernel(peak), PSI0, 10.0, steps, extrapolate=True
+                h, BathModel((peak,)), PSI0, 10.0, steps, extrapolate=True
             ).error_estimate
             for steps in (1000, 2000)
         ]
         assert 1.7 <= np.log2(estimates[0] / estimates[1]) <= 2.3
-        plain = solve_integro_differential(h, peak_kernel(peak), PSI0, 10.0, 1000)
+        plain = solve_integro_differential(h, BathModel((peak,)), PSI0, 10.0, 1000)
         assert plain.error_estimate is None
 
     def test_norm_bounded_for_lorentz_kernel(self):
         peak = LorentzPeak(g=1.0, gamma=1.0, epsilon=0.0)
         h = SystemHamiltonian(np.array([[0.0]]))
-        traj = solve_integro_differential(h, peak_kernel(peak), PSI0, 10.0, 2000)
+        traj = solve_integro_differential(h, BathModel((peak,)), PSI0, 10.0, 2000)
         norms = np.linalg.norm(traj.states, axis=1)
         assert norms.max() <= 1.0 + 10 * traj.times[1]
 
@@ -322,15 +340,18 @@ class TestRenormalized:
     def test_eta_zero_identical(self):
         peak = LorentzPeak(g=0.7, gamma=0.9, epsilon=-0.4)
         h = SystemHamiltonian(np.array([[0.6]]))
-        a = solve_integro_differential(h, peak_kernel(peak), PSI0, 5.0, 500)
-        b = solve_renormalized(h, 0.0, peak_kernel(peak), PSI0, 5.0, 500)
-        np.testing.assert_array_equal(a.states, b.states)
+        # f is exactly 1 at eta = 0: the plain memory equation, unscaled
+        a = volterra._solve_volterra_core(
+            h.matrix, lorentz_correlation((peak,), np.arange(501) * 0.01), PSI0, 0.01, 500
+        )
+        b = solve_integro_differential(h, BathModel((peak,), eta=0.0), PSI0, 5.0, 500)
+        np.testing.assert_array_equal(a, b.states)
 
     def test_scalar_closed_form(self):
         # G_c = 0: psi(t) = psi(0)/(1+i eta/2) * exp(-i E t/(1+i eta/2))
         eta, energy = 1.2, 0.8
         h = SystemHamiltonian(np.array([[energy]]))
-        traj = solve_renormalized(h, eta, None, PSI0, 4.0, 4000)
+        traj = solve_integro_differential(h, BathModel(eta=eta), PSI0, 4.0, 4000)
         f = 1.0 / (1.0 + 0.5j * eta)
         exact = f * np.exp(-1j * energy * f * traj.times)
         assert np.abs(traj.states[:, 0] - exact).max() < 1e-6
@@ -339,38 +360,39 @@ class TestRenormalized:
         peak = LorentzPeak(g=0.5, gamma=1.0, epsilon=0.3)
         h = SystemHamiltonian(np.array([[1.0]]))
         eta = 1.0
-        oracle = solve_renormalized(
-            h, eta, peak_kernel(peak), PSI0, 10.0, 4000, extrapolate=True
+        oracle = solve_integro_differential(
+            h, BathModel((peak,), eta), PSI0, 10.0, 4000, extrapolate=True
         )
         init = InitialState(psi=PSI0, psi0=0.0)
         traj = evolve(h, BathModel(peaks=(peak,), eta=eta), init, oracle.times)
-        assert compare_trajectories(traj, oracle) < 1e-6
+        assert deviation_norms(traj, oracle)[0] < 1e-6
 
 
 class TestCutoffFamily:
     def test_eta_zero_reduces_to_plain_solver(self):
         peak = LorentzPeak(g=0.8, gamma=0.7, epsilon=0.1)
         h = SystemHamiltonian(np.array([[0.5]]))
-        plain = solve_integro_differential(h, peak_kernel(peak), PSI0, 2.0, 400)
-        family = solve_cutoff_family(h, 0.0, [50.0], peak_kernel(peak), PSI0, 2.0, 400)
+        plain = solve_integro_differential(h, BathModel((peak,)), PSI0, 2.0, 400)
+        family = solve_cutoff_family(h, BathModel((peak,)), [50.0], PSI0, 2.0, 400)
         np.testing.assert_allclose(family[0].states, plain.states, atol=1e-14)
 
     def test_step_too_coarse_rejected(self):
         h = SystemHamiltonian(np.array([[1.0]]))
         with pytest.raises(StepTooCoarseError):
-            solve_cutoff_family(h, 0.5, [1000.0], None, PSI0, 5.0, 100)
+            solve_cutoff_family(h, BathModel(eta=0.5), [1000.0], PSI0, 5.0, 100)
 
     def test_counterterm_cancellation_keeps_trajectories_bounded(self):
         h = SystemHamiltonian(np.array([[1.0]]))
-        family = solve_cutoff_family(h, 0.5, [20.0, 40.0], None, PSI0, 5.0, 4000)
+        family = solve_cutoff_family(h, BathModel(eta=0.5), [20.0, 40.0], PSI0, 5.0, 4000)
         for traj in family:
             assert np.linalg.norm(traj.states, axis=1).max() <= 2.0
 
     def test_converges_to_renormalized_limit(self):
         h = SystemHamiltonian(np.array([[1.0]]))
         eta = 0.5
-        ref = solve_renormalized(h, eta, None, PSI0, 5.0, 8000, extrapolate=True)
-        family = solve_cutoff_family(h, eta, [20.0, 80.0], None, PSI0, 5.0, 8000)
+        bath = BathModel(eta=eta)
+        ref = solve_integro_differential(h, bath, PSI0, 5.0, 8000, extrapolate=True)
+        family = solve_cutoff_family(h, bath, [20.0, 80.0], PSI0, 5.0, 8000)
         mask = ref.times >= 0.5
         devs = [
             np.linalg.norm(traj.states - ref.states, axis=1)[mask].max()
@@ -382,26 +404,16 @@ class TestCutoffFamily:
 class TestCompare:
     def test_identical_is_zero(self):
         h = SystemHamiltonian(np.array([[0.3]]))
-        traj = solve_integro_differential(h, None, PSI0, 1.0, 100)
-        assert compare_trajectories(traj, traj) == 0.0
-        assert compare_trajectories(traj, traj, norm="L2") == 0.0
-
-    def test_deviation_norms_are_both_norms(self):
-        h = SystemHamiltonian(np.array([[0.3]]))
-        a = solve_integro_differential(h, None, PSI0, 1.0, 100)
-        b = solve_integro_differential(h, peak_kernel(LorentzPeak(0.5, 0.2, 0.0)), PSI0, 1.0, 100)
-        assert deviation_norms(a, b) == (
-            compare_trajectories(a, b), compare_trajectories(a, b, norm="L2")
-        )
-        with pytest.raises(ValueError, match="unknown norm"):
-            compare_trajectories(a, b, norm="max")
+        traj = solve_integro_differential(h, BathModel(), PSI0, 1.0, 100)
+        assert deviation_norms(traj, traj)[0] == 0.0
+        assert deviation_norms(traj, traj)[1] == 0.0
 
     def test_grid_mismatch(self):
         h = SystemHamiltonian(np.array([[0.3]]))
-        a = solve_integro_differential(h, None, PSI0, 1.0, 100)
-        b = solve_integro_differential(h, None, PSI0, 0.7713, 100)
+        a = solve_integro_differential(h, BathModel(), PSI0, 1.0, 100)
+        b = solve_integro_differential(h, BathModel(), PSI0, 0.7713, 100)
         with pytest.raises(GridMismatchError):
-            compare_trajectories(a, b)
+            deviation_norms(a, b)
 
     def test_grid_equality_is_relative(self):
         # linspace and arange(steps + 1) * h differ by 1.8e-12 at the end
@@ -409,20 +421,20 @@ class TestCompare:
         states = np.ones((steps + 1, 1), dtype=complex)
         a = OracleTrajectory(np.linspace(0.0, t_max, steps + 1), states)
         b = OracleTrajectory(np.arange(steps + 1) * (t_max / steps), states)
-        assert compare_trajectories(a, b) == 0.0
+        assert deviation_norms(a, b)[0] == 0.0
         moved = b.times.copy()
         moved[5] += 1e-9 * t_max
         with pytest.raises(GridMismatchError):
-            compare_trajectories(a, OracleTrajectory(moved, states))
+            deviation_norms(a, OracleTrajectory(moved, states))
         h = SystemHamiltonian(np.array([[0.3]]))
-        coarse = solve_integro_differential(h, None, PSI0, 1.0, 100)
-        refined = solve_integro_differential(h, None, PSI0, 1.0, 200)
+        coarse = solve_integro_differential(h, BathModel(), PSI0, 1.0, 100)
+        refined = solve_integro_differential(h, BathModel(), PSI0, 1.0, 200)
         with pytest.raises(GridMismatchError):
-            compare_trajectories(coarse, refined)
+            deviation_norms(coarse, refined)
 
     def test_shift_by_one_point_scales_with_derivative(self):
         h = SystemHamiltonian(np.array([[2.0]]))
-        traj = solve_integro_differential(h, None, PSI0, 5.0, 1000)
+        traj = solve_integro_differential(h, BathModel(), PSI0, 5.0, 1000)
         shifted = np.roll(traj.states, 1, axis=0)
         diff = np.abs(traj.states[1:] - shifted[1:]).max()
         # |dpsi/dt| = |E| = 2, h = 0.005
