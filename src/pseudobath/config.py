@@ -2,12 +2,16 @@
 
 Complex numbers travel as two-element [re, im] arrays everywhere.  Every
 validation failure names the JSON path of the offending field so config
-errors are directly actionable.
+errors are directly actionable.  The pairs of ``system.matrix`` and
+``initial.psi`` are checked in one pass and converted as one array; an error
+names the first defect in document order (a malformed matrix row comes after
+the entries of the rows before it).
 """
 
 import json
 import math
 from collections import namedtuple
+from itertools import chain
 
 import numpy as np
 
@@ -114,6 +118,29 @@ def _complex(val, path) -> complex:
     return z
 
 
+def _complex_array(values, path_of) -> np.ndarray:
+    """The list of [re, im] pairs ``values`` as a complex array, bit for bit
+    ``complex(re, im)``.  One pass checks that every pair holds two numbers
+    of exact type ``int`` or ``float`` (so not ``bool``); numpy converts
+    them, raising OverflowError like ``float`` on an integer beyond the float
+    range.  On any defect every pair goes through ``_complex`` instead, which
+    raises the first one's error at ``path_of(index)``: no path is built for
+    valid input."""
+    if all(
+        type(v) is list and len(v) == 2
+        and type(v[0]) in (int, float) and type(v[1]) in (int, float)
+        for v in values
+    ):
+        try:
+            parts = np.fromiter(chain.from_iterable(values), float, 2 * len(values))
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(parts).all():
+                return parts.view(complex)
+    return np.array([_complex(v, path_of(i)) for i, v in enumerate(values)], dtype=complex)
+
+
 def parse_config(text) -> RunConfig:
     """Parse and validate a JSON configuration document."""
     if isinstance(text, bytes):
@@ -132,12 +159,17 @@ def parse_config(text) -> RunConfig:
     rows = _get(sys_obj, "matrix", "$.system", list)
     if len(rows) != n:
         raise ValidationError("$.system.matrix", f"expected {n} rows, got {len(rows)}")
-    matrix = np.zeros((n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValidationError(f"$.system.matrix[{i}]", f"expected {n} entries")
-        for j, entry in enumerate(row):
-            matrix[i, j] = _complex(entry, f"$.system.matrix[{i}][{j}]")
+    # a malformed row is reported after the entries of the rows before it
+    bad_row = next(
+        (i for i, row in enumerate(rows) if not isinstance(row, list) or len(row) != n), n
+    )
+    matrix = _complex_array(
+        [entry for row in rows[:bad_row] for entry in row],
+        lambda k: f"$.system.matrix[{k // n}][{k % n}]",
+    )
+    if bad_row < n:
+        raise ValidationError(f"$.system.matrix[{bad_row}]", f"expected {n} entries")
+    matrix = matrix.reshape(n, n)
     try:
         system = SystemHamiltonian(matrix)
     except ModelError as exc:
@@ -166,9 +198,7 @@ def parse_config(text) -> RunConfig:
     psi_raw = _get(init_obj, "psi", "$.initial", list)
     if len(psi_raw) != n:
         raise ValidationError("$.initial.psi", f"expected {n} entries, got {len(psi_raw)}")
-    psi = np.array(
-        [_complex(v, f"$.initial.psi[{i}]") for i, v in enumerate(psi_raw)], dtype=complex
-    )
+    psi = _complex_array(psi_raw, lambda i: f"$.initial.psi[{i}]")
     psi0 = _complex(_get(init_obj, "psi0", "$.initial"), "$.initial.psi0")
     try:
         initial = InitialState(psi=psi, psi0=psi0)

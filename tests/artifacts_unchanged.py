@@ -45,6 +45,29 @@ LORENTZ = _config([[[0.5, 0.0]]], [(0.5, 0.4, 0.1)], 0.0, [[0.6, 0.0]], [0.8, 0.
 SWEEP = dict(LORENTZ, time={"t_max": 2.0, "points": 21},
              sweep={"bath.peaks[0].g": [0.3, 0.6], "bath.peaks[0].gamma": [0.2, 0.9]})
 
+
+def _wide_matrix(n):
+    """A Hermitian n-level H with integer, float and signed-zero parts."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = [40 + i, -0.0]
+        for j in range(i + 1, n):
+            re, im = ((i + j) % 3 - 1, 0.01 * (j - i)) if (i + j) % 2 else (-0.0, 0)
+            rows[i][j], rows[j][i] = [re, im], [re, -im]
+    return rows
+
+
+#: 24 levels, three peaks, an Ohmic term.
+WIDE = _config(
+    _wide_matrix(24), [(0.4, 0.8, 0.1), (0.3, 0.6, -0.2), (0.35, 0.7, 0.0)], 0.5,
+    [[0.6, 0.0]] + [[0, -0.0]] * 23, [0.8, 0.0],
+)
+#: Two defects: a ``true`` entry in row 0 and a short row 2; the first one is reported.
+TWO_DEFECTS = _config(
+    [[[1.0, 0.0], [True, 0.0], [0, 0]], [[0, 0], [1.0, 0.0], [0, 0]], [[0, 0], [0, 0]]],
+    [(0.5, 0.4, 0.1)], 0.0, [[0.6, 0.0], [0, 0], [0, 0]], [0.8, 0.0],
+)
+
 #: (name, config, command line after ``--config``/``--out``)
 RUNS = [
     ("simulate-ohmic", OHMIC, ["simulate"]),
@@ -55,6 +78,8 @@ RUNS = [
     ("cutoff-study", OHMIC, ["cutoff-study", "--omegas", "5", "10", "20"]),
     ("cutoff-study-inf", OHMIC, ["cutoff-study", "--omegas", "20", "inf"]),
     ("sweep", SWEEP, ["sweep", "--jobs", "2"]),
+    ("check-wide-ints", WIDE, ["check"]),
+    ("check-two-defects", TWO_DEFECTS, ["check"]),
 ]
 
 

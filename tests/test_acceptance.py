@@ -160,7 +160,9 @@ def test_criterion_4_norm_monotonicity(cross_solver_batch):
         worst_increase = max(worst_increase, float(np.diff(norms).max()))
     rng = np.random.default_rng(99)
     count = 0
-    while count < 10:
+    for _ in range(1000):  # bounded: if no draw certifies, the test fails instead of hanging
+        if count == 10:
+            break
         n = int(rng.integers(1, 4))
         bath = BathModel(
             peaks=random_peaks(rng, int(rng.integers(1, 4))),
@@ -176,6 +178,7 @@ def test_criterion_4_norm_monotonicity(cross_solver_batch):
         norms = np.linalg.norm(traj.vectors, axis=1)
         worst_increase = max(worst_increase, float(np.diff(norms).max()))
         count += 1
+    assert count == 10, f"only {count} of 1000 lifted draws pass the spectral check"
     ok = worst_increase <= 1e-9
     print(
         f"criterion 4 norm monotonicity under dilation: {'PASS' if ok else 'FAIL'} "

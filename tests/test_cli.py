@@ -1,9 +1,11 @@
 import csv
 import errno
 import json
+import math
 import multiprocessing
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -11,6 +13,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fuzz import SPECIAL
 
 import pseudobath
 from pseudobath import cli, dynamics, volterra
@@ -30,6 +35,7 @@ from pseudobath.config import (
     parse_config,
 )
 from pseudobath.linalg import LinAlgError
+from pseudobath.model import InitialState, ModelError, SystemHamiltonian
 
 
 def base_doc(**overrides):
@@ -147,6 +153,161 @@ class TestParseConfig:
     def test_apply_override_bad_path(self):
         with pytest.raises(ValidationError):
             apply_override(base_doc(), "bath.nope.g", 1.0)
+
+
+def _reference_complex(val, path) -> complex:
+    """The check of one [re, im] pair on its own: the reference for the
+    errors of the one-pass read."""
+    if (
+        not isinstance(val, list)
+        or len(val) != 2
+        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in val)
+    ):
+        raise ValidationError(path, "complex values must be [re, im] number pairs")
+    try:
+        z = complex(val[0], val[1])
+    except OverflowError:
+        raise ValidationError(path, "number is out of the float range") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValidationError(path, f"complex value must be finite, got {val}")
+    return z
+
+
+def reference_arrays(doc):
+    """H and psi of ``doc`` read pair by pair, with the checks between them
+    that ``parse_config`` makes (the bath of ``doc`` is valid)."""
+    n, rows = doc["system"]["n"], doc["system"]["matrix"]
+    matrix = np.zeros((n, n), dtype=complex)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise ValidationError(f"$.system.matrix[{i}]", f"expected {n} entries")
+        for j, entry in enumerate(row):
+            matrix[i, j] = _reference_complex(entry, f"$.system.matrix[{i}][{j}]")
+    try:
+        SystemHamiltonian(matrix)
+    except ModelError as exc:
+        raise ValidationError("$.system.matrix", str(exc)) from exc
+    psi = np.array(
+        [_reference_complex(v, f"$.initial.psi[{i}]") for i, v in enumerate(doc["initial"]["psi"])],
+        dtype=complex,
+    )
+    try:
+        InitialState(psi=psi, psi0=_reference_complex(doc["initial"]["psi0"], "$.initial.psi0"))
+    except ModelError as exc:
+        raise ValidationError("$.initial", str(exc)) from exc
+    return matrix, psi
+
+
+#: Parts of pairs that numpy and ``complex`` could round differently.
+EDGE_NUMBERS = [2**53 + 1, 2**63 + 1, 10**20, -0.0, 0, 1, -3, 0.1]
+
+
+def _number(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(EDGE_NUMBERS)
+    return rng.randint(-(2**70), 2**70) if kind == 1 else rng.uniform(-1e6, 1e6)
+
+
+@st.composite
+def pair_docs(draw):
+    """A valid document with an n-level Hermitian H of mixed int and float
+    parts, n in 1 .. 24, and up to three defects in H or psi."""
+    n = draw(st.integers(1, 24))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = [_number(rng), rng.choice([0, 0.0, -0.0])]
+        for j in range(i + 1, n):
+            re, im = _number(rng), _number(rng)
+            rows[i][j], rows[j][i] = [re, im], [re, -im]
+    psi = [[0, 0.0]] * n
+    psi[draw(st.integers(0, n - 1))] = draw(st.sampled_from([[0.6, 0.0], [0, -0.6], [-0.6, -0.0]]))
+    doc = base_doc(system={"n": n, "matrix": rows})
+    doc["initial"] = {"psi": psi, "psi0": [0.8, 0.0]}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["pair", "part", "triple", "row", "short"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind in ("pair", "part", "triple"):
+            target = draw(st.sampled_from([rows[i], psi]))
+            if not (isinstance(target, list) and j < len(target)):
+                continue  # row i is already broken
+        if kind == "pair":
+            target[j] = draw(st.sampled_from(SPECIAL))
+        elif kind == "part":
+            target[j] = list(target[j]) if isinstance(target[j], list) else [0.0, 0.0]
+            target[j][draw(st.integers(0, 1))] = draw(st.sampled_from(SPECIAL))
+        elif kind == "triple":
+            target[j] = [0.5, 0.0, 0.0]
+        elif kind == "row":
+            rows[i] = draw(st.sampled_from([v for v in SPECIAL if not isinstance(v, list)]))
+        else:
+            rows[i] = rows[i][: draw(st.integers(0, n - 1))] if isinstance(rows[i], list) else []
+    return doc
+
+
+class TestPairArrays:
+    """The one-pass read of ``system.matrix`` and ``initial.psi`` gives the
+    arrays and the errors of the pair-by-pair read."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(pair_docs())
+    def test_same_errors_and_bits_as_pair_by_pair(self, doc):
+        text = json.dumps(doc)
+        try:
+            matrix, psi = reference_arrays(json.loads(text))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                parse_config(text)
+            assert type(err.value) is ValidationError
+            assert (err.value.path, str(err.value)) == (exc.path, str(exc))
+        else:
+            cfg = parse_config(text)
+            assert cfg.system.matrix.tobytes() == matrix.tobytes()
+            assert cfg.initial.psi.tobytes() == psi.tobytes()
+
+    def test_bits_of_int_and_signed_zero_entries(self):
+        rows = [[[2**53 + 1, -0.0], [10**20, 3]], [[10**20, -3], [-0.0, 0]]]
+        doc = base_doc(system={"n": 2, "matrix": rows})
+        doc["initial"] = {"psi": [[0, -0.0], [-0.6, 0]], "psi0": [0.8, 0.0]}
+        cfg = parse_config(json.dumps(doc))
+        want = np.array([[complex(re, im) for re, im in row] for row in rows])
+        assert cfg.system.matrix.tobytes() == want.tobytes()
+        psi = np.array([complex(0, -0.0), complex(-0.6, 0)])
+        assert cfg.initial.psi.tobytes() == psi.tobytes()
+
+    @pytest.mark.parametrize(
+        "part",
+        [10**400, -(10**400), math.inf, math.nan, True, None],
+        ids=["1e400", "-1e400", "inf", "nan", "true", "null"],
+    )
+    @pytest.mark.parametrize("key", ["matrix", "psi"])
+    def test_bad_part_after_valid_pairs(self, key, part):
+        doc = base_doc(system={"n": 2, "matrix": [[[1.0, 0.0], [0, 0]], [[0, 0], [2, 0.0]]]})
+        doc["initial"] = {"psi": [[0.6, 0.0], [0.0, 0.0]], "psi0": [0.8, 0.0]}
+        pairs = doc["system"]["matrix"][1] if key == "matrix" else doc["initial"]["psi"]
+        pairs[1] = [0.0, part]
+        text = json.dumps(doc)
+        with pytest.raises(ValidationError) as want:
+            reference_arrays(json.loads(text))
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert str(err.value) == str(want.value)
+        assert err.value.path == ("$.system.matrix[1][1]" if key == "matrix" else "$.initial.psi[1]")
+
+    def test_first_defect_in_document_order(self):
+        doc = base_doc(system={"n": 3, "matrix": [
+            [[1.0, 0.0], [0.0, 0.0], [True, 0.0]],
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+        ]})
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.path == "$.system.matrix[0][2]"
+        doc["system"]["matrix"][0][2] = [0.0, 0.0]
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(doc))
+        assert str(err.value) == "$.system.matrix[2]: expected 3 entries"
 
 
 class TestInputErrors:

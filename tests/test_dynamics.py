@@ -168,6 +168,13 @@ class TestObservables:
         with pytest.raises(NormExceededError, match=r"at t=2\.0 exceeds 1"):
             observables(traj, init)
 
+    def test_norm_tolerance_is_rounding_only(self):
+        # a norm of 1 + 1e-6 is a propagation failure, not rounding
+        init = InitialState(psi=np.array([1.0]), psi0=0.0)
+        traj = Trajectory(times=np.array([0.0]), n=1, k=0, vectors=np.array([[1.0 + 1e-6 + 0j]]))
+        with pytest.raises(NormExceededError, match=r"^system norm 1\.000001000000 at t=0\.0"):
+            observables(traj, init)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
     def test_non_finite_state_names_first_point(self, bad):
         # the first bad point decides the message, whichever kind it is

@@ -301,6 +301,15 @@ class TestChunks:
         z = np.concatenate(pieces, axis=1)
         np.testing.assert_array_equal(z, doubling_reference(blocks, z0, t))
 
+    def test_a_step_off_by_1e_12_starts_a_run(self):
+        # 1e-12 of the last time is far above rounding (2.2e-16), so the
+        # grid splits into the runs before, at and after the shifted step
+        blocks, z0 = random_blocks(13)
+        t = np.linspace(0.0, 1.0, 11)
+        assert len(list(propagate_chunks(blocks, z0, t))) == 1
+        t[6:] += 1e-12
+        assert len(list(propagate_chunks(blocks, z0, t))) == 3
+
     def test_runs_across_chunk_boundaries(self, monkeypatch):
         # 8-row chunks: runs of 20, 3, 1, 8 and 37 steps start and end
         # inside chunks, fill several of them and end on a boundary
