@@ -22,7 +22,7 @@ _EXPORTS = {
         "spectral_density"
     ),
     "pseudomode": (
-        "DilationReport block_decompose build_effective_hamiltonian "
+        "block_decompose build_effective_hamiltonian "
         "check_dilation_closed_form check_dilation_spectral dilation_threshold "
         "optical_potential"
     ),

@@ -31,7 +31,6 @@ from .config import (
 )
 from .linalg import LinAlgError
 from .model import ModelError
-from .pseudomode import DilationReport
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,26 +85,6 @@ def _atomic_write(path: str, data: str):
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _dilation_dict(report: DilationReport) -> dict:
-    return {
-        "spectral_pass": report.spectral_pass,
-        "min_eigenvalue_V": report.min_eigenvalue_v,
-        "closed_form_pass": report.closed_form_pass,
-        "threshold": report.threshold,
-        "min_eigenvalue_H": report.min_eigenvalue_h,
-        "psd_tolerance": report.psd_tolerance,
-        "per_block": [
-            {
-                "alpha": b.alpha,
-                "E_alpha": b.e_alpha,
-                "min_eigenvalue": b.min_eigenvalue,
-                "passed": b.passed,
-            }
-            for b in report.per_block
-        ],
-    }
 
 
 def _first_failure(ok: np.ndarray, t: np.ndarray, values: np.ndarray, what: str):
@@ -179,7 +158,7 @@ def _simulate(cfg: RunConfig, out_dir: str):
 
     report = {
         "config": config_to_dict(cfg),
-        "dilation": _dilation_dict(dilation),
+        "dilation": dilation,
         "trajectory": {
             "points": len(t),
             "final_excited_population": excited[-1],
@@ -202,8 +181,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
-    report = _dilation_dict(pseudomode.check_dilation_closed_form(cfg.system, cfg.bath))
-    text = _dump_json(report)
+    text = _dump_json(pseudomode.check_dilation_closed_form(cfg.system, cfg.bath))
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "dilation.json"), text)
     sys.stdout.write(text)

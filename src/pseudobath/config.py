@@ -230,20 +230,12 @@ def parse_config(text) -> RunConfig:
     )
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Serialize back to the wire schema; parse(serialize(cfg)) is identity."""
+    """Serialize back to the wire schema; parse(serialize(cfg)) is identity.
+    The [re, im] pairs are read from float views of the arrays."""
+    n = cfg.system.n
     doc = {
-        "system": {
-            "n": cfg.system.n,
-            "matrix": [
-                [_complex_pair(cfg.system.matrix[i, j]) for j in range(cfg.system.n)]
-                for i in range(cfg.system.n)
-            ],
-        },
+        "system": {"n": n, "matrix": cfg.system.matrix.view(float).reshape(n, n, 2).tolist()},
         "bath": {
             "peaks": [
                 {"g": p.g, "gamma": p.gamma, "epsilon": p.epsilon} for p in cfg.bath.peaks
@@ -251,8 +243,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "eta": cfg.bath.eta,
         },
         "initial": {
-            "psi": [_complex_pair(z) for z in cfg.initial.psi],
-            "psi0": _complex_pair(cfg.initial.psi0),
+            "psi": cfg.initial.psi.view(float).reshape(n, 2).tolist(),
+            "psi0": [cfg.initial.psi0.real, cfg.initial.psi0.imag],
         },
         "time": {"t_max": cfg.t_max, "points": cfg.output_points},
         "solver": {"oracle_steps": cfg.oracle_steps},

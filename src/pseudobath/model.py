@@ -209,18 +209,16 @@ def counterterm_shift(h_r: SystemHamiltonian, bath: BathModel) -> SystemHamilton
     return h_r.shifted(bath.eta * bath.cutoff / np.pi)
 
 
-def correlation_by_quadrature(
-    bath: BathModel,
-    t: float,
-    omega_max: float,
-    steps: int,
-    chunk: int = 1_000_000,
-) -> complex:
+#: Quadrature nodes evaluated at a time, so that multi-million-point
+#: quadratures stay memory-bounded.
+_QUADRATURE_CHUNK = 1_000_000
+
+
+def correlation_by_quadrature(bath: BathModel, t: float, omega_max: float, steps: int) -> complex:
     """Inverse Fourier transform of J(omega) by composite trapezoid.
 
     Independent consistency check for ``correlation``: evaluates
     (1/2pi) * integral of exp(-i*omega*t) J(omega) over [-omega_max, omega_max].
-    Chunked so that multi-million-point quadratures stay memory-bounded.
     """
     if bath.eta > 0.0 and bath.cutoff is None:
         raise OhmicWithoutCutoffError("quadrature needs an integrable spectral density")
@@ -228,8 +226,8 @@ def correlation_by_quadrature(
         raise ModelError("quadrature needs at least 2 steps")
     h = 2.0 * omega_max / steps
     total = 0.0 + 0.0j
-    for start in range(0, steps + 1, chunk):
-        stop = min(start + chunk, steps + 1)
+    for start in range(0, steps + 1, _QUADRATURE_CHUNK):
+        stop = min(start + _QUADRATURE_CHUNK, steps + 1)
         idx = np.arange(start, stop)
         w = -omega_max + h * idx
         f = spectral_density(bath, w) * np.exp(-1j * w * t)

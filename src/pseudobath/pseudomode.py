@@ -10,38 +10,16 @@ space: the dilation exists iff the optical potential is non-negative
 definite.  The generator is one (K+1) x (K+1) bath block tensored with the
 N x N identity, f*H_S in its system corner; in the eigenbasis of H_S it
 splits into N such blocks with f*E_alpha in the corner.  The generator,
-its optical potential and the block stack are plain complex arrays.  An
-empty bath (K = 0, eta = 0) is the closed system: the generator is H_S.
+its optical potential and the block stack are plain complex arrays, and
+``check_dilation_closed_form`` returns the certificate as the JSON object
+that ``check`` and ``simulate`` write.  An empty bath (K = 0, eta = 0) is
+the closed system: the generator is H_S.
 """
-
-from collections import namedtuple
 
 import numpy as np
 
 from .linalg import hermitian_eigenvalues
 from .model import BathModel, ModelError, SystemHamiltonian, renormalization
-
-
-class BlockResult(namedtuple("BlockResult", "alpha e_alpha min_eigenvalue passed")):
-    __slots__ = ()
-
-
-class DilationReport(
-    namedtuple(
-        "DilationReport",
-        "spectral_pass min_eigenvalue_v closed_form_pass threshold min_eigenvalue_h "
-        "psd_tolerance per_block",
-    )
-):
-    """Outcome of both dilation checks.
-
-    ``threshold`` is (eta/4) * sum g_j^2/gamma_j; the closed-form criterion
-    compares the smallest eigenvalue of the (renormalized) system Hamiltonian
-    against it.  The spectral criterion diagonalizes the optical potential
-    directly.  ``per_block`` is a tuple of ``BlockResult``.
-    """
-
-    __slots__ = ()
 
 
 def _bath_block(bath: BathModel) -> np.ndarray:
@@ -124,15 +102,20 @@ def dilation_threshold(bath: BathModel) -> float:
     return 0.25 * bath.eta * sum(p.g**2 / p.gamma for p in bath.peaks)
 
 
-def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> DilationReport:
+def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> dict:
     """Certify dilatability both ways: closed-form eigenvalue threshold and
-    direct diagonalization of the optical potential.
+    direct diagonalization of the optical potential.  Returns the ``dilation``
+    object of ``dilation.json`` and ``report.json``.
 
-    With eta = 0 the system block of the optical potential vanishes, so the
-    dilation always exists regardless of the sign of H; the closed-form
-    branch short-circuits accordingly.  The block optical potentials are
-    diagonalized as one stack.  An empty bath has a zero optical potential
-    and N trivial 1 x 1 blocks.
+    ``threshold`` is (eta/4) * sum g_j^2/gamma_j; the closed-form criterion
+    compares the smallest eigenvalue of the (renormalized) system Hamiltonian
+    against it.  With eta = 0 the system block of the optical potential
+    vanishes, so the dilation always exists regardless of the sign of H; the
+    closed-form branch short-circuits accordingly.  The spectral criterion
+    diagonalizes the optical potential directly, and its block optical
+    potentials as one stack, one ``per_block`` entry per eigenvalue E_alpha
+    of H.  Every verdict uses one tolerance.  An empty bath has a zero
+    optical potential and N trivial 1 x 1 blocks.
     """
     threshold = dilation_threshold(bath)
     if not np.isfinite(threshold):
@@ -146,25 +129,22 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> Dilat
     min_eig_v = float(hermitian_eigenvalues(v)[0])
     psd_tolerance = _psd_tolerance(v)
     block_min = hermitian_eigenvalues(optical_potential(_blocks(e, bath)))[:, 0]
-    per_block = tuple(
-        BlockResult(alpha, e_alpha, bmin, bmin >= -psd_tolerance)
-        for alpha, (e_alpha, bmin) in enumerate(zip(e.tolist(), block_min.tolist()))
-    )
-
-    return DilationReport(
-        spectral_pass=min_eig_v >= -psd_tolerance,
-        min_eigenvalue_v=min_eig_v,
-        closed_form_pass=closed_form_pass,
-        threshold=threshold,
-        min_eigenvalue_h=min_eig_h,
-        psd_tolerance=psd_tolerance,
-        per_block=per_block,
-    )
+    return {
+        "spectral_pass": min_eig_v >= -psd_tolerance,
+        "min_eigenvalue_V": min_eig_v,
+        "closed_form_pass": closed_form_pass,
+        "threshold": threshold,
+        "min_eigenvalue_H": min_eig_h,
+        "psd_tolerance": psd_tolerance,
+        "per_block": [
+            {"alpha": alpha, "E_alpha": e_alpha, "min_eigenvalue": bmin,
+             "passed": bmin >= -psd_tolerance}
+            for alpha, (e_alpha, bmin) in enumerate(zip(e.tolist(), block_min.tolist()))
+        ],
+    }
 
 
 __all__ = [
-    "BlockResult",
-    "DilationReport",
     "block_decompose",
     "build_effective_hamiltonian",
     "check_certifiable",

@@ -25,7 +25,7 @@ EXPORTS = {
     "model": ["BathModel", "InitialState", "LorentzPeak", "ModelError",
               "OhmicWithoutCutoffError", "SystemHamiltonian", "correlation",
               "correlation_by_quadrature", "counterterm_shift", "spectral_density"],
-    "pseudomode": ["DilationReport", "block_decompose", "build_effective_hamiltonian",
+    "pseudomode": ["block_decompose", "build_effective_hamiltonian",
                    "check_dilation_closed_form", "check_dilation_spectral",
                    "dilation_threshold", "optical_potential"],
     "volterra": ["GridMismatchError", "OracleTrajectory", "StepTooCoarseError",
@@ -35,7 +35,7 @@ EXPORTS = {
 
 def test_package_exports_resolve_on_first_access():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 32
+    assert len(names) == 31
     assert sorted(pseudobath.__all__) == names
     for module_name, exported in EXPORTS.items():
         module = importlib.import_module(f"pseudobath.{module_name}")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_fuzz import SPECIAL
 
 import pseudobath
-from pseudobath import cli, dynamics, volterra
+from pseudobath import cli, dynamics, pseudomode, volterra
 from pseudobath.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -36,6 +36,7 @@ from pseudobath.config import (
 )
 from pseudobath.linalg import LinAlgError
 from pseudobath.model import InitialState, ModelError, SystemHamiltonian
+from pseudobath.pseudomode import build_effective_hamiltonian, dilation_threshold, optical_potential
 
 
 def base_doc(**overrides):
@@ -131,6 +132,19 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as err:
             parse_config(json.dumps(doc))
         assert err.value.path == "$.system.matrix"
+
+    def test_round_trip_of_complex_entries(self):
+        # complex off-diagonal pairs tell a transposed matrix from H itself
+        matrix = [[[1, -0.0], [0.25, -0.5]], [[0.25, 0.5], [-2.0, 0]]]
+        doc = base_doc(system={"n": 2, "matrix": matrix},
+                       initial={"psi": [[0.6, -0.0], [0, 0.48]], "psi0": [-0.0, 0.64]})
+        cfg = parse_config(json.dumps(doc))
+        again = parse_config(json.dumps(config_to_dict(cfg)))
+        assert again.system.matrix.tobytes() == cfg.system.matrix.tobytes()
+        assert again.initial.psi.tobytes() == cfg.initial.psi.tobytes()
+        assert repr(again.initial.psi0) == repr(cfg.initial.psi0) == "(-0+0.64j)"
+        assert config_to_dict(cfg)["system"]["matrix"] == matrix
+        assert json.dumps(config_to_dict(again)) == json.dumps(config_to_dict(cfg))
 
     def test_apply_override(self):
         doc = base_doc()
@@ -816,6 +830,9 @@ class TestRhoRows:
             (2, lambda m: m + np.diag([0.0, 1e-6]), r"t=1\.0 trace deviates"),
             (4, lambda m: np.diag([1.5, -0.5]).astype(complex), r"t=2\.0 not PSD"),
             (1, lambda m: m * np.nan, r"t=0\.5 not Hermitian"),
+            # Hermitian, trace 1, below -_RHO_PSD_TOL by a factor of 5
+            (3, lambda m: np.diag([1.0 + 5e-10, -5e-10]).astype(complex),
+             r"t=1\.5 not PSD \(min eigenvalue -5\.000e-10\)"),
         ],
     )
     def test_validator_names_first_failing_time(self, index, damage, message):
@@ -846,6 +863,38 @@ class TestCheck:
         assert not report["closed_form_pass"]
         assert not report["spectral_pass"]
         assert report["threshold"] == pytest.approx(0.25)
+
+
+    def test_dilation_object_is_the_certificate(self, tmp_path):
+        # eta > 0, N = 2, K = 2: check and simulate write the dict that
+        # check_dilation_closed_form returns, and each value is the quantity
+        # its key names
+        doc = base_doc(
+            system={"n": 2, "matrix": [[[1.0, 0.0], [0.1, -0.05]], [[0.1, 0.05], [1.3, 0.0]]]},
+            bath={"peaks": [{"g": 0.4, "gamma": 0.8, "epsilon": 0.1},
+                            {"g": 0.3, "gamma": 0.6, "epsilon": -0.2}], "eta": 0.5},
+            initial={"psi": [[0.6, 0.0], [0.0, 0.5]], "psi0": [0.6244997998398398, 0.0]},
+        )
+        path = write_config(tmp_path, doc)
+        cfg = parse_config(json.dumps(doc))
+        expected = json.loads(json.dumps(pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)))
+        assert main(["check", "--config", path, "--out", str(tmp_path / "c")]) == EXIT_OK
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == EXIT_OK
+        written = json.loads((tmp_path / "c" / "dilation.json").read_text())
+        assert written == expected
+        assert json.loads((tmp_path / "s" / "report.json").read_text())["dilation"] == expected
+
+        e = np.linalg.eigvalsh(cfg.system.matrix)
+        v = optical_potential(build_effective_hamiltonian(cfg.system, cfg.bath))
+        tolerance = 1e-10 * (1.0 + float(np.linalg.norm(v)))
+        assert written["min_eigenvalue_H"] == e[0]
+        assert written["min_eigenvalue_V"] == np.linalg.eigvalsh(v)[0] != e[0]
+        assert written["threshold"] == dilation_threshold(cfg.bath)
+        assert written["psd_tolerance"] == tolerance
+        assert [b["alpha"] for b in written["per_block"]] == [0, 1]
+        assert [b["E_alpha"] for b in written["per_block"]] == e.tolist()
+        for b in written["per_block"]:
+            assert b["passed"] is (b["min_eigenvalue"] >= -tolerance)
 
 
 class TestCompare:

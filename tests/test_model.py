@@ -31,6 +31,12 @@ class TestTypes:
         with pytest.raises(ModelError):
             SystemHamiltonian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_hermiticity_tolerance_is_rounding_only(self):
+        # relative defect |1e-11| / (1 + 1) = 5e-12, above HERMITICITY_RTOL = 1e-12
+        with pytest.raises(ModelError, match=r"relative defect 5\.000e-12"):
+            SystemHamiltonian(np.array([[1.0, 1e-11], [0.0, 1.0]]))
+        SystemHamiltonian(np.array([[1.0, 1e-12], [0.0, 1.0]]))
+
     def test_peak_validation(self):
         with pytest.raises(ModelError):
             LorentzPeak(g=0.0, gamma=1.0)

@@ -7,7 +7,6 @@ from pseudobath import pseudomode
 from pseudobath.model import BathModel, LorentzPeak, SystemHamiltonian
 from pseudobath.linalg import hermitian_eigenvalues
 from pseudobath.pseudomode import (
-    BlockResult,
     block_decompose,
     build_effective_hamiltonian,
     check_dilation_closed_form,
@@ -71,8 +70,11 @@ def reference_block_results(h, bath, psd_tolerance):
     results = []
     for alpha, e_alpha, m in reference_blocks(h, bath):
         bmin = float(hermitian_eigenvalues(0.5j * (m - m.conj().T))[0])
-        results.append(BlockResult(alpha, e_alpha, bmin, bmin >= -psd_tolerance))
-    return tuple(results)
+        results.append(
+            {"alpha": alpha, "E_alpha": e_alpha, "min_eigenvalue": bmin,
+             "passed": bmin >= -psd_tolerance}
+        )
+    return results
 
 
 def assert_bitwise_equal(a, b):
@@ -108,9 +110,9 @@ class TestAgainstReference:
     def test_block_results(self):
         for h, bath in self.instances():
             report = check_dilation_closed_form(h, bath)
-            expected = reference_block_results(h, bath, report.psd_tolerance)
-            assert report.per_block == expected
-            assert repr(report.per_block) == repr(expected)  # signs of zeros too
+            expected = reference_block_results(h, bath, report["psd_tolerance"])
+            assert report["per_block"] == expected
+            assert repr(report["per_block"]) == repr(expected)  # signs of zeros too
 
 
 class TestBuildEffectiveHamiltonian:
@@ -258,17 +260,17 @@ class TestDilation:
         report = check_dilation_closed_form(h, bath)
         assert calls == [(9, 9)]
         v = optical_potential(build_effective_hamiltonian(h, bath))
-        assert report.psd_tolerance == 1e-10 * (1.0 + np.linalg.norm(v))
-        assert report.spectral_pass == check_dilation_spectral(v)[0]
+        assert report["psd_tolerance"] == 1e-10 * (1.0 + np.linalg.norm(v))
+        assert report["spectral_pass"] == check_dilation_spectral(v)[0]
 
     def test_threshold_beats_small_system_energy(self):
         # threshold (eta/4) g^2/gamma = 0.25 exceeds E = 0.2
         h = SystemHamiltonian(np.array([[0.2]]))
         bath = BathModel(peaks=(LorentzPeak(1.0, 1.0, 0.0),), eta=1.0)
         report = check_dilation_closed_form(h, bath)
-        assert report.threshold == pytest.approx(0.25)
-        assert not report.closed_form_pass
-        assert not report.spectral_pass
+        assert report["threshold"] == pytest.approx(0.25)
+        assert not report["closed_form_pass"]
+        assert not report["spectral_pass"]
 
     def test_threshold_arithmetic(self):
         bath = BathModel(
@@ -277,42 +279,52 @@ class TestDilation:
         assert dilation_threshold(bath) == pytest.approx(0.5)
         passing = check_dilation_closed_form(SystemHamiltonian(0.6 * np.eye(2)), bath)
         failing = check_dilation_closed_form(SystemHamiltonian(0.4 * np.eye(2)), bath)
-        assert passing.closed_form_pass and passing.spectral_pass
-        assert not failing.closed_form_pass and not failing.spectral_pass
+        assert passing["closed_form_pass"] and passing["spectral_pass"]
+        assert not failing["closed_form_pass"] and not failing["spectral_pass"]
 
     def test_eta_zero_passes_regardless_of_system_sign(self):
         h = SystemHamiltonian(np.diag([-5.0, 1.0]))
         report = check_dilation_closed_form(h, BathModel(peaks=(LorentzPeak(1.0, 1.0),)))
-        assert report.closed_form_pass
-        assert report.spectral_pass
+        assert report["closed_form_pass"]
+        assert report["spectral_pass"]
 
     def test_empty_bath_trivial_pass(self):
         report = check_dilation_closed_form(SystemHamiltonian(np.diag([-1.0])), BathModel())
-        assert report.closed_form_pass and report.spectral_pass
+        assert report["closed_form_pass"] and report["spectral_pass"]
 
     def test_empty_bath_report(self):
         # a closed system: zero optical potential, one trivial block per level
         h = SystemHamiltonian(np.array([[0.5, 0.1j, 0.0], [-0.1j, -1.0, 0.3], [0.0, 0.3, 1.5]]))
         report = check_dilation_closed_form(h, BathModel())
-        assert report.threshold == 0.0
-        assert report.min_eigenvalue_v == 0.0
-        assert report.psd_tolerance == 1e-10
-        assert len(report.per_block) == 3
+        assert report["threshold"] == 0.0
+        assert report["min_eigenvalue_V"] == 0.0
+        assert report["psd_tolerance"] == 1e-10
+        assert len(report["per_block"]) == 3
         np.testing.assert_allclose(
-            [b.e_alpha for b in report.per_block], np.linalg.eigvalsh(h.matrix), atol=1e-14
+            [b["E_alpha"] for b in report["per_block"]], np.linalg.eigvalsh(h.matrix), atol=1e-14
         )
-        for b in report.per_block:
-            assert b.min_eigenvalue == 0.0
-            assert b.passed
+        for b in report["per_block"]:
+            assert b["min_eigenvalue"] == 0.0
+            assert b["passed"]
+
+    def test_block_minimum_inside_the_tolerance_band_passes(self):
+        # at E = threshold the block optical potential is singular, and its
+        # smallest eigenvalue is rounding noise just below 0
+        bath = BathModel(peaks=(LorentzPeak(0.3, 0.5),), eta=0.5)
+        report = check_dilation_closed_form(SystemHamiltonian([[dilation_threshold(bath)]]), bath)
+        (block,) = report["per_block"]
+        assert -report["psd_tolerance"] < block["min_eigenvalue"] < 0.0
+        assert block["passed"] is True
+        assert report["spectral_pass"] is True
 
     def test_per_block_consistent_with_global(self):
         rng = np.random.default_rng(10)
         h = SystemHamiltonian(random_hermitian(rng, 3, scale=2.0))
         bath = random_bath(rng, 2, eta=1.5)
         report = check_dilation_closed_form(h, bath)
-        assert len(report.per_block) == 3
-        block_min = min(b.min_eigenvalue for b in report.per_block)
-        assert block_min == pytest.approx(report.min_eigenvalue_v, abs=1e-10)
+        assert len(report["per_block"]) == 3
+        block_min = min(b["min_eigenvalue"] for b in report["per_block"])
+        assert block_min == pytest.approx(report["min_eigenvalue_V"], abs=1e-10)
 
     @given(shift=st.floats(0.01, 5.0), seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
@@ -326,7 +338,7 @@ class TestDilation:
         after = check_dilation_closed_form(
             SystemHamiltonian(h + shift * np.eye(n)), bath
         )
-        if before.closed_form_pass:
-            assert after.closed_form_pass
-        if before.spectral_pass and abs(before.min_eigenvalue_v) > 1e-8:
-            assert after.spectral_pass
+        if before["closed_form_pass"]:
+            assert after["closed_form_pass"]
+        if before["spectral_pass"] and abs(before["min_eigenvalue_V"]) > 1e-8:
+            assert after["spectral_pass"]

@@ -8,14 +8,12 @@ import pytest
 from pseudobath.config import RunConfig
 from pseudobath.dynamics import Trajectory
 from pseudobath.model import BathModel, InitialState, LorentzPeak, ModelError, SystemHamiltonian
-from pseudobath.pseudomode import BlockResult, DilationReport
 from pseudobath.volterra import OracleTrajectory
 
 H = SystemHamiltonian(np.array([[0.5]]))
 PEAK = LorentzPeak(0.5, 1.0)
 BATH = BathModel((PEAK,), 0.25)
 INIT = InitialState(np.array([0.6]), 0.8)
-BLOCK = BlockResult(0, 0.5, 0.0, True)
 TIMES = np.array([0.0, 1.0])
 STATES = np.ones((2, 1), dtype=complex)
 
@@ -23,7 +21,6 @@ _H_REPR = "SystemHamiltonian(matrix=array([[0.5+0.j]]))"
 _PEAK_REPR = "LorentzPeak(g=0.5, gamma=1.0, epsilon=0.0)"
 _BATH_REPR = f"BathModel(peaks=({_PEAK_REPR},), eta=0.25, cutoff=None)"
 _INIT_REPR = "InitialState(psi=array([0.6+0.j]), psi0=(0.8+0j))"
-_BLOCK_REPR = "BlockResult(alpha=0, e_alpha=0.5, min_eigenvalue=0.0, passed=True)"
 _STATES_REPR = "array([[1.+0.j],\n       [1.+0.j]])"
 
 # (type, field names, values of the required fields, the other fields'
@@ -39,14 +36,6 @@ RECORDS = [
      (H, BATH, INIT, 5.0, 51), (4000, {}),
      f"RunConfig(system={_H_REPR}, bath={_BATH_REPR}, initial={_INIT_REPR}, t_max=5.0, "
      "output_points=51, oracle_steps=4000, sweep={})"),
-    (BlockResult, ("alpha", "e_alpha", "min_eigenvalue", "passed"), (0, 0.5, 0.0, True), (),
-     _BLOCK_REPR),
-    (DilationReport,
-     ("spectral_pass", "min_eigenvalue_v", "closed_form_pass", "threshold",
-      "min_eigenvalue_h", "psd_tolerance", "per_block"),
-     (True, 0.0, True, 0.0, 0.5, 1e-12, (BLOCK,)), (),
-     "DilationReport(spectral_pass=True, min_eigenvalue_v=0.0, closed_form_pass=True, "
-     f"threshold=0.0, min_eigenvalue_h=0.5, psd_tolerance=1e-12, per_block=({_BLOCK_REPR},))"),
     (Trajectory, ("times", "n", "k", "vectors"), (TIMES, 1, 0, STATES), (),
      f"Trajectory(times=array([0., 1.]), n=1, k=0, vectors={_STATES_REPR})"),
     (OracleTrajectory, ("times", "states", "error_estimate"), (TIMES, STATES), (None,),
