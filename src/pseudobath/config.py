@@ -243,7 +243,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "eta": cfg.bath.eta,
         },
         "initial": {
-            "psi": cfg.initial.psi.view(float).reshape(n, 2).tolist(),
+            "psi": cfg.initial.psi.view(float).reshape(-1, 2).tolist(),
             "psi0": [cfg.initial.psi0.real, cfg.initial.psi0.imag],
         },
         "time": {"t_max": cfg.t_max, "points": cfg.output_points},

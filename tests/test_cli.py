@@ -146,6 +146,12 @@ class TestParseConfig:
         assert config_to_dict(cfg)["system"]["matrix"] == matrix
         assert json.dumps(config_to_dict(again)) == json.dumps(config_to_dict(cfg))
 
+    def test_psi_is_written_whatever_its_length(self):
+        # RunConfig does not tie psi's length to the matrix; serializing must not either
+        cfg = parse_config(json.dumps(base_doc()))
+        cfg = cfg._replace(initial=InitialState(psi=[1, 0, 0]))
+        assert config_to_dict(cfg)["initial"]["psi"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
     def test_apply_override(self):
         doc = base_doc()
         apply_override(doc, "bath.peaks[0].g", 1.25)
