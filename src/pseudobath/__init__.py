@@ -22,9 +22,8 @@ _EXPORTS = {
         "spectral_density"
     ),
     "pseudomode": (
-        "block_decompose build_effective_hamiltonian "
-        "check_dilation_closed_form check_dilation_spectral dilation_threshold "
-        "optical_potential"
+        "block_stack build_effective_hamiltonian check_dilation_closed_form "
+        "dilation_threshold optical_potential"
     ),
     "volterra": (
         "GridMismatchError OracleTrajectory StepTooCoarseError deviation_norms "

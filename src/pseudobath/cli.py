@@ -191,8 +191,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
 def cmd_compare(cfg: RunConfig, args) -> int:
     if not 0.0 <= args.threshold < math.inf:
         raise ArgumentError(f"--threshold must be finite and >= 0, got {args.threshold}")
-    # simulate and check meet the same guard when they certify
-    pseudomode.check_certifiable(cfg.system, cfg.bath)
+    # certified as by check and simulate, before either route runs
+    pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
     from . import dynamics, volterra
 
     steps = cfg.oracle_steps

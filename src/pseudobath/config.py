@@ -141,13 +141,24 @@ def _complex_array(values, path_of) -> np.ndarray:
     return np.array([_complex(v, path_of(i)) for i, v in enumerate(values)], dtype=complex)
 
 
+def _all_finite(value) -> bool:
+    """Whether no float nested anywhere in a JSON value is NaN or infinite."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, dict)):
+            stack.extend(v.values() if isinstance(v, dict) else v)
+        elif isinstance(v, float) and not math.isfinite(v):
+            return False
+    return True
+
+
 def parse_config(text) -> RunConfig:
     """Parse and validate a JSON configuration document."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    # ValueError: not UTF-8, not JSON, or an integer of over 4300 digits
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("$", "top level must be an object")
@@ -218,6 +229,9 @@ def parse_config(text) -> RunConfig:
     for key, vals in sweep.items():
         if not isinstance(vals, list) or not vals:
             raise ValidationError(f"$.sweep.{key}", "expected a non-empty list of values")
+        for i, val in enumerate(vals):
+            if not _all_finite(val):
+                raise ValidationError(f"$.sweep.{key}[{i}]", f"must be finite, got {val}")
 
     return RunConfig(
         system=system,

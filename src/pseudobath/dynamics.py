@@ -4,13 +4,13 @@ reconstruction.
 The extended state stacks the system amplitudes with one pseudomode copy per
 Lorentz peak; a trajectory keeps those states as one (T, (K+1)N) array.  The
 generator is fixed, so the states are matrix exponentials applied to psi(0),
-taken block by block in the eigenbasis of H; the dense (K+1)N generator is
-never formed.  A closed system (empty bath) is the K = 0 case of the same
-propagation.  ``evolve_chunks`` yields a trajectory in pieces of bounded size,
-so that its memory does not grow with the grid; ``evolve`` joins them.
-Tracing out the reservoirs maps the system part straight onto an
-(N+1) x (N+1) density matrix: the ground population is the missing norm.
-``observables`` builds those matrices for a whole trajectory or piece at once.
+taken block by block in the eigenbasis of H (``pseudomode.block_stack``); the
+dense (K+1)N generator is never formed.  A closed system (empty bath) is the
+K = 0 case of the same propagation.  ``evolve_chunks`` yields a trajectory in
+pieces of bounded size, so that its memory does not grow with the grid;
+``evolve`` joins them.  Tracing out the reservoirs maps the system part
+straight onto an (N+1) x (N+1) density matrix, the ground population being
+the missing norm; ``observables`` does so for a trajectory or a piece at once.
 """
 
 from collections import namedtuple
@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import LinAlgError, propagate_chunks
 from .model import BathModel, InitialState, SystemHamiltonian, _make_validated, renormalization
-from .pseudomode import _blocks
+from .pseudomode import block_stack
 
 
 class NormExceededError(LinAlgError):
@@ -60,7 +60,7 @@ def evolve_chunks(h: SystemHamiltonian, bath: BathModel, init: InitialState, tim
     ``linalg.CHUNK_ROWS`` each.
 
     With H = W diag(E) W^dagger the generator splits into the N blocks of
-    ``pseudomode._blocks``; block alpha starts at c_alpha e_0, c = W^dagger
+    ``pseudomode.block_stack``; block alpha starts at c_alpha e_0, c = W^dagger
     psi(0), runs through ``linalg.propagate_chunks`` and each piece is rotated
     back by W.  With an Ohmic bath the system part of the initial vector is
     scaled by 1/(1 + i*eta/2), matching the cutoff-removal limit that the
@@ -74,7 +74,7 @@ def evolve_chunks(h: SystemHamiltonian, bath: BathModel, init: InitialState, tim
     z0[:, 0] = w.conj().T @ psi
     times = np.asarray(times, dtype=float)
     lo = 0
-    for z in propagate_chunks(_blocks(e, bath), z0, times):
+    for z in propagate_chunks(block_stack(e, bath), z0, times):
         rows = z.shape[1]
         # [t, j, b] = sum_a W[b, a] z[a, t, j] is column j*N + b of row t.
         # einsum, not a BLAS gemm: the skinny (T(K+1), N) x (N, N) gemm ran

@@ -5,8 +5,9 @@ eigenvalues, of one matrix or of a stack, go to LAPACK through numpy behind a
 strict Hermiticity check.  A linear ODE whose generator is a stack of small
 blocks is propagated exactly on a time grid by scaling-and-squaring matrix
 exponentials of the blocks (Al-Mohy & Higham 2009): no step-size control and
-no tolerances.  That ``expm`` is scipy's, loaded on first use, so importing
-this module loads numpy alone.
+no tolerances, in pieces of at most ``CHUNK_ROWS`` rows that a caller joins
+if it wants them whole.  That ``expm`` is scipy's, loaded on first use, so
+importing this module loads numpy alone.
 """
 
 import numpy as np
@@ -147,18 +148,11 @@ def propagate_chunks(blocks, z0, times):
         lo = hi
 
 
-def propagate_blocks(blocks, z0, times) -> np.ndarray:
-    """The pieces of ``propagate_chunks`` as one (N, T, d) array whose [a, k]
-    is z_a(times[k])."""
-    return np.concatenate(list(propagate_chunks(blocks, z0, times)), axis=1)
-
-
 __all__ = [
     "CHUNK_ROWS",
     "DimensionMismatchError",
     "LinAlgError",
     "NotHermitianError",
     "hermitian_eigenvalues",
-    "propagate_blocks",
     "propagate_chunks",
 ]

@@ -64,10 +64,6 @@ class SystemHamiltonian(namedtuple("SystemHamiltonian", "matrix")):
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def shifted(self, shift: float) -> "SystemHamiltonian":
-        """Return H + shift * I."""
-        return SystemHamiltonian(self.matrix + shift * np.eye(self.n))
-
 
 class LorentzPeak(namedtuple("LorentzPeak", "g gamma epsilon")):
     """One Lorentzian term of the spectral density.
@@ -206,7 +202,7 @@ def correlation(bath: BathModel, t):
 def counterterm_shift(h_r: SystemHamiltonian, bath: BathModel) -> SystemHamiltonian:
     """Add the counterterm eta*Omega/pi of a bath with a cutoff Omega to the
     system Hamiltonian."""
-    return h_r.shifted(bath.eta * bath.cutoff / np.pi)
+    return SystemHamiltonian(h_r.matrix + bath.eta * bath.cutoff / np.pi * np.eye(h_r.n))
 
 
 #: Quadrature nodes evaluated at a time, so that multi-million-point

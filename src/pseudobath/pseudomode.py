@@ -9,11 +9,11 @@ whether the reduced dynamics embeds into a GKSL semigroup on the enlarged
 space: the dilation exists iff the optical potential is non-negative
 definite.  The generator is one (K+1) x (K+1) bath block tensored with the
 N x N identity, f*H_S in its system corner; in the eigenbasis of H_S it
-splits into N such blocks with f*E_alpha in the corner.  The generator,
-its optical potential and the block stack are plain complex arrays, and
-``check_dilation_closed_form`` returns the certificate as the JSON object
-that ``check`` and ``simulate`` write.  An empty bath (K = 0, eta = 0) is
-the closed system: the generator is H_S.
+splits into N such blocks with f*E_alpha in the corner (``block_stack``).
+``check_dilation_closed_form``, the one certifier of every command, returns
+the certificate as the JSON object that ``check`` and ``simulate`` write.
+The generator, V and the block stack are plain complex arrays.  An empty
+bath (K = 0, eta = 0) is the closed system: the generator is H_S.
 """
 
 import numpy as np
@@ -33,8 +33,10 @@ def _bath_block(bath: BathModel) -> np.ndarray:
     return a
 
 
-def _blocks(e: np.ndarray, bath: BathModel) -> np.ndarray:
-    """(N, K+1, K+1) stack: the bath block with f*E_alpha in corner alpha."""
+def block_stack(e: np.ndarray, bath: BathModel) -> np.ndarray:
+    """(N, K+1, K+1) stack of the generator's blocks in the eigenbasis of H,
+    one per eigenvalue E_alpha in ``e``: the bath block with f*E_alpha in its
+    corner.  Their spectra jointly reproduce the spectrum of the generator."""
     blocks = np.repeat(_bath_block(bath)[np.newaxis], e.shape[0], axis=0)
     blocks[:, 0, 0] = renormalization(bath.eta) * e
     return blocks
@@ -73,32 +75,10 @@ def _psd_tolerance(v: np.ndarray) -> float:
     return 1e-10 * (1.0 + norm)
 
 
-def check_certifiable(h_r: SystemHamiltonian, bath: BathModel) -> None:
-    """Raise ModelError where check_dilation_closed_form would find the
-    optical potential too large to certify; builds V, diagonalizes nothing."""
-    _psd_tolerance(optical_potential(build_effective_hamiltonian(h_r, bath)))
-
-
-def block_decompose(h: SystemHamiltonian, bath: BathModel) -> np.ndarray:
-    """Decompose the effective Hamiltonian into an (N, K+1, K+1) array of
-    blocks, one per eigenvalue E_alpha of the system Hamiltonian (ascending,
-    with multiplicity).
-
-    Rotating every N-dimensional subspace into the eigenbasis of H leaves
-    block alpha equal to the bath block with f*E_alpha in its corner; the
-    block spectra jointly reproduce the spectrum of the full generator.
-    """
-    return _blocks(hermitian_eigenvalues(h.matrix), bath)
-
-
-def check_dilation_spectral(v: np.ndarray) -> tuple[bool, float]:
-    """Smallest eigenvalue of the optical potential, with the PSD verdict."""
-    min_eig = float(hermitian_eigenvalues(v)[0])
-    return min_eig >= -_psd_tolerance(v), min_eig
-
-
 def dilation_threshold(bath: BathModel) -> float:
-    """(eta/4) * sum g_j^2 / gamma_j."""
+    """(eta/4) * sum g_j^2 / gamma_j; zero, with eta's sign, at eta = 0."""
+    if bath.eta == 0.0:
+        return 0.25 * bath.eta
     return 0.25 * bath.eta * sum(p.g**2 / p.gamma for p in bath.peaks)
 
 
@@ -125,10 +105,10 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> dict:
     closed_form_pass = bath.eta == 0.0 or min_eig_h >= threshold
 
     v = optical_potential(build_effective_hamiltonian(h_r, bath))
-    # as check_dilation_spectral, with the norm of V taken once for every verdict
+    # the norm of V is taken once, for every verdict
     min_eig_v = float(hermitian_eigenvalues(v)[0])
     psd_tolerance = _psd_tolerance(v)
-    block_min = hermitian_eigenvalues(optical_potential(_blocks(e, bath)))[:, 0]
+    block_min = hermitian_eigenvalues(optical_potential(block_stack(e, bath)))[:, 0]
     return {
         "spectral_pass": min_eig_v >= -psd_tolerance,
         "min_eigenvalue_V": min_eig_v,
@@ -145,11 +125,9 @@ def check_dilation_closed_form(h_r: SystemHamiltonian, bath: BathModel) -> dict:
 
 
 __all__ = [
-    "block_decompose",
+    "block_stack",
     "build_effective_hamiltonian",
-    "check_certifiable",
     "check_dilation_closed_form",
-    "check_dilation_spectral",
     "dilation_threshold",
     "optical_potential",
 ]

@@ -47,6 +47,8 @@ MUTANTS = [
      "the sign of a peak's detuning in the generator", "tests/test_pseudomode.py"),
     ("src/pseudobath/config.py", "reshape(n, n, 2).tolist()", "reshape(n, n, 2).transpose(1, 0, 2).tolist()",
      "config_to_dict writes the transposed matrix", "tests/test_cli.py"),
+    ("src/pseudobath/csvformat.py", "_HALF_MARGIN = 1e-7", "_HALF_MARGIN = 0.0",
+     "no near-tie entry falls back to %", "tests/test_csvformat.py"),
     ("src/pseudobath/linalg.py", "HERMITICITY_RTOL = 1e-12", "HERMITICITY_RTOL = 1e-11",
      "a ten times wider Hermiticity tolerance", "tests/test_model.py"),
     ("src/pseudobath/cli.py", "_RHO_PSD_TOL = 1e-10", "_RHO_PSD_TOL = 1e-9",

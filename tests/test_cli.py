@@ -390,6 +390,22 @@ class TestInputErrors:
         assert "invalid input: dilation threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_refuses_what_check_refuses(self, tmp_path, capsys):
+        # (eta/4) g^2/gamma = 2.5e309 overflows: compare ran a guard of its
+        # own and exited 3 with "route deviation is not finite"
+        doc = base_doc(bath={"peaks": [{"g": 1e150, "gamma": 1.0}], "eta": 1e10})
+        path = write_config(tmp_path, doc)
+        results = []
+        for command in ("check", "compare"):
+            out = tmp_path / command
+            code = main([command, "--config", path, "--out", str(out)])
+            results.append((code, capsys.readouterr().err))
+            assert not out.exists()
+        assert results[0] == results[1] == (
+            EXIT_CONFIG,
+            "invalid input: dilation threshold (eta/4) * sum g_j^2/gamma_j overflows (inf)\n",
+        )
+
     @pytest.mark.parametrize(
         "argv, eta", [(["compare"], 0.0), (["cutoff-study", "--omegas", "2"], 0.5)]
     )
@@ -585,6 +601,30 @@ class TestInputErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"$.{field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "values, path, shown",
+        [
+            ("[1.0, NaN]", "[1]", "nan"),
+            ("[Infinity]", "[0]", "inf"),
+            ("[2.0, 3.0, 1e999]", "[2]", "inf"),
+            ("[[NaN, 0]]", "[0]", "[nan, 0]"),
+        ],
+        ids=["NaN", "Infinity", "1e999", "nested"],
+    )
+    def test_non_finite_sweep_value(self, tmp_path, capsys, command, values, path, shown):
+        # the values were copied raw, and written as bare NaN/Infinity tokens
+        # into report.json and manifest.json
+        text = json.dumps(base_doc())[:-1] + f', "sweep": {{"time.t_max": {values}}}}}'
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"invalid config: $.sweep.time.t_max{path}: must be finite, got {shown}\n"
+        )
+        assert not out.exists()
+
 
 class TestFuzzFindings:
     """Defects found by ``test_fuzz.py``: each ended in a traceback, printed
@@ -620,6 +660,23 @@ class TestFuzzFindings:
             "invalid config: $.initial: initial state is not normalized: "
             "||psi||^2 + |psi0|^2 = inf\n"
         )
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"\xff{}", b"[" * 200_000 + b"]" * 200_000, b'{"system": ' + b"1" * 5000 + b"}"],
+        ids=["not UTF-8", "nested 200000 deep", "5000 digits"],
+    )
+    def test_unreadable_config(self, tmp_path, capsys, text):
+        # UnicodeDecodeError, RecursionError and the ValueError of an integer
+        # of over 4300 digits ended in a traceback
+        config = tmp_path / "run.json"
+        config.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: malformed JSON: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "check", "compare"])
     def test_hamiltonian_too_large_to_certify(self, tmp_path, command):
@@ -870,6 +927,18 @@ class TestCheck:
         assert not report["spectral_pass"]
         assert report["threshold"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("eta", [0.0, -0.0])
+    def test_pure_lorentz_bath_whose_sum_overflows(self, tmp_path, eta):
+        # 2 g^2/gamma = 2e308 overflows, and the threshold was 0 * inf = NaN:
+        # check refused the bath, which is always dilatable
+        peak = {"g": 1e154, "gamma": 1.0, "epsilon": 0.1}
+        doc = base_doc(bath={"peaks": [peak, peak], "eta": eta})
+        out = tmp_path / "out"
+        assert main(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+        text = (out / "dilation.json").read_text()
+        assert f'"threshold": {eta}\n' in text
+        report = json.loads(text)
+        assert report["closed_form_pass"] and report["spectral_pass"]
 
     def test_dilation_object_is_the_certificate(self, tmp_path):
         # eta > 0, N = 2, K = 2: check and simulate write the dict that

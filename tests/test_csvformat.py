@@ -41,6 +41,11 @@ def corpus() -> dict:
         "subnormals": rng.integers(1, 2**52, 500, dtype=np.int64).view(float),
         "powers of ten": neighbours(np.concatenate((powers, -powers)), 1),
         "notation switches": neighbours([1e-4, 1e-5, 1e16, 1e17, 1e15, 1e-3], 5),
+        # x * 10^25 lies 4e-16 and 2e-16 below a half-integer, where the
+        # double-double product rounds up: only the _HALF_MARGIN fallback to
+        # % prints 4.8677287764934085e-09 and 4.9102966142601843e-09
+        "near ties": [float.fromhex("0x1.4e81fd810348ap-28"),
+                      float.fromhex("0x1.516eda0094298p-28")],
         "halves": np.concatenate((np.arange(-2000, 2001) * 0.005, 1e15 + np.arange(0, 64) * 0.25)),
         "integers": np.concatenate((np.arange(-100, 101), 10.0 ** np.arange(17) * 7)),
         "random bits": rng.integers(0, 2**64, 10000, dtype=np.uint64).view(float),

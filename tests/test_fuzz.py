@@ -1,6 +1,7 @@
 """Property test of the exit-code contract: on any mutation of a valid config
-the command line returns 0, 2, 3 or 4, with one line on stderr for 2 and 3,
-and never raises."""
+the command line returns 0, 2, 3 or 4, with one line on stderr for 2 and 3
+(a sweep: one for each failing point), never raises, and leaves only strict
+JSON (no NaN or Infinity token)."""
 
 import contextlib
 import copy
@@ -34,6 +35,7 @@ def valid_doc(n: int, k: int) -> dict:
         "initial": {"psi": psi, "psi0": [1.0 / math.sqrt(n + 1), 0.0]},
         "time": {"t_max": 2.0, "points": 11},
         "solver": {"oracle_steps": 40},
+        "sweep": {"time.t_max": [1.0, 2.0]},
     }
 
 
@@ -68,6 +70,7 @@ OPTION_VALUES = st.sampled_from(["nan", "inf", "-1", "0", "1e-6", "0.5", "20"])
 ARGVS = st.one_of(
     st.just(["simulate"]),
     st.just(["check"]),
+    st.just(["sweep", "--jobs", "1"]),  # one process: the fuzz starts no other
     st.builds(lambda v: ["compare", "--threshold", v], OPTION_VALUES),
     st.builds(
         lambda omega, t_min: ["cutoff-study", "--omegas", omega, "--t-min", t_min],
@@ -76,18 +79,33 @@ ARGVS = st.one_of(
 )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def check_exit_contract(doc, argv):
-    """Run ``argv`` on the config ``doc`` and assert the exit-code contract."""
+    """Run ``argv`` on the config ``doc`` and assert the exit-code contract;
+    every .json file it leaves must parse as strict JSON."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "run.json")
         with open(config, "w") as fh:
             json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv + ["--config", config, "--out", os.path.join(tmp, "out")])
+            code = main(argv + ["--config", config, "--out", out])
+        for root, _, names in os.walk(out):
+            for name in names:
+                if name.endswith(".json"):
+                    with open(os.path.join(root, name)) as fh:
+                        json.load(fh, parse_constant=_reject_constant)
     assert code in (0, 2, 3, 4)
     if code in (2, 3):
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        lines = err.getvalue().splitlines(keepends=True)
+        assert lines and all(line.endswith("\n") for line in lines)
+        # a sweep reports each failing point on a line of its own
+        if len(lines) > 1:
+            assert argv[0] == "sweep" and all(line.startswith("point_") for line in lines)
     else:
         assert err.getvalue() == ""
 

@@ -17,7 +17,6 @@ from pseudobath.linalg import (
     LinAlgError,
     NotHermitianError,
     hermitian_eigenvalues,
-    propagate_blocks,
     propagate_chunks,
 )
 from pseudobath.model import BathModel, InitialState, LorentzPeak, SystemHamiltonian
@@ -88,10 +87,15 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(np.array([[np.nan]]))
 
 
+def propagate_whole(blocks, z0, times):
+    """The pieces of ``propagate_chunks`` joined into one (N, T, d) array."""
+    return np.concatenate(list(propagate_chunks(blocks, z0, times)), axis=1)
+
+
 def integrate(m, y0, grid):
     """dy/dt = -i M y on a grid, with M as a single block."""
     m = np.asarray(m, dtype=complex)[np.newaxis]
-    return propagate_blocks(m, np.asarray(y0, dtype=complex)[np.newaxis], grid)[0]
+    return propagate_whole(m, np.asarray(y0, dtype=complex)[np.newaxis], grid)[0]
 
 
 class TestIntegrateLinearOde:
@@ -180,7 +184,7 @@ class TestPropagateBlocks:
         blocks -= 0.5j * np.eye(4) * np.arange(1, 4)[:, np.newaxis, np.newaxis]
         z0 = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         t = np.concatenate([np.linspace(0.0, 0.3, 4), [0.4], np.linspace(1.0, 2.5, 7), [3.0]])
-        z = propagate_blocks(blocks, z0, t)
+        z = propagate_whole(blocks, z0, t)
         assert z.shape == (3, t.size, 4)
         np.testing.assert_array_equal(z[:, 0], z0)
         for b, z0_b, z_b in zip(blocks, z0, z):
@@ -201,7 +205,7 @@ class TestPropagateBlocks:
         # a run of m equal steps takes ceil(log2(m + 1)) stacked expm calls
         seen = []
         monkeypatch.setattr(linalg, "expm", lambda a: seen.append(a.shape) or expm(a))
-        propagate_blocks(np.zeros((2, 3, 3)), np.ones((2, 3)), t)
+        propagate_whole(np.zeros((2, 3, 3)), np.ones((2, 3)), t)
         assert seen == [(2, 3, 3)] * calls
 
     def test_pieces_of_a_grid(self):
@@ -323,7 +327,7 @@ class TestChunks:
         assert len(calls) == (3 + 1) + 2 + 1 + (3 + 1) + (3 + 1)
         assert all(1 <= piece.shape[1] <= 8 for piece in pieces)
         z = np.concatenate(pieces, axis=1)
-        np.testing.assert_array_equal(z, propagate_blocks(blocks, z0, t))
+        np.testing.assert_array_equal(z, propagate_whole(blocks, z0, t))
         for b, z0_b, z_b in zip(blocks, z0, z):
             for ti, zi_b in zip(t, z_b):
                 exact = expm(-1j * ti * b) @ z0_b
