@@ -141,16 +141,26 @@ def _complex_array(values, path_of) -> np.ndarray:
     return np.array([_complex(v, path_of(i)) for i, v in enumerate(values)], dtype=complex)
 
 
-def _all_finite(value) -> bool:
-    """Whether no float nested anywhere in a JSON value is NaN or infinite."""
-    stack = [value]
+#: Levels a sweep value may nest; no config field nests more than 3 (the
+#: matrix), and the report writer recurses once per level.
+_MAX_SWEEP_DEPTH = 32
+
+
+def _check_sweep_value(value, path: str):
+    """Raise unless ``value`` nests at most _MAX_SWEEP_DEPTH levels and no
+    float nested anywhere in it is NaN or infinite."""
+    finite = True
+    stack = [(value, 0)]
     while stack:
-        v = stack.pop()
+        v, depth = stack.pop()
         if isinstance(v, (list, dict)):
-            stack.extend(v.values() if isinstance(v, dict) else v)
+            if depth == _MAX_SWEEP_DEPTH:
+                raise ValidationError(path, f"nested more than {_MAX_SWEEP_DEPTH} levels deep")
+            stack.extend((w, depth + 1) for w in (v.values() if isinstance(v, dict) else v))
         elif isinstance(v, float) and not math.isfinite(v):
-            return False
-    return True
+            finite = False
+    if not finite:
+        raise ValidationError(path, f"must be finite, got {value}")
 
 
 def parse_config(text) -> RunConfig:
@@ -230,8 +240,7 @@ def parse_config(text) -> RunConfig:
         if not isinstance(vals, list) or not vals:
             raise ValidationError(f"$.sweep.{key}", "expected a non-empty list of values")
         for i, val in enumerate(vals):
-            if not _all_finite(val):
-                raise ValidationError(f"$.sweep.{key}[{i}]", f"must be finite, got {val}")
+            _check_sweep_value(val, f"$.sweep.{key}[{i}]")
 
     return RunConfig(
         system=system,

@@ -12,11 +12,12 @@ whole-array passes:
   Numer. Math. 18 (1971) 224), so the scaled value is off by about 1e-14 at
   most.  E moves by one where D falls outside [10^16, 10^17), and a rounding
   up to 10^17 carries into the exponent.
-- Each entry becomes six 8-byte words, looked up in tables: the sign, the
-  "0.000" of fixed notation below 1 and the first digit; digits 1 to 16,
-  each followed by a byte for a decimal point, with the trailing zeros
-  masked off; the exponent and the separator.  Unused bytes are NUL, and the
-  text is what remains when they are deleted.
+- Each entry becomes four 8-byte words, looked up in tables: the sign, the
+  "0.000" of fixed notation below 1, the first digit and its decimal point;
+  digits 1 to 16, one byte each, with the trailing zeros masked off; the
+  exponent and the separator.  A decimal point after digit u = 1..15 goes in
+  by shifting the digits after it one byte to the right.  Unused bytes are
+  NUL, and the text is what remains when they are deleted.
 
 Entries that this cannot settle are formatted by ``%`` one at a time: a
 scaled value within 1e-7 of a half (where the rounding of a tie could
@@ -38,11 +39,11 @@ _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
 _tables = None
 
 
-def _words(rows) -> np.ndarray:
-    """One 8-byte word per string of at most 8 one-byte characters, padded
-    with NUL."""
+def _words(rows, size=8) -> np.ndarray:
+    """One ``size``-byte word per string of at most ``size`` one-byte
+    characters, padded with NUL."""
     return np.frombuffer(
-        b"".join(r.encode("latin-1").ljust(8, b"\0") for r in rows), dtype=np.uint64
+        b"".join(r.encode("latin-1").ljust(size, b"\0") for r in rows), dtype=f"u{size}"
     )
 
 
@@ -73,10 +74,12 @@ def _load_tables() -> tuple:
     builds nothing:
 
     - powers: see _powers_of_ten;
-    - cells[g]: the four digits of g = 0..9999, each followed by NUL;
+    - cells[g]: the four digits of g = 0..9999 as a 4-byte cell;
     - significant[g]: how many of them run up to the last nonzero one;
     - keep[k, m]: the mask of the digits of group k (digits 4k+1..4k+4) that
       come no later than digit m;
+    - shift[u, j]: the byte of an entry that byte 8 + j takes when a decimal
+      point follows digit u (j = u, the point itself, is written after);
     - prefix[sign + 2 * zeros + 10 * digit + 100 * point]: "-" or NUL, then
       "", "0.", "0.0", "0.00" or "0.000", the first digit, "." or NUL;
     - suffix[2 * (E + _MAX_EXP + 1) + newline] in exponent notation and
@@ -85,15 +88,16 @@ def _load_tables() -> tuple:
     """
     global _tables
     if _tables is None:
-        ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-        cells = np.zeros((10000, 4, 2), dtype=np.uint8)
+        grid = np.zeros((10, 10, 10, 10, 4), dtype=np.uint8)
         significant = np.zeros(10000, dtype=np.int8)
         for k in range(4):
             # digit k of g varies along axis k of g's (10, 10, 10, 10) grid
-            grid = cells.reshape(10, 10, 10, 10, 4, 2)
-            grid[..., k, 0] = ascii_digits.reshape((10,) + (1,) * (3 - k))
-            significant[cells[:, k, 0] > ord("0")] = k + 1
-        keep = _words("\xff\0" * min(max(m - 4 * k, 0), 4) for k in range(4) for m in range(17))
+            grid[..., k] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - k))
+            significant[grid[..., k].ravel() > ord("0")] = k + 1
+        cells = grid.reshape(10000, 4).view(np.uint32).ravel()
+        keep = _words(("\xff" * min(max(m - 4 * k, 0), 4) for k in range(4) for m in range(17)), 4)
+        j = np.arange(17)
+        shift = 8 + j - (j > np.arange(16)[:, None])
         prefix = _words(
             sign + zeros.ljust(5, "\0") + str(digit) + point
             for point in ("\0", ".")
@@ -103,8 +107,7 @@ def _load_tables() -> tuple:
         )
         exponents = [""] + [f"e{e:+03d}" for e in range(-_MAX_EXP, _MAX_EXP + 1)]
         suffix = _words(exp.ljust(5, "\0") + sep for exp in exponents for sep in ",\n")
-        cells = cells.reshape(10000, 8).view(np.uint64).ravel()
-        _tables = (_powers_of_ten(), cells, significant, keep.reshape(4, 17), prefix, suffix)
+        _tables = (_powers_of_ten(), cells, significant, keep.reshape(4, 17), shift, prefix, suffix)
     return _tables
 
 
@@ -176,10 +179,10 @@ def _decimal(x: np.ndarray, powers: np.ndarray):
     return lead.astype(np.int8), groups, e.astype(np.int16), unset & (x != 0.0)
 
 
-def _layout(x: np.ndarray, cols: int) -> bytearray:
-    """The text of each entry of x in six 8-byte words, NUL where unused,
+def _layout(x: np.ndarray, cols: int) -> np.ndarray:
+    """The text of each entry of x in four 8-byte words, NUL where unused,
     ending in the separator that follows it in a table of ``cols`` columns."""
-    powers, cells, significant, keep, prefix, suffix = _load_tables()
+    powers, cells, significant, keep, shift, prefix, suffix = _load_tables()
     lead, groups, e, slow = _decimal(x, powers)
     # index of the last nonzero digit (0 for zero) and of the units digit
     last = np.zeros(x.size, dtype=np.int8)
@@ -189,27 +192,30 @@ def _layout(x: np.ndarray, cols: int) -> bytearray:
     fixed = (e >= -4) & (e < 17)
     units = np.where(fixed, e, 0).astype(np.int8)
 
-    text = bytearray(48 * x.size)
-    words = np.frombuffer(text, dtype=np.uint64).reshape(x.size, 6)
+    words = np.empty((x.size, 4), dtype=np.uint64)
     below_one = np.where(fixed & (e < 0), -e, 0)
     point = (units == 0) & (last > 0)
     words[:, 0] = prefix.take(np.signbit(x) + 2 * below_one + 10 * lead + 100 * point)
     # the digits up to the last nonzero one and the units digit
     kept = np.maximum(last, units)
+    digits = words.view(np.uint32)
     for k in range(4):
-        words[:, 1 + k] = cells.take(groups[k]) & keep[k].take(kept)
+        digits[:, 2 + k] = cells.take(groups[k]) & keep[k].take(kept)
     exponent = np.where(fixed, 0, 2 * (e + _MAX_EXP + 1))
     exponent[cols - 1 :: cols] += 1
-    words[:, 5] = suffix.take(exponent)
+    words[:, 3] = suffix.take(exponent)
     out = words.view(np.uint8)
-    # the decimal point after units digits 1..15
+    # the decimal point after units digits 1..15: fixed notation, so byte 24,
+    # where the last digit moves, is NUL
     inner = np.flatnonzero((units > 0) & (last > units))
-    out[inner, 7 + 2 * units[inner]] = ord(".")
+    u = units[inner]
+    out[inner, 8:25] = np.take_along_axis(out[inner], shift[u], axis=1)
+    out[inner, 8 + u] = ord(".")
     for i in np.flatnonzero(slow).tolist():
         entry = ("%.17g" % x[i]).encode()
-        out[i, :45] = 0  # all but the separator
+        out[i, :29] = 0  # all but the separator
         out[i, : len(entry)] = np.frombuffer(entry, dtype=np.uint8)
-    return text
+    return words
 
 
 def format_rows(table) -> str:
@@ -219,7 +225,7 @@ def format_rows(table) -> str:
     rows, cols = table.shape
     if table.size == 0:
         return "\n" * rows
-    return _layout(table.ravel(), cols).translate(None, b"\0").decode("ascii")
+    return _layout(table.ravel(), cols).tobytes().translate(None, b"\0").decode("ascii")
 
 
 __all__ = ["format_rows"]

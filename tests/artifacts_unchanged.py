@@ -39,6 +39,9 @@ OHMIC = _config(
     [(0.4, 0.8, 0.1), (0.3, 0.6, -0.2)], 0.5,
     [[0.6, 0.0], [0.0, 0.5]], [0.6244997998398398, 0.0],
 )
+#: The Ohmic config on a grid that prints t >= 10, where the decimal point
+#: falls among the digits, and that crosses ``linalg.CHUNK_ROWS`` = 4096 rows.
+LONG = dict(OHMIC, time={"t_max": 20.0, "points": 5001})
 #: One level, one Lorentz peak, no Ohmic term.
 LORENTZ = _config([[[0.5, 0.0]]], [(0.5, 0.4, 0.1)], 0.0, [[0.6, 0.0]], [0.8, 0.0])
 #: The Lorentz config over four peak couplings and widths.
@@ -71,6 +74,7 @@ TWO_DEFECTS = _config(
 #: (name, config, command line after ``--config``/``--out``)
 RUNS = [
     ("simulate-ohmic", OHMIC, ["simulate"]),
+    ("simulate-long", LONG, ["simulate"]),
     ("simulate-lorentz", LORENTZ, ["simulate"]),
     ("check-ohmic", OHMIC, ["check"]),
     ("compare-ohmic", OHMIC, ["compare"]),

@@ -49,6 +49,11 @@ MUTANTS = [
      "config_to_dict writes the transposed matrix", "tests/test_cli.py"),
     ("src/pseudobath/csvformat.py", "_HALF_MARGIN = 1e-7", "_HALF_MARGIN = 0.0",
      "no near-tie entry falls back to %", "tests/test_csvformat.py"),
+    ("src/pseudobath/csvformat.py", "shift = 8 + j - (j > np.arange(16)[:, None])",
+     "shift = 8 + j + 0 * np.arange(16)[:, None]",
+     "the digits after an interior point are not shifted", "tests/test_csvformat.py"),
+    ("src/pseudobath/csvformat.py", 'out[inner, 8 + u] = ord(".")', 'out[inner, 9 + u] = ord(".")',
+     "an interior point is written one byte to the right", "tests/test_csvformat.py"),
     ("src/pseudobath/linalg.py", "HERMITICITY_RTOL = 1e-12", "HERMITICITY_RTOL = 1e-11",
      "a ten times wider Hermiticity tolerance", "tests/test_model.py"),
     ("src/pseudobath/cli.py", "_RHO_PSD_TOL = 1e-10", "_RHO_PSD_TOL = 1e-9",

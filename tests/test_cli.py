@@ -625,6 +625,34 @@ class TestInputErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "check", "compare", "sweep"])
+    def test_deeply_nested_sweep_value(self, tmp_path, command):
+        # writing the config echo into report.json or compare.json recursed
+        # once per level: simulate and compare ended in a RecursionError
+        deep = "[" * 985 + "0.5" + "]" * 985
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_doc())[:-1] + f', "sweep": {{"time.t_max": {deep}}}}}')
+        out = tmp_path / "out"
+        result = run_cli([command, "--config", str(config), "--out", str(out)])
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr == (
+            "invalid config: $.sweep.time.t_max[0]: nested more than 32 levels deep\n"
+        )
+        assert not out.exists()
+
+    def test_sweep_value_depth_bound(self):
+        def doc(depth):
+            return json.dumps(base_doc())[:-1] + (
+                f', "sweep": {{"bath.eta": [{"[" * depth}0.5{"]" * depth}]}}}}'
+            )
+
+        value = parse_config(doc(32)).sweep["bath.eta"][0]
+        for _ in range(32):
+            (value,) = value
+        assert value == 0.5
+        with pytest.raises(ValidationError, match=r"^\$\.sweep\.bath\.eta\[0\]: nested more"):
+            parse_config(doc(33))
+
 
 class TestFuzzFindings:
     """Defects found by ``test_fuzz.py``: each ended in a traceback, printed

@@ -34,6 +34,7 @@ def corpus() -> dict:
     rng = np.random.default_rng(20260417)
     tiny = np.finfo(float).tiny
     powers = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    digits = "12345678901234567"
     return {
         "specials": [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, tiny,
                      np.nextafter(tiny, 0), 1e-310, np.finfo(float).max, 1e-269, 1e269,
@@ -46,6 +47,14 @@ def corpus() -> dict:
         # % prints 4.8677287764934085e-09 and 4.9102966142601843e-09
         "near ties": [float.fromhex("0x1.4e81fd810348ap-28"),
                       float.fromhex("0x1.516eda0094298p-28")],
+        # a decimal point after units digit u = 1..15, with 17 significant
+        # digits and, but for u = 15, with fewer
+        "interior points": [sign * float(f"{digits[:u + 1]}.{tail}") for sign in (1, -1)
+                            for u in range(1, 16) for tail in (digits[u + 1:], "25")],
+        # 23 and 24 bytes, the longest texts of fixed and exponent notation
+        "widest entries": neighbours([-1.2345678901234567e-4, -9.8765432109876543e-4]
+                                     + [sign * float(f"9.8765432109876543e{e}") for sign in (1, -1)
+                                        for e in (-199, -101, 101, 199)], 2),
         "halves": np.concatenate((np.arange(-2000, 2001) * 0.005, 1e15 + np.arange(0, 64) * 0.25)),
         "integers": np.concatenate((np.arange(-100, 101), 10.0 ** np.arange(17) * 7)),
         "random bits": rng.integers(0, 2**64, 10000, dtype=np.uint64).view(float),
