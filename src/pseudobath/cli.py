@@ -140,8 +140,8 @@ def _simulate(cfg: RunConfig, out_dir: str):
     time, then write ``report.json``.  Only the time axis is held whole."""
     from . import dynamics
 
-    t = np.linspace(0.0, cfg.t_max, cfg.output_points)
-    chunks = dynamics.evolve_chunks(cfg.system, cfg.bath, cfg.initial, t)
+    points = cfg.output_points
+    chunks = dynamics.evolve_chunks(cfg.system, cfg.bath, cfg.initial, cfg.t_max, points)
     first = next(chunks)  # grid and propagation errors come before the dilation check
     dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
 
@@ -160,7 +160,7 @@ def _simulate(cfg: RunConfig, out_dir: str):
         "config": config_to_dict(cfg),
         "dilation": dilation,
         "trajectory": {
-            "points": len(t),
+            "points": points,
             "final_excited_population": excited[-1],
             "final_ground_population": 1.0 - excited[-1],
             "max_trace_deviation": max(trace_devs),
@@ -196,8 +196,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     from . import dynamics, volterra
 
     steps = cfg.oracle_steps
-    times = np.linspace(0.0, cfg.t_max, steps + 1)
-    traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, times)
+    traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, cfg.t_max, steps + 1)
     oracle = volterra.solve_integro_differential(
         cfg.system, cfg.bath, cfg.initial.psi, cfg.t_max, steps, extrapolate=True
     )
@@ -236,9 +235,7 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
     reference = volterra.solve_integro_differential(
         cfg.system, cfg.bath, cfg.initial.psi, cfg.t_max, steps, extrapolate=True
     )
-    mask = reference.times >= args.t_min
-    if not np.any(mask):
-        raise ArgumentError(f"--t-min {args.t_min} excludes the whole grid")
+    mask = reference.times >= args.t_min  # the last time is t_max
     from .csvformat import format_rows
 
     rows = []

@@ -3,7 +3,8 @@ reconstruction.
 
 The extended state stacks the system amplitudes with one pseudomode copy per
 Lorentz peak; a trajectory keeps those states as one (T, (K+1)N) array.  The
-generator is fixed, so the states are matrix exponentials applied to psi(0),
+grid is uniform, ``numpy.linspace(0, t_max, points)``, and the generator is
+fixed, so each state is a power of one matrix exponential applied to psi(0),
 taken block by block in the eigenbasis of H (``pseudomode.block_stack``); the
 dense (K+1)N generator is never formed.  A closed system (empty bath) is the
 K = 0 case of the same propagation.  ``evolve_chunks`` yields a trajectory in
@@ -52,29 +53,34 @@ class Trajectory(namedtuple("Trajectory", "times n k vectors")):
         return self.vectors[:, : self.n]
 
 
-def evolve_chunks(h: SystemHamiltonian, bath: BathModel, init: InitialState, times):
+def evolve_chunks(h: SystemHamiltonian, bath: BathModel, init: InitialState, t_max, points):
     """Propagate the extended Schroedinger equation of the pseudomode
     generator of H and the bath exactly from psi(0) + zero pseudomodes on the
-    1-D grid ``times``, which ``propagate_chunks`` checks (LinAlgError), and
-    yield the trajectory in pieces of consecutive rows, at most
-    ``linalg.CHUNK_ROWS`` each.
+    grid ``numpy.linspace(0, t_max, points)``, and yield the trajectory in
+    pieces of consecutive rows, at most ``linalg.CHUNK_ROWS`` each.  The
+    first ``next`` raises LinAlgError if that grid is empty or not strictly
+    increasing.
 
     With H = W diag(E) W^dagger the generator splits into the N blocks of
     ``pseudomode.block_stack``; block alpha starts at c_alpha e_0, c = W^dagger
-    psi(0), runs through ``linalg.propagate_chunks`` and each piece is rotated
-    back by W.  With an Ohmic bath the system part of the initial vector is
-    scaled by 1/(1 + i*eta/2), matching the cutoff-removal limit that the
-    direct solver (``volterra.solve_integro_differential``) also starts from.
+    psi(0), runs through ``linalg.propagate_chunks`` with the step
+    t_max / (points - 1) and each piece is rotated back by W.  With an Ohmic
+    bath the system part of the initial vector is scaled by 1/(1 + i*eta/2),
+    matching the cutoff-removal limit that the direct solver
+    (``volterra.solve_integro_differential``) also starts from.
     """
     if init.n != h.n:
         raise ValueError(f"initial state dim {init.n} != system dim {h.n}")
+    times = np.linspace(0.0, t_max, points)
+    if times.size == 0 or not np.all(times[1:] > times[:-1]):  # NaN fails too
+        raise LinAlgError("time grid must be strictly increasing and start at 0")
+    step = t_max / (points - 1) if points > 1 else 0.0
     psi = renormalization(bath.eta) * init.psi
     e, w = np.linalg.eigh(h.matrix)
     z0 = np.zeros((h.n, bath.k + 1), dtype=complex)
     z0[:, 0] = w.conj().T @ psi
-    times = np.asarray(times, dtype=float)
     lo = 0
-    for z in propagate_chunks(block_stack(e, bath), z0, times):
+    for z in propagate_chunks(block_stack(e, bath), z0, step, points):
         rows = z.shape[1]
         # [t, j, b] = sum_a W[b, a] z[a, t, j] is column j*N + b of row t.
         # einsum, not a BLAS gemm: the skinny (T(K+1), N) x (N, N) gemm ran
@@ -88,11 +94,12 @@ def evolve_chunks(h: SystemHamiltonian, bath: BathModel, init: InitialState, tim
 
 
 def evolve(
-    h: SystemHamiltonian, bath: BathModel, init: InitialState, times
+    h: SystemHamiltonian, bath: BathModel, init: InitialState, t_max, points
 ) -> Trajectory:
     """The whole trajectory of ``evolve_chunks``, its pieces joined."""
-    vectors = np.concatenate([piece.vectors for piece in evolve_chunks(h, bath, init, times)])
-    return Trajectory(times=np.asarray(times, dtype=float), n=h.n, k=bath.k, vectors=vectors)
+    pieces = evolve_chunks(h, bath, init, t_max, points)
+    vectors = np.concatenate([piece.vectors for piece in pieces])
+    return Trajectory(times=np.linspace(0.0, t_max, points), n=h.n, k=bath.k, vectors=vectors)
 
 
 def observables(traj: Trajectory, init: InitialState) -> tuple[np.ndarray, np.ndarray]:

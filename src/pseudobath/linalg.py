@@ -3,11 +3,12 @@
 Everything here operates on plain numpy arrays (complex128).  Hermitian
 eigenvalues, of one matrix or of a stack, go to LAPACK through numpy behind a
 strict Hermiticity check.  A linear ODE whose generator is a stack of small
-blocks is propagated exactly on a time grid by scaling-and-squaring matrix
-exponentials of the blocks (Al-Mohy & Higham 2009): no step-size control and
-no tolerances, in pieces of at most ``CHUNK_ROWS`` rows that a caller joins
-if it wants them whole.  That ``expm`` is scipy's, loaded on first use, so
-importing this module loads numpy alone.
+blocks is propagated exactly on a uniform time grid, given by its step and
+its number of points, by scaling-and-squaring matrix exponentials of the
+blocks (Al-Mohy & Higham 2009): no step-size control and no tolerances, in
+pieces of at most ``CHUNK_ROWS`` rows that a caller joins if it wants them
+whole.  That ``expm`` is scipy's, loaded on first use, so importing this
+module loads numpy alone.
 """
 
 import numpy as np
@@ -29,10 +30,6 @@ class DimensionMismatchError(LinAlgError):
 #: density-matrix tolerances so that symmetry errors and propagation errors
 #: stay separable.
 HERMITICITY_RTOL = 1e-12
-
-#: Steps of a grid that differ by at most this times its last time count as
-#: equal (``numpy.linspace`` steps differ by about 2.2e-16 of it).
-_DT_RTOL = 1e-15
 
 
 def as_square_matrix(a, stack: bool = False) -> np.ndarray:
@@ -73,41 +70,24 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-#: Rows per chunk of ``propagate_chunks``: a run of equal steps is filled by
-#: doubling up to this many rows, then advanced a whole chunk at a time.
+#: Rows per chunk of ``propagate_chunks``: the first chunk is filled by
+#: doubling, each later one is the one before advanced by CHUNK_ROWS steps.
 CHUNK_ROWS = 4096
 
 
-def _run_end(t: np.ndarray, lo: int) -> int:
-    """Index of the last time of the maximal run of steps from t[lo] equal to
-    the first one within _DT_RTOL * t[-1], scanned CHUNK_ROWS steps at a
-    time."""
-    first = t[lo + 1] - t[lo]
-    for a in range(lo, t.size - 1, CHUNK_ROWS):
-        dt = np.diff(t[a : a + CHUNK_ROWS + 1])
-        off = np.flatnonzero(np.abs(dt - first) > _DT_RTOL * t[-1])
-        if off.size:
-            return a + int(off[0])
-    return t.size - 1
-
-
-def propagate_chunks(blocks, z0, times):
+def propagate_chunks(blocks, z0, step, count):
     """Exact solution of dz_a/dt = -i B_a z_a for every block of an (N, d, d)
-    stack, from the (N, d) start z0, in pieces of consecutive rows: (N, c, d)
-    arrays with c <= CHUNK_ROWS whose [a, k] is z_a at the next time of the
-    grid.  The grid must be strictly increasing and start at 0 (else
-    LinAlgError, raised by the first ``next``).  A piece is read by the caller
-    and then left alone: the next one is computed from it.
+    stack, from the (N, d) start z0, at the ``count`` >= 1 times k * step,
+    k = 0 .. count - 1, in pieces of consecutive rows: (N, c, d) arrays with
+    c <= CHUNK_ROWS whose [a, k] is z_a at the next time.  A piece is read by
+    the caller and then left alone: the next one is computed from it.
 
-    The grid splits into maximal runs of steps equal to within _DT_RTOL times
-    the last time.  The first C = CHUNK_ROWS rows of a run of m steps of
-    length dt are filled by doubling: rows [p, 2p) are expm(-i p dt B)
-    applied to rows [0, p), one stacked ``scipy.linalg.expm`` per p = 1, 2, 4,
-    ...  Each later chunk of C rows is expm(-i C dt B) applied to the one
-    before, one more stacked ``expm`` per run.  No block is ever
-    eigendecomposed, and a row is at most log2(C) + m/C products away from
-    z0.  Each run starts a new piece, so a uniform grid of at most C points
-    comes as one.
+    The first C = min(count, CHUNK_ROWS) rows are filled by doubling: rows
+    [p, 2p) are expm(-i p step B) applied to rows [0, p), one stacked
+    ``scipy.linalg.expm`` per p = 1, 2, 4, ...  Each later chunk of
+    CHUNK_ROWS rows is expm(-i CHUNK_ROWS step B) applied to the one before,
+    one more stacked ``expm``.  No block is ever eigendecomposed, and a row is
+    at most log2(CHUNK_ROWS) + count/CHUNK_ROWS products away from z0.
     """
     blocks = np.asarray(blocks, dtype=complex)
     z0 = np.asarray(z0, dtype=complex)
@@ -115,37 +95,23 @@ def propagate_chunks(blocks, z0, times):
         raise DimensionMismatchError(
             f"blocks of shape {blocks.shape} do not match a start of shape {z0.shape}"
         )
-    t = np.asarray(times, dtype=float).ravel()
-    if t.size == 0 or t[0] != 0.0 or np.any(t[1:] <= t[:-1]):
-        raise LinAlgError("time grid must be strictly increasing and start at 0")
-    if t.size == 1:
-        yield z0[:, np.newaxis].copy()
-        return
     n, d = z0.shape
-    chunk = z0[:, np.newaxis]
-    lo = 0
-    while lo < t.size - 1:
-        hi = _run_end(t, lo)
-        step = (t[hi] - t[lo]) / (hi - lo)
-        start = chunk[:, -1]
-        chunk = np.empty((n, min(CHUNK_ROWS, hi - lo + 1), d), dtype=complex)
-        chunk[:, 0] = start
-        p = 1
-        while p < chunk.shape[1]:
-            rows = min(p, chunk.shape[1] - p)
-            u = expm(-1j * (p * step) * blocks)
-            chunk[:, p : p + rows] = chunk[:, :rows] @ u.swapaxes(-1, -2)
-            p *= 2
-        # row 0 of a later run is the last row of the run before
-        yield chunk if lo == 0 else chunk[:, 1:]
-        done = chunk.shape[1]
-        if done <= hi - lo:
-            u = expm(-1j * (CHUNK_ROWS * step) * blocks).swapaxes(-1, -2)
-            while done <= hi - lo:
-                chunk = chunk[:, : hi - lo + 1 - done] @ u
-                yield chunk
-                done += chunk.shape[1]
-        lo = hi
+    chunk = np.empty((n, min(CHUNK_ROWS, count), d), dtype=complex)
+    chunk[:, 0] = z0
+    p = 1
+    while p < chunk.shape[1]:
+        rows = min(p, chunk.shape[1] - p)
+        u = expm(-1j * (p * step) * blocks)
+        chunk[:, p : p + rows] = chunk[:, :rows] @ u.swapaxes(-1, -2)
+        p *= 2
+    yield chunk
+    done = chunk.shape[1]
+    if done < count:
+        u = expm(-1j * (CHUNK_ROWS * step) * blocks).swapaxes(-1, -2)
+        while done < count:
+            chunk = chunk[:, : count - done] @ u
+            yield chunk
+            done += chunk.shape[1]
 
 
 __all__ = [

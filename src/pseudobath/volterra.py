@@ -179,6 +179,8 @@ def solve_integro_differential(
     with the kernel ``correlation(bath)``.  A bath without one gives the
     cutoff-removed equation: H, the Lorentz kernel and psi(0) all carry the
     prefactor f = ``renormalization(eta)``, which is exactly 1 at eta = 0.
+    The states are at the times linspace(0, t_max, steps + 1), the grid of
+    ``dynamics.evolve(..., t_max, steps + 1)``; the kernel is sampled at k*h.
     """
     if steps < 10:
         raise ValueError("need at least 10 steps")
@@ -191,9 +193,10 @@ def solve_integro_differential(
     else:
         generator = counterterm_shift(h_s, bath).matrix
     h = t_max / steps
-    times = np.arange(steps + 1) * h
+    times = np.linspace(0.0, t_max, steps + 1)
     if not extrapolate:
-        y = _solve_volterra_core(generator, _kernel_on_grid(bath, times), psi0, h, steps)
+        gvals = _kernel_on_grid(bath, np.arange(steps + 1) * h)
+        y = _solve_volterra_core(generator, gvals, psi0, h, steps)
         return OracleTrajectory(times=times, states=y)
     # h/2 is exact for a normal h, so (2k)(h/2) rounds to kh: every other fine
     # sample is a coarse one
@@ -237,8 +240,9 @@ def deviation_norms(a, b) -> tuple[float, float]:
     2-norm, square-rooted.
 
     The grids must be equal: same length, every point within
-    1e-12*(1 + t_last), a relative slack for the ulps by which a linspace
-    grid and the oracle's arange(steps+1)*h differ.
+    1e-12*(1 + t_last).  Both routes return linspace(0, t_max, points), so
+    the slack serves grids that library callers pass, such as
+    arange(steps+1)*h, which differs from that linspace by a few ulps.
     """
     ta, tb = a.times, b.times
     if a.states.shape[1] != b.states.shape[1]:

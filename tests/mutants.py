@@ -72,8 +72,11 @@ MUTANTS = [
      "gamma/2 -> gamma in the Lorentz correlation", "tests/test_model.py"),
     ("src/pseudobath/dynamics.py", "_MAX_NORM2 = (1.0 + 1e-9) ** 2", "_MAX_NORM2 = (1.0 + 1e-4) ** 2",
      "the norm bound loosened to (1 + 1e-4)^2", "tests/test_dynamics.py"),
-    ("src/pseudobath/linalg.py", "_DT_RTOL = 1e-15", "_DT_RTOL = 1e-9",
-     "steps 1e-12 apart count as equal", "tests/test_linalg.py"),
+    ("src/pseudobath/dynamics.py", "step = t_max / (points - 1) if", "step = t_max / points if",
+     "the step of a grid of points is t_max / points", "tests/test_linalg.py"),
+    ("src/pseudobath/volterra.py", "times = np.linspace(0.0, t_max, steps + 1)",
+     "times = np.arange(steps + 1) * h",
+     "the oracle's last time can fall an ulp short of t_max", "tests/test_cli.py"),
     ("src/pseudobath/linalg.py", "expm(-1j * (CHUNK_ROWS * step) * blocks)",
      "expm(-1j * ((CHUNK_ROWS + 1) * step) * blocks)",
      "an off-by-one in the chunk propagator", "tests/test_linalg.py"),

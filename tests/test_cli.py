@@ -531,18 +531,22 @@ class TestInputErrors:
         )
         assert marches == []
 
-    def test_cutoff_study_t_min_past_the_grid(self, tmp_path, capsys):
-        # 100 steps of 0.23/100 end at 0.22999999999999998 < t_max = 0.23
-        doc = base_doc(time={"t_max": 0.23, "points": 11})
-        doc["bath"]["eta"] = 0.5
-        doc["solver"] = {"oracle_steps": 100}
-        out = tmp_path / "out"
-        argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", "20"]
-        assert main(argv + ["--t-min", "0.23", "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "invalid config: --t-min 0.23 excludes the whole grid\n"
-        )
-        assert not out.exists()
+    def test_cutoff_study_t_min_at_t_max(self, tmp_path, capsys):
+        # the oracle's last time is t_max, not steps * (t_max / steps), which
+        # rounds below t_max on these grids: --t-min t_max keeps the last row,
+        # as a t_min half a step lower does
+        for t_max, steps, omega in ((0.9, 10, "1"), (13.7, 100, "0.5"), (0.23, 100, "20")):
+            doc = base_doc(time={"t_max": t_max, "points": 11})
+            doc["bath"]["eta"] = 0.5
+            doc["solver"] = {"oracle_steps": steps}
+            argv = ["cutoff-study", "--config", write_config(tmp_path, doc), "--omegas", omega]
+            rows = []
+            for t_min in (t_max, t_max - 0.5 * t_max / steps):
+                out = tmp_path / f"out-{t_min!r}"
+                assert main(argv + ["--t-min", repr(t_min), "--out", str(out)]) == EXIT_OK
+                rows.append(capsys.readouterr().out)
+            assert rows[0] == rows[1]
+            assert len(rows[0].splitlines()) == 2
 
     @pytest.mark.parametrize(
         "argv, doc, message",
@@ -579,6 +583,18 @@ class TestInputErrors:
         argv = argv + ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_degenerate_time_grid(self, tmp_path, capsys, command):
+        # linspace(0, 5e-324, 3) is [0, 0, 5e-324]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(time={"t_max": 5e-324, "points": 3}))
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: time grid must be strictly increasing and start at 0\n"
+        )
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "trajectory.csv.tmp").exists()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -87,15 +87,15 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(np.array([[np.nan]]))
 
 
-def propagate_whole(blocks, z0, times):
+def propagate_whole(blocks, z0, step, count):
     """The pieces of ``propagate_chunks`` joined into one (N, T, d) array."""
-    return np.concatenate(list(propagate_chunks(blocks, z0, times)), axis=1)
+    return np.concatenate(list(propagate_chunks(blocks, z0, step, count)), axis=1)
 
 
-def integrate(m, y0, grid):
-    """dy/dt = -i M y on a grid, with M as a single block."""
+def integrate(m, y0, step, count):
+    """dy/dt = -i M y at the times k * step, with M as a single block."""
     m = np.asarray(m, dtype=complex)[np.newaxis]
-    return propagate_whole(m, np.asarray(y0, dtype=complex)[np.newaxis], grid)[0]
+    return propagate_whole(m, np.asarray(y0, dtype=complex)[np.newaxis], step, count)[0]
 
 
 class TestIntegrateLinearOde:
@@ -103,27 +103,26 @@ class TestIntegrateLinearOde:
 
     def test_returns_time_by_dim_array(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        ys = integrate(m, np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 7))
+        ys = integrate(m, np.array([1.0, 0.0]), 1.0 / 6.0, 7)
         assert isinstance(ys, np.ndarray)
         assert ys.shape == (7, 2)
         np.testing.assert_array_equal(ys[0], [1.0, 0.0])
-        single = integrate(m, np.array([1.0, 0.0]), np.array([0.0]))
+        single = integrate(m, np.array([1.0, 0.0]), 1.0, 1)
         assert single.shape == (1, 2)
 
     def test_zero_generator_constant(self):
-        grid = np.linspace(0.0, 5.0, 21)
-        ys = integrate(np.zeros((2, 2)), np.array([1.0, 0.0]), grid)
+        ys = integrate(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.25, 21)
         for y in ys:
             np.testing.assert_allclose(y, [1.0, 0.0], atol=1e-12)
 
     def test_scalar_phase_rotation(self):
-        ys = integrate(np.eye(1), np.array([1.0]), np.array([0.0, np.pi]))
+        ys = integrate(np.eye(1), np.array([1.0]), np.pi, 2)
         assert abs(ys[-1][0] - (-1.0)) < 1e-9
 
     def test_pauli_x_quarter_period(self):
         # closed form: exp(-i X t) (1,0) = (cos t, -i sin t)
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        ys = integrate(m, np.array([1.0, 0.0]), np.array([0.0, np.pi / 2]))
+        ys = integrate(m, np.array([1.0, 0.0]), np.pi / 2, 2)
         np.testing.assert_allclose(ys[-1], [0.0, -1.0j], atol=1e-9)
 
     def test_norm_conserved_for_hermitian_generator(self):
@@ -131,20 +130,24 @@ class TestIntegrateLinearOde:
         m = random_hermitian(rng, 4, scale=4.0)
         y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y0 /= np.linalg.norm(y0)
-        ys = integrate(m, y0, np.linspace(0.0, 10.0, 41))
+        ys = integrate(m, y0, 0.25, 41)
         norms = [np.linalg.norm(y) for y in ys]
         assert max(abs(n - 1.0) for n in norms) < 1e-8
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            integrate(np.eye(2), np.array([1.0]), np.array([0.0, 1.0]))
+            integrate(np.eye(2), np.array([1.0]), 1.0, 2)
 
     def test_bad_grid(self):
-        with pytest.raises(LinAlgError):
-            integrate(np.eye(1), np.array([1.0]), np.array([1.0, 2.0]))
+        # the grid is checked by dynamics, on the first next and not before
+        h, init = SystemHamiltonian(np.eye(1)), InitialState(psi=np.array([1.0]), psi0=0.0)
+        chunks = evolve_chunks(h, BathModel(), init, 5e-324, 3)
+        with pytest.raises(LinAlgError, match="strictly increasing and start at 0"):
+            next(chunks)
 
 
-GRIDS = {"linspace": np.linspace(0.0, 10.0, 201), "steps 1, 4, 5": np.array([0.0, 1.0, 5.0, 10.0])}
+#: (t_max, points) of a grid and the rows of it that are checked
+GRIDS = {"linspace": (10.0, 201, range(0, 201, 20)), "rows 0, 1, 5, 10": (10.0, 11, (0, 1, 5, 10))}
 
 
 def dilatable_generator(rng, n, k, eta):
@@ -170,21 +173,21 @@ class TestPropagateBlocks:
         for eta in (0.0, 0.4):
             h, bath, init = dilatable_generator(rng, n, k, eta)
             heff = build_effective_hamiltonian(h, bath)
-            for t in GRIDS.values():
-                ys = evolve(h, bath, init, t).vectors
-                for i in range(0, len(t), 20):
+            for t_max, points, rows in GRIDS.values():
+                traj = evolve(h, bath, init, t_max, points)
+                t, ys = traj.times, traj.vectors
+                for i in rows:
                     exact = expm(-1j * t[i] * heff) @ ys[0]
                     assert np.abs(ys[i] - exact).max() <= 1e-12
 
     def test_each_block_matches_its_expm(self):
-        # non-normal blocks with growing and decaying modes, on a grid with
-        # four runs of equal steps
+        # non-normal blocks with growing and decaying modes
         rng = np.random.default_rng(7)
         blocks = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
         blocks -= 0.5j * np.eye(4) * np.arange(1, 4)[:, np.newaxis, np.newaxis]
         z0 = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        t = np.concatenate([np.linspace(0.0, 0.3, 4), [0.4], np.linspace(1.0, 2.5, 7), [3.0]])
-        z = propagate_whole(blocks, z0, t)
+        t = np.linspace(0.0, 3.0, 13)
+        z = propagate_whole(blocks, z0, 0.25, t.size)
         assert z.shape == (3, t.size, 4)
         np.testing.assert_array_equal(z[:, 0], z0)
         for b, z0_b, z_b in zip(blocks, z0, z):
@@ -195,29 +198,30 @@ class TestPropagateBlocks:
     @pytest.mark.parametrize(
         "t, calls",
         [
-            (np.linspace(0.0, 8.0, 4001), 12),
-            (np.linspace(0.0, 1.0, 2), 1),
-            (np.array([0.0, 1.0, 5.0, 10.0]), 3),
-            (np.array([0.0, 1.0, 2.0, 3.0, 5.0, 7.0]), 4),
+            ((8.0 / 4000, 4001), 12),
+            ((1.0, 2), 1),
+            ((1.0, 11), 4),
+            ((1.0, 5001), 13),
         ],
     )
     def test_stacked_expm_calls_per_grid(self, monkeypatch, t, calls):
-        # a run of m equal steps takes ceil(log2(m + 1)) stacked expm calls
+        # m < CHUNK_ROWS steps take ceil(log2(m + 1)) stacked expm calls, and
+        # a longer grid 12 + 1
         seen = []
         monkeypatch.setattr(linalg, "expm", lambda a: seen.append(a.shape) or expm(a))
-        propagate_whole(np.zeros((2, 3, 3)), np.ones((2, 3)), t)
+        propagate_whole(np.zeros((2, 3, 3)), np.ones((2, 3)), *t)
         assert seen == [(2, 3, 3)] * calls
 
     def test_pieces_of_a_grid(self):
         blocks, z0 = np.zeros((2, 3, 3)), np.ones((2, 3))
         for points, sizes in ((4096, [4096]), (4097, [4096, 1]), (10000, [4096, 4096, 1808])):
-            pieces = list(propagate_chunks(blocks, z0, np.linspace(0.0, 1.0, points)))
+            pieces = list(propagate_chunks(blocks, z0, 1.0 / (points - 1), points))
             assert [piece.shape for piece in pieces] == [(2, size, 3) for size in sizes]
 
     def test_matches_dop853_at_tight_tolerance(self):
         h, bath, init = dilatable_generator(np.random.default_rng(5), 2, 2, 0.5)
-        t = np.linspace(0.0, 8.0, 801)
-        ys = evolve(h, bath, init, t).vectors
+        traj = evolve(h, bath, init, 8.0, 801)
+        t, ys = traj.times, traj.vectors
         gen = -1j * build_effective_hamiltonian(h, bath)
         sol = solve_ivp(
             lambda _, y: gen @ y, (0.0, t[-1]), ys[0], method="DOP853", t_eval=t,
@@ -229,12 +233,11 @@ class TestPropagateBlocks:
     def test_million_steps_match_one_dense_expm(self):
         # 245 chunks: a row is up to 12 doubling and 244 chunk products from z0
         h, bath, init = dilatable_generator(np.random.default_rng(9), 2, 2, 0.3)
-        t = np.linspace(0.0, 20.0, 10**6 + 1)
-        for piece in evolve_chunks(h, bath, init, t):
+        for piece in evolve_chunks(h, bath, init, 20.0, 10**6 + 1):
             assert len(piece.times) <= CHUNK_ROWS
         assert piece.times[-1] == 20.0
         exact = expm(-20.0j * build_effective_hamiltonian(h, bath)) @ evolve(
-            h, bath, init, t[:1]
+            h, bath, init, 20.0, 1
         ).vectors[0]
         assert np.abs(exact).max() > 0.05
         assert np.abs(piece.vectors[-1] - exact).max() <= 1e-12
@@ -249,30 +252,17 @@ class TestPropagateBlocks:
         assert out.stdout.strip() == "False"
 
 
-def doubling_reference(blocks, z0, t):
-    """The propagator before chunking: every run of m equal steps filled by
-    doubling to its end, rows [p, 2p) from rows [0, p) for p up to m."""
-    dt = np.diff(t)
-    z = np.empty((blocks.shape[0], t.size, blocks.shape[1]), dtype=complex)
+def doubling_reference(blocks, z0, step, count):
+    """The propagator before chunking: every row filled by doubling, rows
+    [p, 2p) from rows [0, p) for p up to count - 1."""
+    z = np.empty((blocks.shape[0], count, blocks.shape[1]), dtype=complex)
     z[:, 0] = z0
-    lo = 0
-    while lo < dt.size:
-        off = np.flatnonzero(np.abs(dt[lo:] - dt[lo]) > linalg._DT_RTOL * t[-1])
-        hi = lo + int(off[0]) if off.size else dt.size
-        step = (t[hi] - t[lo]) / (hi - lo)
-        run = z[:, lo : hi + 1]
-        p = 1
-        while p <= hi - lo:
-            rows = min(p, hi - lo + 1 - p)
-            run[:, p : p + rows] = run[:, :rows] @ expm(-1j * (p * step) * blocks).swapaxes(-1, -2)
-            p *= 2
-        lo = hi
+    p = 1
+    while p < count:
+        rows = min(p, count - p)
+        z[:, p : p + rows] = z[:, :rows] @ expm(-1j * (p * step) * blocks).swapaxes(-1, -2)
+        p *= 2
     return z
-
-
-def runs_grid(*runs):
-    """A grid from 0 made of runs of (steps, step length)."""
-    return np.concatenate([[0.0], np.cumsum(np.concatenate([[dt] * m for m, dt in runs]))])
 
 
 def random_blocks(seed, n=3, d=4):
@@ -286,48 +276,30 @@ def random_blocks(seed, n=3, d=4):
 class TestChunks:
     @pytest.mark.parametrize(
         "t",
-        [
-            np.linspace(0.0, 8.0, 4001),
-            np.linspace(0.0, 20.0, CHUNK_ROWS),
-            np.array([0.0, 1.0, 5.0, 10.0]),
-            runs_grid((3, 0.1), (1, 0.2), (6, 0.25), (1, 0.5)),
-            runs_grid((1000, 1e-3), (2999, 2e-3)),
-            np.array([0.0]),
-        ],
-        ids=["4001", "4096", "steps 1, 4, 5", "four runs", "two long runs", "one point"],
+        [(8.0 / 4000, 4001), (20.0 / (CHUNK_ROWS - 1), CHUNK_ROWS), (1.0, 1)],
+        ids=["4001", "4096", "one point"],
     )
     def test_short_grids_keep_the_doubling_arithmetic(self, t):
-        # one piece per run of equal steps, each bitwise as before
+        # one piece, bitwise as before
         blocks, z0 = random_blocks(11)
-        pieces = list(propagate_chunks(blocks, z0, t))
-        runs = 1 + np.count_nonzero(np.abs(np.diff(np.diff(t))) > 1e-12)
-        assert len(pieces) == runs
+        pieces = list(propagate_chunks(blocks, z0, *t))
+        assert len(pieces) == 1
         z = np.concatenate(pieces, axis=1)
-        np.testing.assert_array_equal(z, doubling_reference(blocks, z0, t))
-
-    def test_a_step_off_by_1e_12_starts_a_run(self):
-        # 1e-12 of the last time is far above rounding (2.2e-16), so the
-        # grid splits into the runs before, at and after the shifted step
-        blocks, z0 = random_blocks(13)
-        t = np.linspace(0.0, 1.0, 11)
-        assert len(list(propagate_chunks(blocks, z0, t))) == 1
-        t[6:] += 1e-12
-        assert len(list(propagate_chunks(blocks, z0, t))) == 3
+        np.testing.assert_array_equal(z, doubling_reference(blocks, z0, *t))
 
     def test_runs_across_chunk_boundaries(self, monkeypatch):
-        # 8-row chunks: runs of 20, 3, 1, 8 and 37 steps start and end
-        # inside chunks, fill several of them and end on a boundary
+        # 8-row chunks: 70 rows fill eight chunks and end inside a ninth
         monkeypatch.setattr(linalg, "CHUNK_ROWS", 8)
         calls = []
         monkeypatch.setattr(linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
         blocks, z0 = random_blocks(12)
-        t = runs_grid((20, 0.1), (3, 0.05), (1, 0.3), (8, 0.02), (37, 0.01))
-        pieces = list(propagate_chunks(blocks, z0, t))
-        # per run: doubling to min(C, m + 1) rows, plus one chunk step past C
-        assert len(calls) == (3 + 1) + 2 + 1 + (3 + 1) + (3 + 1)
+        t = np.arange(70) * 0.04
+        pieces = list(propagate_chunks(blocks, z0, 0.04, t.size))
+        # doubling to C rows, plus one chunk step past C
+        assert len(calls) == 3 + 1
         assert all(1 <= piece.shape[1] <= 8 for piece in pieces)
         z = np.concatenate(pieces, axis=1)
-        np.testing.assert_array_equal(z, propagate_whole(blocks, z0, t))
+        np.testing.assert_array_equal(z, propagate_whole(blocks, z0, 0.04, t.size))
         for b, z0_b, z_b in zip(blocks, z0, z):
             for ti, zi_b in zip(t, z_b):
                 exact = expm(-1j * ti * b) @ z0_b

@@ -65,9 +65,9 @@ class TestTypes:
     def test_time_grid(self):
         h = SystemHamiltonian(np.array([[0.0]]))
         init = InitialState(psi=np.array([1.0]), psi0=0.0)
-        for times in ([0.5, 1.0], [0.0, 1.0, 1.0]):
+        for t_max, points in ((0.0, 3), (-1.0, 3), (float("nan"), 3), (1.0, 0)):
             with pytest.raises(LinAlgError, match="strictly increasing and start at 0"):
-                evolve(h, BathModel(), init, np.array(times))
+                evolve(h, BathModel(), init, t_max, points)
 
 
 class TestSpectralDensity:

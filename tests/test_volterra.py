@@ -284,7 +284,7 @@ class TestIntegroDifferential:
         h = SystemHamiltonian(np.zeros((1, 1)))
         oracle = solve_integro_differential(h, BathModel((peak,)), PSI0, 10.0, 4000)
         init = InitialState(psi=PSI0, psi0=0.0)
-        traj = evolve(h, BathModel(peaks=(peak,)), init, oracle.times)
+        traj = evolve(h, BathModel(peaks=(peak,)), init, 10.0, 4001)
         assert deviation_norms(traj, oracle)[0] < 1e-6
 
     def test_second_order_convergence(self):
@@ -364,7 +364,7 @@ class TestRenormalized:
             h, BathModel((peak,), eta), PSI0, 10.0, 4000, extrapolate=True
         )
         init = InitialState(psi=PSI0, psi0=0.0)
-        traj = evolve(h, BathModel(peaks=(peak,), eta=eta), init, oracle.times)
+        traj = evolve(h, BathModel(peaks=(peak,), eta=eta), init, 10.0, 4001)
         assert deviation_norms(traj, oracle)[0] < 1e-6
 
 
