@@ -18,8 +18,7 @@ _EXPORTS = {
     "linalg": "DimensionMismatchError LinAlgError NotHermitianError hermitian_eigenvalues",
     "model": (
         "BathModel InitialState LorentzPeak ModelError OhmicWithoutCutoffError "
-        "SystemHamiltonian correlation correlation_by_quadrature counterterm_shift "
-        "spectral_density"
+        "SystemHamiltonian correlation counterterm_shift"
     ),
     "pseudomode": (
         "block_stack build_effective_hamiltonian check_dilation_closed_form "

@@ -364,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--oracle-steps", type=int, default=None, help="override oracle step count"
-        )
 
     p = sub.add_parser("simulate", help="run the pseudomode dynamics, emit CSV + report")
     add_common(p)
@@ -411,11 +408,6 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "rb") as fh:
             cfg = parse_config(fh.read())
-        # A CLI override goes through the same validation as the file.
-        if args.oracle_steps is not None:
-            doc = config_to_dict(cfg)
-            doc["solver"]["oracle_steps"] = args.oracle_steps
-            cfg = parse_config(json.dumps(doc))
         # numpy's floating-point warnings stay off stderr: a non-finite
         # result fails a check that reports it
         with np.errstate(all="ignore"):

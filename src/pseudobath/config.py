@@ -279,7 +279,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def apply_override(doc: dict, dotted_path: str, value):
     """Set a value inside a raw config dict by dotted path, e.g.
-    ``bath.peaks[0].g`` or ``bath.eta``.  Used by parameter sweeps."""
+    ``bath.peaks[0].g`` or ``bath.eta``.  Used by parameter sweeps; the path
+    must name a field the dict already holds."""
     import re
 
     tokens = []
@@ -297,6 +298,12 @@ def apply_override(doc: dict, dotted_path: str, value):
             raise ValidationError(
                 f"$.sweep.{dotted_path}", f"path does not exist in config: {tok!r}"
             ) from exc
+    # a new key would be ignored by parse_config, and every point would run
+    # the same config
+    if isinstance(target, dict) and tokens[-1] not in target:
+        raise ValidationError(
+            f"$.sweep.{dotted_path}", f"path does not exist in config: {tokens[-1]!r}"
+        )
     try:
         target[tokens[-1]] = value
     except (IndexError, TypeError) as exc:

@@ -1,5 +1,5 @@
-"""Physical problem description: system Hamiltonian, bath spectral density,
-reservoir correlation functions and initial states.
+"""Physical problem description: system Hamiltonian, bath (Lorentz peaks and
+an Ohmic term), reservoir correlation functions and initial states.
 
 The bath fixes the reduced dynamics, so this module holds the one definition
 of each quantity both solver routes read: the correlation function
@@ -26,7 +26,8 @@ class OhmicWithoutCutoffError(ModelError):
     """Pointwise correlation function requested for a pure Ohmic bath.
 
     An Ohmic spectral density without cutoff has no pointwise correlation
-    function; callers must take the renormalized route instead.
+    function; callers run ``volterra.solve_integro_differential`` on the
+    bath without a cutoff instead, which marches the cutoff-removed equation.
     """
 
 
@@ -143,23 +144,6 @@ def renormalization(eta: float) -> complex:
     return 1.0 / (1.0 + 0.5j * eta)
 
 
-def spectral_density(bath: BathModel, omega):
-    """Evaluate J(omega): Lorentz peaks plus the (possibly cut off) Ohmic term.
-
-    Accepts scalar or array omega.
-    """
-    w = np.asarray(omega, dtype=float)
-    out = np.zeros_like(w)
-    for p in bath.peaks:
-        out = out + p.gamma * p.g**2 / ((p.gamma / 2.0) ** 2 + (w - p.epsilon) ** 2)
-    if bath.eta > 0.0:
-        ohmic = bath.eta * w
-        if bath.cutoff is not None:
-            ohmic = ohmic * np.exp(-np.abs(w) / bath.cutoff)
-        out = out + ohmic
-    return out if out.ndim else float(out)
-
-
 def lorentz_correlation(peaks, t):
     """Sum of exponential-oscillatory kernels of the Lorentz peaks."""
     tt = np.asarray(t, dtype=float)
@@ -191,7 +175,7 @@ def correlation(bath: BathModel, t):
     if bath.eta > 0.0 and bath.cutoff is None:
         raise OhmicWithoutCutoffError(
             "pure Ohmic bath has no pointwise correlation function; "
-            "use the renormalized solver"
+            "use solve_integro_differential on the bath without a cutoff"
         )
     out = lorentz_correlation(bath.peaks, t)
     if bath.eta > 0.0:
@@ -205,37 +189,6 @@ def counterterm_shift(h_r: SystemHamiltonian, bath: BathModel) -> SystemHamilton
     return SystemHamiltonian(h_r.matrix + bath.eta * bath.cutoff / np.pi * np.eye(h_r.n))
 
 
-#: Quadrature nodes evaluated at a time, so that multi-million-point
-#: quadratures stay memory-bounded.
-_QUADRATURE_CHUNK = 1_000_000
-
-
-def correlation_by_quadrature(bath: BathModel, t: float, omega_max: float, steps: int) -> complex:
-    """Inverse Fourier transform of J(omega) by composite trapezoid.
-
-    Independent consistency check for ``correlation``: evaluates
-    (1/2pi) * integral of exp(-i*omega*t) J(omega) over [-omega_max, omega_max].
-    """
-    if bath.eta > 0.0 and bath.cutoff is None:
-        raise OhmicWithoutCutoffError("quadrature needs an integrable spectral density")
-    if steps < 2:
-        raise ModelError("quadrature needs at least 2 steps")
-    h = 2.0 * omega_max / steps
-    total = 0.0 + 0.0j
-    for start in range(0, steps + 1, _QUADRATURE_CHUNK):
-        stop = min(start + _QUADRATURE_CHUNK, steps + 1)
-        idx = np.arange(start, stop)
-        w = -omega_max + h * idx
-        f = spectral_density(bath, w) * np.exp(-1j * w * t)
-        weights = np.ones(stop - start)
-        if start == 0:
-            weights[0] = 0.5
-        if stop == steps + 1:
-            weights[-1] = 0.5
-        total += np.sum(weights * f)
-    return complex(total * h / (2.0 * np.pi))
-
-
 __all__ = [
     "BathModel",
     "InitialState",
@@ -244,10 +197,8 @@ __all__ = [
     "OhmicWithoutCutoffError",
     "SystemHamiltonian",
     "correlation",
-    "correlation_by_quadrature",
     "counterterm_shift",
     "lorentz_correlation",
     "ohmic_cutoff_correlation",
     "renormalization",
-    "spectral_density",
 ]

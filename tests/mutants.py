@@ -47,6 +47,8 @@ MUTANTS = [
      "the sign of a peak's detuning in the generator", "tests/test_pseudomode.py"),
     ("src/pseudobath/config.py", "reshape(n, n, 2).tolist()", "reshape(n, n, 2).transpose(1, 0, 2).tolist()",
      "config_to_dict writes the transposed matrix", "tests/test_cli.py"),
+    ("src/pseudobath/config.py", "and tokens[-1] not in target:", "and False:",
+     "a sweep path's missing last key is set as a new key", "tests/test_cli.py"),
     ("src/pseudobath/csvformat.py", "_HALF_MARGIN = 1e-7", "_HALF_MARGIN = 0.0",
      "no near-tie entry falls back to %", "tests/test_csvformat.py"),
     ("src/pseudobath/csvformat.py", "shift = 8 + j - (j > np.arange(16)[:, None])",

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from fourier_reference import correlation_by_quadrature
 
 from pseudobath.cli import main as cli_main
 from pseudobath.dynamics import evolve, observables
@@ -19,7 +20,6 @@ from pseudobath.model import (
     InitialState,
     LorentzPeak,
     SystemHamiltonian,
-    correlation_by_quadrature,
     lorentz_correlation,
 )
 from pseudobath.pseudomode import (

@@ -24,7 +24,7 @@ EXPORTS = {
                "hermitian_eigenvalues"],
     "model": ["BathModel", "InitialState", "LorentzPeak", "ModelError",
               "OhmicWithoutCutoffError", "SystemHamiltonian", "correlation",
-              "correlation_by_quadrature", "counterterm_shift", "spectral_density"],
+              "counterterm_shift"],
     "pseudomode": ["block_stack", "build_effective_hamiltonian",
                    "check_dilation_closed_form", "dilation_threshold",
                    "optical_potential"],
@@ -35,7 +35,7 @@ EXPORTS = {
 
 def test_package_exports_resolve_on_first_access():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 30
+    assert len(names) == 28
     assert sorted(pseudobath.__all__) == names
     for module_name, exported in EXPORTS.items():
         module = importlib.import_module(f"pseudobath.{module_name}")

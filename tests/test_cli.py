@@ -333,20 +333,10 @@ class TestPairArrays:
 class TestInputErrors:
     """Bad input from the file or the command line exits 2 naming the field."""
 
-    @pytest.mark.parametrize(
-        "argv, path",
-        [
-            (["compare", "--oracle-steps", "5"], "$.solver.oracle_steps"),
-        ],
-    )
-    def test_bad_override(self, tmp_path, capsys, argv, path):
-        cfg = write_config(tmp_path, base_doc())
-        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert path in capsys.readouterr().err
-
     def test_tolerance_options_are_gone(self, tmp_path):
+        # solver.oracle_steps is set by the config alone
         cfg = write_config(tmp_path, base_doc())
-        for option in ("--rtol", "--atol"):
+        for option in ("--rtol", "--atol", "--oracle-steps"):
             out = run_cli(["simulate", option, "1e-9", "--config", cfg, "--out", str(tmp_path)])
             assert out.returncode == EXIT_CONFIG
             assert f"unrecognized arguments: {option}" in out.stderr
@@ -442,24 +432,23 @@ class TestInputErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, doc, extra",
+        "command, doc",
         [
-            ("simulate", base_doc(time={"t_max": 5.0, "points": 2**63 - 1}), []),
-            ("simulate", base_doc(time={"t_max": 5.0, "points": 10**20}), []),
-            ("simulate", base_doc(time={"t_max": 5.0, "points": 10**12 + 1}), []),
-            ("compare", base_doc(solver={"oracle_steps": 2**63 - 1}), []),
-            ("compare", base_doc(), ["--oracle-steps", str(2**63 - 1)]),
+            ("simulate", base_doc(time={"t_max": 5.0, "points": 2**63 - 1})),
+            ("simulate", base_doc(time={"t_max": 5.0, "points": 10**20})),
+            ("simulate", base_doc(time={"t_max": 5.0, "points": 10**12 + 1})),
+            ("compare", base_doc(solver={"oracle_steps": 2**63 - 1})),
         ],
-        ids=["points-2**63-1", "points-1e20", "points-1e12+1", "steps-2**63-1", "option"],
+        ids=["points-2**63-1", "points-1e20", "points-1e12+1", "steps-2**63-1"],
     )
-    def test_grid_size_above_the_cap(self, tmp_path, command, doc, extra):
+    def test_grid_size_above_the_cap(self, tmp_path, command, doc):
         # rejected while parsing, before numpy sees the size
         field = "$.time.points: expected an integer in [2, "
         if command == "compare":
             field = "$.solver.oracle_steps: expected an integer in [10, "
         out = tmp_path / "out"
         result = run_cli(
-            [command, "--config", write_config(tmp_path, doc), "--out", str(out), *extra],
+            [command, "--config", write_config(tmp_path, doc), "--out", str(out)],
             limit_memory=True,
         )
         assert result.returncode == EXIT_CONFIG
@@ -1227,6 +1216,23 @@ class TestSweep:
             "point_0002",
         ]
         assert "point_0001" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, missing",
+        [("bath.peaks[0].gama", "'gama'"), ("bath[0]", "0"), ("solver.oracle_step", "'oracle_step'")],
+    )
+    def test_misspelled_path_is_refused(self, tmp_path, capsys, path, missing):
+        # the last key was set as a new key, which parse_config ignores: the
+        # sweep exited 0 with every point running the same config
+        doc = base_doc()
+        doc["sweep"] = {path: [0.2, 0.9]}
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"invalid config: $.sweep.{path}: path does not exist in config: {missing}\n"
+        )
+        assert not out.exists()
 
     def test_sweep_requires_section(self, tmp_path, capsys):
         code = main(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from fourier_reference import correlation_by_quadrature, spectral_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +14,7 @@ from pseudobath.model import (
     OhmicWithoutCutoffError,
     SystemHamiltonian,
     correlation,
-    correlation_by_quadrature,
     counterterm_shift,
-    spectral_density,
 )
 
 peak_strategy = st.builds(
