@@ -3,8 +3,11 @@ comparison, cutoff-convergence studies and parameter sweeps.
 
 Output files are deterministic: %.17g float formatting, sorted JSON keys,
 LF line endings, no timestamps.  Identical configs therefore produce
-byte-identical artifacts.  CSV rows are formatted a block at a time by
-``csvformat.format_rows``, whose text is per-entry %.17g byte for byte.
+byte-identical artifacts on one numpy build at one CPU dispatch level, with
+one BLAS and ``OPENBLAS_NUM_THREADS`` fixed; the last bits of the computed
+numbers differ across dispatch levels (see ``dynamics``).  CSV rows are
+formatted a block at a time by ``csvformat.format_rows``, whose text is
+per-entry %.17g byte for byte.
 
 Importing this module loads numpy and the modules ``check`` runs (config,
 model, linalg, pseudomode); a command imports ``dynamics``, ``volterra`` and
@@ -13,6 +16,7 @@ model, linalg, pseudomode); a command imports ``dynamics``, ``volterra`` and
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -352,7 +356,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call (the first ``main``
+    call) and then shared by every later one in the process, so callers must
+    not change it.  Parsing keeps nothing in it: ``parse_args`` returns a
+    fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="pseudobath",
         description="Exact non-Markovian reduced dynamics via pseudomode "
@@ -404,6 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.  The parser is built by the
+    first call and reused by the later ones, so a process that calls ``main``
+    once builds it once, as it always did."""
     args = build_parser().parse_args(argv)
     try:
         with open(args.config, "rb") as fh:

@@ -62,7 +62,8 @@ class OracleTrajectory(
     """States on a uniform grid (required by the history quadrature).
 
     ``error_estimate`` is max_t |y_h - y_{h/2}|/3 for an extrapolated run
-    and None otherwise.
+    and None otherwise: it estimates the error of the half-step run y_{h/2},
+    not that of the Richardson states (4 y_{h/2} - y_h)/3 in ``states``.
     """
 
     __slots__ = ()
@@ -181,6 +182,9 @@ def solve_integro_differential(
     prefactor f = ``renormalization(eta)``, which is exactly 1 at eta = 0.
     The states are at the times linspace(0, t_max, steps + 1), the grid of
     ``dynamics.evolve(..., t_max, steps + 1)``; the kernel is sampled at k*h.
+    With ``extrapolate`` the states are (4 y_{h/2} - y_h)/3 from runs at
+    steps h and h/2; ``error_estimate`` estimates the error of y_{h/2} and
+    does not bound that of the returned states.
     """
     if steps < 10:
         raise ValueError("need at least 10 steps")

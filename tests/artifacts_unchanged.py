@@ -5,17 +5,26 @@
 Extracts ``git archive BASE_REF`` into a temporary directory (the
 repository's ``.git`` is only read) and runs ``simulate``, ``check``,
 ``compare``, ``cutoff-study`` and ``sweep`` on the fixed configs below,
-each in a fresh ``python -m pseudobath.cli`` process, once with the base's
-``src`` and once with this checkout's.  Every artifact, with each run's
-stdout, stderr and exit code, is compared byte for byte.  Prints one line
-and exits 0 when the two trees are identical; otherwise lists the files
-that differ and exits 1.  Not collected by pytest.
+each in a fresh process that runs ``pseudobath.cli`` as ``python -m`` does,
+once with the base's ``src`` and once with this checkout's.  Every
+artifact, with each run's stdout, stderr and exit code, is compared byte for
+byte.
+
+The last bits of the numbers depend on numpy's CPU dispatch, so both trees
+run on two dispatch paths: the native one, and the baseline one, with every
+group of numpy's ``__cpu_dispatch__`` that this CPU offers switched off by
+``NPY_DISABLE_CPU_FEATURES``.  Each process first checks that numpy reports
+those groups off.  Base is compared with head within each path, never across
+paths.  Prints one line and exits 0 when the two trees are identical on both
+paths; otherwise lists the files that differ and exits 1.  Not collected by
+pytest.
 """
 
 import argparse
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -87,10 +96,40 @@ RUNS = [
 ]
 
 
-def run_all(src: pathlib.Path, out: pathlib.Path):
-    """Run every entry of RUNS with ``src`` on the path, into ``out/<name>``."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
+#: Exit code of a run whose numpy does not report the disabled groups off.
+DISPATCH_MISMATCH = 99
+
+#: Checks that the groups named by argv[1] are off, then runs the command line.
+_RUN_CLI = f"""
+import runpy, sys
+from numpy._core._multiarray_umath import __cpu_features__
+on = [g for g in sys.argv.pop(1).split() if __cpu_features__[g]]
+if on:
+    sys.stderr.write(f"numpy dispatch groups not disabled: {{on}}\\n")
+    sys.exit({DISPATCH_MISMATCH})
+runpy.run_module("pseudobath.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+#: This environment on numpy's native dispatch path.
+NATIVE_ENV = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+
+
+def dispatch_groups() -> str:
+    """The groups of numpy's ``__cpu_dispatch__`` that this CPU offers."""
+    code = ("from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__; "
+            "print(' '.join(g for g in __cpu_dispatch__ if __cpu_features__[g]))")
+    return subprocess.run([sys.executable, "-c", code], env=NATIVE_ENV, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def run_all(src: pathlib.Path, out: pathlib.Path, disabled: str = ""):
+    """Run every entry of RUNS with ``src`` on the path, into ``out/<name>``,
+    with the numpy dispatch groups ``disabled`` (space-separated) off."""
+    env = {**NATIVE_ENV, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
            "OPENBLAS_NUM_THREADS": "1"}
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
     where = subprocess.run(
         [sys.executable, "-c", "import pseudobath; print(pseudobath.__file__)"],
         env=env, capture_output=True, text=True, check=True,
@@ -104,9 +143,11 @@ def run_all(src: pathlib.Path, out: pathlib.Path):
         config.write_text(json.dumps(doc))
         argv = [*command[:1], "--config", str(config), "--out", str(run_dir), *command[1:]]
         result = subprocess.run(
-            [sys.executable, "-m", "pseudobath.cli", *argv], env=env,
+            [sys.executable, "-c", _RUN_CLI, disabled, *argv], env=env,
             capture_output=True, timeout=300,
         )
+        if result.returncode == DISPATCH_MISMATCH:
+            raise SystemExit(f"{name}: {result.stderr.decode().strip()}")
         # the paths in messages name this tree's output directory
         for stream, data in (("stdout", result.stdout), ("stderr", result.stderr)):
             (run_dir / stream).write_bytes(data.replace(bytes(out), b"<out>"))
@@ -131,21 +172,28 @@ def main(argv=None) -> int:
             capture_output=True, check=True,
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
-        outputs = {}
-        for side, src in (("base", base / "src"), ("head", ROOT / "src")):
-            run_all(src, tmp / f"out-{side}")
-            outputs[side] = tree(tmp / f"out-{side}")
-
-    old, new = outputs["base"], outputs["head"]
-    differ = sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
-    for path in differ:
-        print(f"differs: {path}" if path in old and path in new
-              else f"only in {'base' if path in old else 'head'}: {path}")
-    if differ:
-        print(f"{len(differ)} of {len(old.keys() | new.keys())} files differ from {args.base_ref}")
-        return 1
-    print(f"all {len(new)} files of {len(RUNS)} runs identical to {args.base_ref}")
-    return 0
+        groups = dispatch_groups()
+        paths = {"native": ""}
+        if groups:
+            paths[f"{groups} off"] = groups
+        failed = False
+        for label, disabled in paths.items():
+            outputs = {}
+            for side, src in (("base", base / "src"), ("head", ROOT / "src")):
+                run_all(src, tmp / f"out-{side}", disabled)
+                outputs[side] = tree(tmp / f"out-{side}")
+                shutil.rmtree(tmp / f"out-{side}")
+            old, new = outputs["base"], outputs["head"]
+            differ = sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
+            for path in differ:
+                print(f"{label}: differs: {path}" if path in old and path in new
+                      else f"{label}: only in {'base' if path in old else 'head'}: {path}")
+            total = len(old.keys() | new.keys())
+            print(f"{label}: {len(differ)} of {total} files differ from {args.base_ref}"
+                  if differ else
+                  f"{label}: all {total} files of {len(RUNS)} runs identical to {args.base_ref}")
+            failed = failed or bool(differ)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

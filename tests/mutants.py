@@ -82,6 +82,8 @@ MUTANTS = [
     ("src/pseudobath/linalg.py", "expm(-1j * (CHUNK_ROWS * step) * blocks)",
      "expm(-1j * ((CHUNK_ROWS + 1) * step) * blocks)",
      "an off-by-one in the chunk propagator", "tests/test_linalg.py"),
+    ("src/pseudobath/cli.py", "@functools.cache\ndef build_parser", "def build_parser",
+     "every main call builds its own parser", "tests/test_cli.py"),
 ]
 
 

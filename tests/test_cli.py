@@ -1410,6 +1410,57 @@ _CHECK_MODULES = [
     "pseudobath.model", "pseudobath.pseudomode",
 ]
 
+class TestParser:
+    """The parser is built on the first ``main`` call and shared by the later
+    ones; a process that calls ``main`` many times writes what as many fresh
+    processes write."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the --help width, here and in the children
+        doc = base_doc(solver={"oracle_steps": 500})
+        config = write_config(tmp_path, doc)
+        calls = [
+            ["check", "--config", config],
+            ["check", "--config", config, "--no-such-option"],
+            ["--help"],
+            ["simulate", "--config", config],
+            ["compare", "--config", config],
+        ]
+
+        def shared(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        def fresh(argv):
+            proc = run_cli(argv)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        sides = {}
+        for side, run in (("shared", shared), ("fresh", fresh)):
+            results = [
+                run([*argv, "--out", str(tmp_path / side / str(i))] if "--config" in argv else argv)
+                for i, argv in enumerate(calls)
+            ]
+            files = {
+                p.relative_to(tmp_path / side): p.read_bytes()
+                for p in sorted((tmp_path / side).rglob("*")) if p.is_file()
+            }
+            sides[side] = results, files
+        results, files = sides["shared"]
+        assert [code for code, *_ in results] == [EXIT_OK, EXIT_CONFIG, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert {p.as_posix() for p in files} == {
+            "0/dilation.json", "3/trajectory.csv", "3/report.json", "4/compare.json",
+        }
+        assert sides["shared"] == sides["fresh"]
+
+
 class TestImports:
     """Importing the command line loads numpy and the modules ``check`` runs,
     and no dataclasses; only the commands that propagate or march load scipy

@@ -20,7 +20,11 @@ def module_table():
     return rows
 
 
-@pytest.mark.parametrize("module, contents", module_table())
+MODULE_TABLE = module_table()
+
+
+# ids are the module names, so that editing a row keeps its test's id
+@pytest.mark.parametrize("module, contents", MODULE_TABLE, ids=[m for m, _ in MODULE_TABLE])
 def test_module_table_names_exist(module, contents):
     names = re.findall(r"`([^`]*)`", contents)
     assert names
