@@ -57,6 +57,26 @@ LORENTZ = _config([[[0.5, 0.0]]], [(0.5, 0.4, 0.1)], 0.0, [[0.6, 0.0]], [0.8, 0.
 SWEEP = dict(LORENTZ, time={"t_max": 2.0, "points": 21},
              sweep={"bath.peaks[0].g": [0.3, 0.6], "bath.peaks[0].gamma": [0.2, 0.9]})
 
+#: The Lorentz config with H = -0.5 over seven baths: two that pass, one with
+#: a negative width, one whose dilation threshold overflows, one that fails the
+#: PSD check, one whose system norm exceeds 1 and one more that passes, each
+#: at 201, 101 and 201 points, so that points of one process's share group in
+#: several ways and fail at every stage.
+FAILING_SWEEP = dict(
+    LORENTZ, system={"n": 1, "matrix": [[[-0.5, 0.0]]]},
+    sweep={
+        "bath": [
+            {"peaks": [{"g": g, "gamma": gamma, "epsilon": eps}], "eta": eta}
+            for g, gamma, eps, eta in [
+                (0.5, 0.4, 0.1, 0.0), (0.3, 0.9, -0.2, 0.0), (0.5, -1.0, 0.1, 0.0),
+                (1e150, 0.4, 0.1, 1e10), (0.5, 0.4, 0.1, 0.5), (0.5, 0.4, 0.1, 2.0),
+                (0.4, 0.6, 0.0, 0.0),
+            ]
+        ],
+        "time.points": [201, 101, 201],
+    },
+)
+
 
 def _wide_matrix(n):
     """A Hermitian n-level H with integer, float and signed-zero parts."""
@@ -91,6 +111,7 @@ RUNS = [
     ("cutoff-study", OHMIC, ["cutoff-study", "--omegas", "5", "10", "20"]),
     ("cutoff-study-inf", OHMIC, ["cutoff-study", "--omegas", "20", "inf"]),
     ("sweep", SWEEP, ["sweep", "--jobs", "2"]),
+    ("sweep-failing", FAILING_SWEEP, ["sweep", "--jobs", "3"]),
     ("check-wide-ints", WIDE, ["check"]),
     ("check-two-defects", TWO_DEFECTS, ["check"]),
 ]

@@ -84,6 +84,11 @@ MUTANTS = [
      "an off-by-one in the chunk propagator", "tests/test_linalg.py"),
     ("src/pseudobath/cli.py", "@functools.cache\ndef build_parser", "def build_parser",
      "every main call builds its own parser", "tests/test_cli.py"),
+    ("src/pseudobath/cli.py", "(newlines[rows - 1 :: rows] + 1)", "(newlines[rows - 2 :: rows] + 1)",
+     "a grouped point's rows are cut one row early", "tests/test_cli.py"),
+    ("src/pseudobath/cli.py", "live = [i for i, exc in enumerate(errors) if exc is None]",
+     "live = list(range(len(group)))",
+     "a point that fails certification stays in its group", "tests/test_cli.py"),
 ]
 
 

@@ -103,7 +103,7 @@ def test_criterion_2_density_matrix_properties(cross_solver_batch):
     worst_min_eig = np.inf
     worst_third = 0.0
     for _, _, init, traj, _ in batch:
-        rhos = observables(traj, init)[1][::40]
+        rhos = observables(traj, init.psi0)[1][::40]
         worst_asym = max(worst_asym, np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max())
         worst_trace = max(worst_trace, np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0).max())
         eigs = np.linalg.eigvalsh(rhos)  # ascending along the last axis

@@ -1,5 +1,6 @@
 import csv
 import errno
+import itertools
 import json
 import math
 import multiprocessing
@@ -916,8 +917,9 @@ class TestRhoRows:
     def test_valid_stack_summary(self):
         t, rho = self.valid_stack()
         trace_dev, min_eig = _validate_rho(t, rho)
-        assert trace_dev <= 1e-15
-        assert abs(min_eig) <= 1e-15
+        assert trace_dev.shape == min_eig.shape == (5,)
+        assert trace_dev.max() <= 1e-15
+        assert abs(min_eig.min()) <= 1e-15
 
     @pytest.mark.parametrize(
         "index, damage, message",
@@ -1327,6 +1329,70 @@ class TestSweep:
         assert fork == serial
         assert spawn == serial
 
+    #: Baths of a sweep over a system with H = -0.5 and psi0 = 0.8, and the
+    #: first error of each run alone; None where it passes.
+    GROUP_BATHS = [
+        ({"peaks": [{"g": 0.5, "gamma": 0.4, "epsilon": 0.1}], "eta": 0.0}, None),
+        ({"peaks": [{"g": 0.3, "gamma": 0.9, "epsilon": -0.2}], "eta": 0.0}, None),
+        ({"peaks": [{"g": 0.5, "gamma": -1.0, "epsilon": 0.1}], "eta": 0.0},
+         "invalid config: $.bath.peaks[0]: peak width must be positive"),
+        ({"peaks": [{"g": 1e150, "gamma": 0.4, "epsilon": 0.1}], "eta": 1e10},
+         "invalid input: dilation threshold"),
+        ({"peaks": [{"g": 0.5, "gamma": 0.4, "epsilon": 0.1}], "eta": 0.5}, "not PSD"),
+        ({"peaks": [{"g": 0.5, "gamma": 0.4, "epsilon": 0.1}], "eta": 2.0}, "system norm"),
+        ({"peaks": [{"g": 0.4, "gamma": 0.6, "epsilon": 0.0}], "eta": 0.0}, None),
+    ]
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_groups_write_what_each_point_writes_alone(self, tmp_path, capsys, jobs):
+        # time.points varies fastest, 201, 101, 201 within each bath: at --jobs 1
+        # the 201-row points of adjacent baths share a group (two per rho
+        # block) and each 101-row point runs alone; other --jobs mix the
+        # points of a process's share differently.  Points fail at parsing,
+        # certification, the system norm and the PSD check.
+        doc = base_doc(system={"n": 1, "matrix": [[[-0.5, 0.0]]]})
+        doc["sweep"] = {"bath": [bath for bath, _ in self.GROUP_BATHS], "time.points": [201, 101, 201]}
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "sweep")]
+        code = main(argv + ["--jobs", jobs])
+        err = capsys.readouterr().err
+
+        # each point alone through simulate
+        expected_code, expected_err, manifest = EXIT_OK, "", []
+        combos = itertools.product(self.GROUP_BATHS, [201, 101, 201])
+        for index, ((bath, failure), points) in enumerate(combos):
+            point = base_doc(system=doc["system"], bath=bath)
+            point["time"]["points"] = points
+            name = f"point_{index:04d}"
+            alone = main(["simulate", "--config", write_config(tmp_path, point, f"{name}.json"),
+                          "--out", str(tmp_path / "alone" / name)])
+            message = capsys.readouterr().err
+            entry = {"index": index, "dir": name, "params": {"bath": bath, "time.points": points},
+                     "status": "ok" if alone == EXIT_OK else "error"}
+            if alone != EXIT_OK:
+                assert failure is not None and failure in message
+                entry["error"] = message.rstrip("\n")
+                expected_err += f"{name}: {message}"
+                expected_code = expected_code or alone
+            else:
+                assert failure is None
+            manifest.append(entry)
+
+        def tree(root):
+            return {p.relative_to(root): p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+        assert code == expected_code == EXIT_CONFIG
+        assert err == expected_err
+        swept = tree(tmp_path / "sweep")
+        assert json.loads(swept.pop(pathlib.Path("manifest.json"))) == manifest
+        assert swept == tree(tmp_path / "alone")
+        # the norm and PSD failures keep an empty directory, the parsing and
+        # certification failures none
+        dirs = {p.name: sorted(p.iterdir()) for p in (tmp_path / "sweep").glob("point_*")}
+        assert sorted(name for name, files in dirs.items() if not files) == [
+            f"point_{i:04d}" for i in range(12, 18)
+        ]
+        assert len(dirs) == 21 - 6
+
     def test_start_method(self, monkeypatch):
         # fork where offered, so workers inherit the imported modules
         started = []
@@ -1382,14 +1448,14 @@ import multiprocessing, os, sys
 from pseudobath import cli
 
 multiprocessing.set_start_method("fork")
-simulate = cli._simulate
+write_point = cli._write_point
 
-def failing(cfg, out_dir):
+def failing(cfg, out_dir, *rest):
     if out_dir.endswith({point!r}):
         {failure}
-    simulate(cfg, out_dir)
+    write_point(cfg, out_dir, *rest)
 
-cli._simulate = failing
+cli._write_point = failing
 argv = {argv!r}
 """
 

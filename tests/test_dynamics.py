@@ -5,6 +5,8 @@ from pseudobath.dynamics import (
     NormExceededError,
     Trajectory,
     evolve,
+    evolve_chunks,
+    evolve_group,
     observables,
 )
 from pseudobath.model import BathModel, InitialState, LorentzPeak, SystemHamiltonian
@@ -23,7 +25,7 @@ def rho_at(psi, init):
     ``observables`` on a one-point trajectory."""
     psi = np.asarray(psi, dtype=complex)
     traj = Trajectory(times=np.array([0.0]), n=psi.size, k=0, vectors=psi[np.newaxis])
-    return observables(traj, init)[1][0]
+    return observables(traj, init.psi0)[1][0]
 
 
 class TestEvolve:
@@ -74,6 +76,58 @@ class TestEvolve:
         np.testing.assert_allclose(np.linalg.norm(traj.vectors, axis=1), 1.0, atol=1e-9)
 
 
+def random_point(rng, n, k, eta):
+    """A random (h, bath, init) triple with N levels and K peaks."""
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    peaks = tuple(
+        LorentzPeak(g=rng.uniform(0.1, 0.8), gamma=rng.uniform(0.2, 1.5), epsilon=rng.uniform(-1, 1))
+        for _ in range(k)
+    )
+    psi = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    psi /= np.linalg.norm(psi)
+    init = InitialState(psi=psi[1:], psi0=psi[0])
+    return SystemHamiltonian(0.5 * (x + x.conj().T)), BathModel(peaks=peaks, eta=eta), init
+
+
+class TestGroup:
+    """A group of points propagated as one stack gives each point the bits
+    it has alone."""
+
+    @pytest.mark.parametrize(
+        "n, k, t_max, points", [(1, 2, 5.0, 201), (3, 1, 2.0, 37), (2, 0, 1.0, 2), (2, 3, 20.0, 5001)]
+    )
+    def test_group_matches_each_point_alone_bitwise(self, n, k, t_max, points):
+        rng = np.random.default_rng(n * 100 + k)
+        models = [random_point(rng, n, k, eta) for eta in (0.0, 0.3, 0.0, 1.0)]
+        group = list(evolve_group(models, t_max, points))
+        for p, (h, bath, init) in enumerate(models):
+            alone = list(evolve_chunks(h, bath, init, t_max, points))
+            assert len(alone) == len(group)  # 5001 points take two pieces
+            for piece, own in zip(group, alone):
+                assert piece[p].times.tobytes() == own.times.tobytes()
+                assert piece[p].vectors.tobytes() == own.vectors.tobytes()
+
+    def test_stacked_rows_match_each_point_bitwise(self):
+        rng = np.random.default_rng(5)
+        models = [random_point(rng, 2, 2, 0.0) for _ in range(3)]  # eta = 0: dilatable
+        (piece,) = evolve_group(models, 4.0, 41)
+        stacked = Trajectory(
+            times=np.tile(piece[0].times, 3), n=2, k=2,
+            vectors=np.concatenate([traj.vectors for traj in piece]),
+        )
+        excited, rho = observables(stacked, np.repeat([init.psi0 for _, _, init in models], 41))
+        for p, ((_, _, init), traj) in enumerate(zip(models, piece)):
+            own_excited, own_rho = observables(traj, init.psi0)
+            assert excited[p * 41 : (p + 1) * 41].tobytes() == own_excited.tobytes()
+            assert rho[p * 41 : (p + 1) * 41].tobytes() == own_rho.tobytes()
+
+    def test_points_of_a_group_share_n_and_k(self):
+        rng = np.random.default_rng(3)
+        models = [random_point(rng, 2, 1, 0.0), random_point(rng, 2, 2, 0.0)]
+        with pytest.raises(ValueError, match="N=2, K=2 in a group with N=2, K=1"):
+            next(evolve_group(models, 1.0, 5))
+
+
 class TestReducedDensity:
     def test_theorem_substitution(self):
         init = InitialState(psi=np.array([0.6]), psi0=0.8)
@@ -104,7 +158,7 @@ class TestObservables:
     def test_initial_population(self):
         h, bath, init = scalar_setup(0.5, 0.2)
         traj = evolve(h, bath, init, 1.0, 5)
-        excited, rho = observables(traj, init)
+        excited, rho = observables(traj, init.psi0)
         assert excited[0] == pytest.approx(1.0)
         for e, ground in zip(excited, rho[:, 0, 0].real):
             assert e + ground == pytest.approx(1.0, abs=0.0)
@@ -113,13 +167,13 @@ class TestObservables:
         h = SystemHamiltonian(np.array([[0.0, 0.4], [0.4, 1.0]]))
         init = InitialState(psi=np.array([1.0, 0.0], dtype=complex), psi0=0.0)
         traj = evolve(h, BathModel(), init, 10.0, 41)
-        pops, _ = observables(traj, init)
+        pops, _ = observables(traj, init.psi0)
         assert max(abs(p - 1.0) for p in pops) < 1e-9
 
     def test_dissipative_population_decays(self):
         h, bath, init = scalar_setup(0.5, 1.0)
         traj = evolve(h, bath, init, 20.0, 201)
-        excited, _ = observables(traj, init)
+        excited, _ = observables(traj, init.psi0)
         assert excited[-1] < 0.05
 
     def test_norm_non_increasing_when_dilatable(self):
@@ -131,7 +185,7 @@ class TestObservables:
     def test_rho_invariants_along_trajectory(self):
         h, bath, init = scalar_setup(1.0, 0.4, epsilon=-0.7, e0=0.5)
         traj = evolve(h, bath, init, 10.0, 51)
-        for m in observables(traj, init)[1]:
+        for m in observables(traj, init.psi0)[1]:
             assert np.abs(m - m.conj().T).max() < 1e-10
             assert abs(np.trace(m).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(m).min() > -1e-10
@@ -147,7 +201,7 @@ class TestObservables:
         psi *= 0.8 / np.linalg.norm(psi)
         init = InitialState(psi=psi, psi0=0.36 + 0.48j)
         traj = evolve(h, bath, init, 8.0, 97)
-        excited, rho = observables(traj, init)
+        excited, rho = observables(traj, init.psi0)
         assert rho.shape == (97, 4, 4)
         # the per-point formula written out with np.vdot and np.outer
         for e, m, psi in zip(excited, rho, traj.states):
@@ -165,14 +219,14 @@ class TestObservables:
         traj = Trajectory(times=np.linspace(0.0, 3.0, 4), n=1, k=0, vectors=vectors)
         init = InitialState(psi=np.array([1.0]), psi0=0.0)
         with pytest.raises(NormExceededError, match=r"at t=2\.0 exceeds 1"):
-            observables(traj, init)
+            observables(traj, init.psi0)
 
     def test_norm_tolerance_is_rounding_only(self):
         # a norm of 1 + 1e-6 is a propagation failure, not rounding
         init = InitialState(psi=np.array([1.0]), psi0=0.0)
         traj = Trajectory(times=np.array([0.0]), n=1, k=0, vectors=np.array([[1.0 + 1e-6 + 0j]]))
         with pytest.raises(NormExceededError, match=r"^system norm 1\.000001000000 at t=0\.0"):
-            observables(traj, init)
+            observables(traj, init.psi0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
     def test_non_finite_state_names_first_point(self, bad):
@@ -183,4 +237,4 @@ class TestObservables:
         with np.errstate(all="ignore"), pytest.raises(
             NormExceededError, match=r"^system state at t=2\.0 is not finite"
         ):
-            observables(traj, init)
+            observables(traj, init.psi0)
