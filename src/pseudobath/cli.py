@@ -12,9 +12,10 @@ per-entry %.17g byte for byte.
 ``simulate`` and ``sweep`` run one pipeline over groups of points
 (``_simulate_group``), ``simulate`` being a group of one.  Within each
 process of a sweep, consecutive points with equal N, K, t_max and points,
-each no longer than one rho block, form a group: one stacked propagation,
-then the rho checks and the CSV text of several whole points per call.
-Every point still writes, and fails with, exactly what it does alone.
+each no longer than one rho block, form a group that fits one propagation
+chunk: one stacked propagation, then one loop over batches of whole points,
+each batch's rho checks and CSV text taken in one call.  Every point still
+writes, and fails with, exactly what it does alone.
 
 Importing this module loads numpy and the modules ``check`` runs (config,
 model, linalg, pseudomode); a command imports ``dynamics``, ``volterra`` and
@@ -130,14 +131,14 @@ def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return trace_dev, min_eig
 
 
-def _rows(piece: list, points: list, psi0: list, last_piece: bool):
-    """Yield (i, block, last) for each block of rows of each point i in
-    ``points``, whose trajectory pieces are in ``piece`` and ground
-    amplitudes in ``psi0``: ``block`` is the CSV text of those rows with their
-    largest trace deviation, smallest rho eigenvalue and last excited
-    population, and ``last`` marks the block that ends the point.  The points
-    share one ``observables`` call and, per block of rows, one rho check and
-    one ``format_rows`` call.  Raises at the first failure of any of them."""
+def _rows(piece: list, points: list, psi0: list):
+    """Yield, for each block of rows and then for each point i of ``points``
+    in turn, the CSV text of those rows of point i with their largest trace
+    deviation, smallest rho eigenvalue and last excited population; the
+    points' trajectory pieces are in ``piece`` and their ground amplitudes in
+    ``psi0``.  The points share one ``observables`` call and, per block of
+    rows, one rho check and one ``format_rows`` call.  Raises at the first
+    failure of any of them."""
     from . import dynamics
     from .csvformat import format_rows  # on first use: check and compare write no CSV
 
@@ -168,68 +169,14 @@ def _rows(piece: list, points: list, psi0: list, last_piece: bool):
         if count > 1:  # cut after every rows-th newline: each row ends in one
             newlines = np.flatnonzero(np.frombuffer(text.encode(), dtype=np.uint8) == 10)
             bounds[1:] = (newlines[rows - 1 :: rows] + 1).tolist()
-        last = last_piece and lo + rows == size
-        for q, i in enumerate(points):
+        for q in range(count):
             rows_q = slice(q * rows, (q + 1) * rows)
-            yield i, (
+            yield (
                 text[bounds[q] : bounds[q + 1]],
                 float(trace_dev[rows_q].max()),
                 float(min_eig[rows_q].min()),
                 float(excited[q, lo + rows - 1]),
-            ), last
-
-
-def _blocks(group: list, pieces, live: list):
-    """Yield (i, block, last) for the points i of ``live`` in order, as
-    ``_rows`` does, for every piece of the group's trajectories; a failing
-    point instead yields (i, its error, True) and nothing after it.
-
-    Points of a piece are taken up to _GROUP_BLOCK_ROWS rows at a time,
-    all in one ``_rows`` call.  If that call fails, each of its points is
-    run alone, as it runs when it is the only point of its group, so that
-    its first error and the bits of its rows are its own."""
-    psi0 = [cfg.initial.psi0 for cfg, _ in group]
-    total = group[0][0].output_points
-    done = 0
-    while live:
-        try:
-            piece = next(pieces)
-        except StopIteration:
-            return
-        except _KNOWN_ERRORS as exc:  # a later chunk of one long point
-            for i in live:
-                yield i, exc, True
-            return
-        size = len(piece[0].times)
-        done += size
-        step = max(1, _GROUP_BLOCK_ROWS // size)
-        for first in range(0, len(piece), step):
-            batch = [i for i in live if first <= i < first + step]
-            if len(batch) > 1:
-                try:
-                    yield from list(_rows(piece, batch, psi0, done == total))
-                    continue
-                except _KNOWN_ERRORS:
-                    pass
-            for i in batch:
-                try:
-                    yield from _rows(piece, [i], psi0, done == total)
-                except _KNOWN_ERRORS as exc:
-                    live.remove(i)
-                    yield i, exc, True
-
-
-def _own_blocks(blocks, i: int):
-    """The blocks of point i from the group's stream: blocks left over by a
-    point before it are skipped, a yielded error is raised."""
-    for j, block, last in blocks:
-        if j != i:
-            continue
-        if isinstance(block, Exception):
-            raise block
-        yield block
-        if last:
-            return
+            )
 
 
 def _write_point(cfg: RunConfig, out_dir: str, dilation: dict, blocks):
@@ -273,13 +220,14 @@ def _simulate_group(group: list) -> list:
     equal N, K, t_max and points; return each point's error, None where it
     succeeded.  Errors outside _KNOWN_ERRORS propagate.
 
-    The group is propagated as one stack and its points share the calls of
-    ``_rows``, yet each point ends as it ends alone, with its own files and
-    its own first error, found in the order: grid and propagation,
-    certification (no directory is left), directory and CSV file, system
-    norm, rho checks block by block (an empty directory is left), the rest
-    of the writes.  A point longer than one chunk is streamed; only its time
-    axis is held whole."""
+    The group is propagated as one stack, yet each point ends as it ends
+    alone, with its own files and its own first error, found in the order:
+    grid and propagation, certification (no directory is left), directory
+    and CSV file, system norm, rho checks block by block (an empty directory
+    is left), the rest of the writes.  Several points are one piece, one rho
+    block each (``_joins``): batches of up to _GROUP_BLOCK_ROWS rows of them
+    share a ``_rows`` call, and if it fails each point runs alone.  A group
+    of one streams its pieces; only its time axis is held whole."""
     from . import dynamics
 
     cfg = group[0][0]
@@ -298,14 +246,25 @@ def _simulate_group(group: list) -> list:
         except _KNOWN_ERRORS as exc:
             dilations.append(None)
             errors.append(exc)
-    live = [i for i, exc in enumerate(errors) if exc is None]
-    blocks = _blocks(group, itertools.chain([first], pieces), list(live))
-    for i in live:
-        cfg, out_dir = group[i]
-        try:
-            _write_point(cfg, out_dir, dilations[i], _own_blocks(blocks, i))
-        except _KNOWN_ERRORS as exc:
-            errors[i] = exc
+    own_pieces = itertools.chain([first], pieces) if len(group) == 1 else [first]
+    psi0 = [cfg.initial.psi0 for cfg, _ in group]
+    step = max(1, _GROUP_BLOCK_ROWS // len(first[0].times))
+    for lo in range(0, len(group), step):
+        batch = [i for i in range(len(group))[lo : lo + step] if errors[i] is None]
+        shared = None
+        if len(batch) > 1:
+            with contextlib.suppress(*_KNOWN_ERRORS):
+                shared = list(_rows(first, batch, psi0))
+        for q, i in enumerate(batch):
+            if shared is None:
+                blocks = (block for piece in own_pieces for block in _rows(piece, [i], psi0))
+            else:
+                blocks = shared[q :: len(batch)]
+            cfg, out_dir = group[i]
+            try:
+                _write_point(cfg, out_dir, dilations[i], blocks)
+            except _KNOWN_ERRORS as exc:
+                errors[i] = exc
     return errors
 
 
@@ -391,7 +350,8 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
 def _joins(group: list, cfg: RunConfig) -> bool:
     """Whether the point ``cfg`` joins the group of points before it: it has
     their N, K, t_max and points, its rows fit one rho block, and the group's
-    stacked rows stay within one propagation chunk."""
+    stacked rows stay within one propagation chunk, so that a group of several
+    points is one piece, one rho block each, as ``_simulate_group`` needs."""
     head = group[0][1]
     return (
         (cfg.system.n, cfg.bath.k, cfg.t_max, cfg.output_points)

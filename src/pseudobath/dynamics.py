@@ -73,9 +73,10 @@ def evolve_group(models, t_max, points):
 
     The N blocks of every point go through one ``linalg.propagate_chunks``
     call, as one (P*N, K+1, K+1) stack, and each point's piece is rotated back
-    by its own eigenvectors.  Each block and each row goes through the same
-    operations as in a group of one (``evolve_chunks``), so each point's rows
-    are bit for bit those of its own run.
+    by its own eigenvectors; the stack saves calls, not work per block (see
+    ``linalg``).  Each block and each row goes through the same operations as
+    in a group of one (``evolve_chunks``), so each point's rows are bit for
+    bit those of its own run.
     """
     n, k = models[0][0].n, models[0][1].k
     times = np.linspace(0.0, t_max, points)

@@ -35,7 +35,7 @@ from pseudobath.config import (
     config_to_dict,
     parse_config,
 )
-from pseudobath.linalg import LinAlgError
+from pseudobath.linalg import CHUNK_ROWS, LinAlgError
 from pseudobath.model import InitialState, ModelError, SystemHamiltonian
 from pseudobath.pseudomode import build_effective_hamiltonian, dilation_threshold, optical_potential
 
@@ -1392,6 +1392,85 @@ class TestSweep:
             f"point_{i:04d}" for i in range(12, 18)
         ]
         assert len(dirs) == 21 - 6
+
+    @staticmethod
+    def assert_sweep_runs_each_point_alone(tmp_path, capsys, doc):
+        """Run ``doc``'s sweep at --jobs 1, then each of its points alone
+        through ``simulate``: the exit code, stderr and tree, directories
+        included, must match.  Returns the manifest."""
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "sweep")]
+        code = main(argv + ["--jobs", "1"])
+        err = capsys.readouterr().err
+        manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+        expected_code, expected_err = EXIT_OK, ""
+        for entry in manifest:
+            point = json.loads(json.dumps(doc))
+            del point["sweep"]
+            for path, value in entry["params"].items():
+                apply_override(point, path, value)
+            name = entry["dir"]
+            alone = main(["simulate", "--config", write_config(tmp_path, point, f"{name}.json"),
+                          "--out", str(tmp_path / "alone" / name)])
+            message = capsys.readouterr().err
+            assert entry.get("error", "") == message.rstrip("\n")
+            if message:
+                expected_err += f"{name}: {message}"
+            expected_code = expected_code or alone
+
+        def tree(root):
+            return {p.relative_to(root): p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+        assert (code, err) == (expected_code, expected_err)
+        swept = tree(tmp_path / "sweep")
+        del swept[pathlib.Path("manifest.json")]
+        assert swept == tree(tmp_path / "alone")
+        return manifest
+
+    def test_failure_in_a_later_chunk(self, tmp_path, monkeypatch, capsys):
+        # the second 4096-row piece of a 5001-point run runs out of memory
+        # after the first piece's rows have been written
+        propagate_chunks = dynamics.propagate_chunks
+
+        def failing(blocks, z0, step, count):
+            chunks = propagate_chunks(blocks, z0, step, count)
+            yield next(chunks)
+            if count > CHUNK_ROWS:
+                raise MemoryError("second chunk")
+
+        monkeypatch.setattr(dynamics, "propagate_chunks", failing)
+        doc = base_doc(time={"t_max": 50.0, "points": 5001})
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "out of memory: second chunk\n"
+        assert list(out.iterdir()) == []
+
+        # in a sweep, the 201-row points around each 5001-point point, the
+        # middle two in one group, write what they write alone
+        doc = base_doc(time={"t_max": 50.0, "points": 201})
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6], "time.points": [201, 5001, 201]}
+        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        assert [entry["status"] for entry in manifest] == ["ok", "error", "ok"] * 2
+        assert manifest[1]["error"] == "out of memory: second chunk"
+        assert list((tmp_path / "sweep" / "point_0004").iterdir()) == []
+
+    def test_groups_stay_within_one_chunk(self, tmp_path, monkeypatch, capsys):
+        # 25 equal 201-row points: a group stacks at most 4096 // 201 = 20
+        propagate_chunks = dynamics.propagate_chunks
+        stacks = []
+
+        def counted(blocks, *args):
+            stacks.append(len(blocks))  # N = 1: one block per point
+            return propagate_chunks(blocks, *args)
+
+        monkeypatch.setattr(dynamics, "propagate_chunks", counted)
+        doc = base_doc(time={"t_max": 2.0, "points": 201})
+        doc["sweep"] = {"bath.peaks[0].gamma": [round(0.2 + 0.05 * j, 2) for j in range(25)]}
+        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        assert {entry["status"] for entry in manifest} == {"ok"}
+        swept = stacks[: -len(manifest)]  # then one propagation per point alone
+        assert sum(swept) == 25
+        assert max(swept) == CHUNK_ROWS // 201
 
     def test_start_method(self, monkeypatch):
         # fork where offered, so workers inherit the imported modules
