@@ -14,7 +14,7 @@ Every exported name is imported from its submodule on first access
 
 #: Each submodule with the names the package exports from it.
 _EXPORTS = {
-    "dynamics": "NormExceededError Trajectory evolve evolve_chunks evolve_group observables",
+    "dynamics": "NormExceededError Trajectory evolve evolve_group observables",
     "linalg": "DimensionMismatchError LinAlgError NotHermitianError hermitian_eigenvalues",
     "model": (
         "BathModel InitialState LorentzPeak ModelError OhmicWithoutCutoffError "

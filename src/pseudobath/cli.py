@@ -131,31 +131,20 @@ def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return trace_dev, min_eig
 
 
-def _rows(piece: list, points: list, psi0: list):
+def _rows(piece, points: list, psi0: np.ndarray):
     """Yield, for each block of rows and then for each point i of ``points``
     in turn, the CSV text of those rows of point i with their largest trace
     deviation, smallest rho eigenvalue and last excited population; the
-    points' trajectory pieces are in ``piece`` and their ground amplitudes in
-    ``psi0``.  The points share one ``observables`` call and, per block of
-    rows, one rho check and one ``format_rows`` call.  Raises at the first
-    failure of any of them."""
+    group's stacked trajectory piece is ``piece`` and its ground amplitudes,
+    one per point, are ``psi0``, shape (P, 1).  The points share one
+    ``observables`` call and, per block of rows, one rho check and one
+    ``format_rows`` call.  Raises at the first failure of any of them."""
     from . import dynamics
     from .csvformat import format_rows  # on first use: check and compare write no CSV
 
-    t = piece[points[0]].times
-    count, size = len(points), len(t)
-    if count == 1:
-        traj, psi0_rows = piece[points[0]], psi0[points[0]]
-    else:
-        traj = dynamics.Trajectory(
-            times=np.tile(t, count), n=piece[0].n, k=piece[0].k,
-            vectors=np.concatenate([piece[i].vectors for i in points]),
-        )
-        psi0_rows = np.repeat([psi0[i] for i in points], size)
-    excited, rho = dynamics.observables(traj, psi0_rows)
-    excited = excited.reshape(count, size)
-    rho = rho.reshape(count, size, *rho.shape[1:])
-    for lo in range(0, size, _BLOCK_ROWS):
+    t, count = piece.times, len(points)
+    excited, rho = dynamics.observables(piece._replace(vectors=piece.vectors[points]), psi0[points])
+    for lo in range(0, len(t), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
         rows = len(t[block])
         t_block = np.tile(t[block], count)
@@ -247,8 +236,8 @@ def _simulate_group(group: list) -> list:
             dilations.append(None)
             errors.append(exc)
     own_pieces = itertools.chain([first], pieces) if len(group) == 1 else [first]
-    psi0 = [cfg.initial.psi0 for cfg, _ in group]
-    step = max(1, _GROUP_BLOCK_ROWS // len(first[0].times))
+    psi0 = np.array([[cfg.initial.psi0] for cfg, _ in group])
+    step = max(1, _GROUP_BLOCK_ROWS // len(first.times))
     for lo in range(0, len(group), step):
         batch = [i for i in range(len(group))[lo : lo + step] if errors[i] is None]
         shared = None

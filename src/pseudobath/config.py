@@ -23,6 +23,9 @@ from .model import (
     SystemHamiltonian,
 )
 
+#: The oracle's step count where the config sets none.
+_ORACLE_STEPS = 4000
+
 
 class ConfigError(Exception):
     """Base class for configuration failures."""
@@ -46,11 +49,13 @@ class RunConfig(
     """A validated run configuration: a ``SystemHamiltonian``, a
     ``BathModel``, an ``InitialState``, the grid and the oracle's step count
     (the wire key ``solver.oracle_steps``).  ``oracle_steps`` defaults to
-    4000 and ``sweep`` to a new empty dict."""
+    ``_ORACLE_STEPS`` and ``sweep`` to a new empty dict."""
 
     __slots__ = ()
 
-    def __new__(cls, system, bath, initial, t_max, output_points, oracle_steps=4000, sweep=None):
+    def __new__(
+        cls, system, bath, initial, t_max, output_points, oracle_steps=_ORACLE_STEPS, sweep=None
+    ):
         sweep = {} if sweep is None else sweep
         return super().__new__(
             cls, system, bath, initial, t_max, output_points, oracle_steps, sweep
@@ -233,7 +238,7 @@ def parse_config(text) -> RunConfig:
     points = _grid_size(time_obj, "points", "$.time", 2)
 
     solver_obj = _get(doc, "solver", "$", dict, required=False, default={})
-    oracle_steps = _grid_size(solver_obj, "oracle_steps", "$.solver", 10, default=4000)
+    oracle_steps = _grid_size(solver_obj, "oracle_steps", "$.solver", 10, default=_ORACLE_STEPS)
 
     sweep = _get(doc, "sweep", "$", dict, required=False, default={})
     for key, vals in sweep.items():

@@ -93,6 +93,11 @@ MUTANTS = [
      "grouped points share the lone point's piece iterator", "tests/test_cli.py"),
     ("src/pseudobath/cli.py", "\n        and (len(group) + 1) * cfg.output_points <= CHUNK_ROWS", "",
      "a group's stacked rows may exceed one propagation chunk", "tests/test_cli.py"),
+    ("src/pseudobath/cli.py", '"final_ground_population": 1.0 - excited[-1]',
+     '"final_ground_population": 1.0 + excited[-1]',
+     "the report's final ground population is 1 + excited", "tests/test_cli.py"),
+    ("src/pseudobath/dynamics.py", "traj.times[bad[0] % len(traj.times)]", "traj.times[bad[0]]",
+     "a stacked norm error reads the time at its flat row index", "tests/test_dynamics.py"),
 ]
 
 

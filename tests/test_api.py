@@ -19,8 +19,7 @@ def test_module_all_names_exist(name):
 
 #: The package's exports, each with the submodule that defines it.
 EXPORTS = {
-    "dynamics": ["NormExceededError", "Trajectory", "evolve", "evolve_chunks", "evolve_group",
-                 "observables"],
+    "dynamics": ["NormExceededError", "Trajectory", "evolve", "evolve_group", "observables"],
     "linalg": ["DimensionMismatchError", "LinAlgError", "NotHermitianError",
                "hermitian_eigenvalues"],
     "model": ["BathModel", "InitialState", "LorentzPeak", "ModelError",
@@ -36,7 +35,7 @@ EXPORTS = {
 
 def test_package_exports_resolve_on_first_access():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 29
+    assert len(names) == 28
     assert sorted(pseudobath.__all__) == names
     for module_name, exported in EXPORTS.items():
         module = importlib.import_module(f"pseudobath.{module_name}")

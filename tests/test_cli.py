@@ -813,7 +813,7 @@ class TestTempFiles:
 
         def damaged(traj, init):
             excited, rho = observables(traj, init)
-            rho[300, 0, 1] += 1e-6
+            rho[..., 300, 0, 1] += 1e-6
             return excited, rho
 
         monkeypatch.setattr(dynamics, "observables", damaged)
@@ -857,6 +857,18 @@ class TestSimulate:
         with open(out / "trajectory.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[-1]["excited_population"]) < 0.05
+
+    def test_final_ground_population(self, tmp_path):
+        # the report's ground population is the last row's rho_0_0, bit for bit
+        cfg, out = write_config(tmp_path, base_doc()), tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        with open(out / "trajectory.csv") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        summary = json.loads((out / "report.json").read_text())["trajectory"]
+        ground = summary["final_ground_population"]
+        assert ground == 1.0 - summary["final_excited_population"]
+        assert "%.17g" % ground == last["rho_0_0_re"]
+        assert 0.0 < ground < 1.0
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())

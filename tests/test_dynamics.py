@@ -5,7 +5,6 @@ from pseudobath.dynamics import (
     NormExceededError,
     Trajectory,
     evolve,
-    evolve_chunks,
     evolve_group,
     observables,
 )
@@ -100,26 +99,25 @@ class TestGroup:
         rng = np.random.default_rng(n * 100 + k)
         models = [random_point(rng, n, k, eta) for eta in (0.0, 0.3, 0.0, 1.0)]
         group = list(evolve_group(models, t_max, points))
-        for p, (h, bath, init) in enumerate(models):
-            alone = list(evolve_chunks(h, bath, init, t_max, points))
+        for p, model in enumerate(models):
+            alone = list(evolve_group([model], t_max, points))
             assert len(alone) == len(group)  # 5001 points take two pieces
             for piece, own in zip(group, alone):
-                assert piece[p].times.tobytes() == own.times.tobytes()
-                assert piece[p].vectors.tobytes() == own.vectors.tobytes()
+                assert piece.times.tobytes() == own.times.tobytes()
+                assert piece.vectors[p].tobytes() == own.vectors[0].tobytes()
 
     def test_stacked_rows_match_each_point_bitwise(self):
         rng = np.random.default_rng(5)
         models = [random_point(rng, 2, 2, 0.0) for _ in range(3)]  # eta = 0: dilatable
         (piece,) = evolve_group(models, 4.0, 41)
-        stacked = Trajectory(
-            times=np.tile(piece[0].times, 3), n=2, k=2,
-            vectors=np.concatenate([traj.vectors for traj in piece]),
-        )
-        excited, rho = observables(stacked, np.repeat([init.psi0 for _, _, init in models], 41))
-        for p, ((_, _, init), traj) in enumerate(zip(models, piece)):
+        psi0s = np.array([[init.psi0] for _, _, init in models])
+        excited, rho = observables(piece, psi0s)
+        assert excited.shape == (3, 41) and rho.shape == (3, 41, 3, 3)
+        for p, (_, _, init) in enumerate(models):
+            traj = piece._replace(vectors=piece.vectors[p])
             own_excited, own_rho = observables(traj, init.psi0)
-            assert excited[p * 41 : (p + 1) * 41].tobytes() == own_excited.tobytes()
-            assert rho[p * 41 : (p + 1) * 41].tobytes() == own_rho.tobytes()
+            assert excited[p].tobytes() == own_excited.tobytes()
+            assert rho[p].tobytes() == own_rho.tobytes()
 
     def test_points_of_a_group_share_n_and_k(self):
         rng = np.random.default_rng(3)
@@ -238,3 +236,17 @@ class TestObservables:
             NormExceededError, match=r"^system state at t=2\.0 is not finite"
         ):
             observables(traj, init.psi0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(1.1, r"^system norm 1\.100000000000 at t=0\.5 exceeds 1"),
+         (np.nan, r"^system state at t=0\.5 is not finite")],
+        ids=["norm", "nan"],
+    )
+    def test_stacked_norm_error_names_the_time_of_its_row(self, bad, message):
+        # two points on the grid 0, 0.25, 0.5, 0.75; the second fails at row 2
+        vectors = np.full((2, 4, 3), 0.5 + 0j)
+        vectors[1, 2, 0] = bad
+        traj = Trajectory(times=np.linspace(0.0, 0.75, 4), n=1, k=2, vectors=vectors)
+        with np.errstate(all="ignore"), pytest.raises(NormExceededError, match=message):
+            observables(traj, np.array([[0.0], [0.0]]))

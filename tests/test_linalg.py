@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 import pseudobath
 from pseudobath import linalg
-from pseudobath.dynamics import evolve, evolve_chunks
+from pseudobath.dynamics import evolve, evolve_group
 from pseudobath.linalg import (
     CHUNK_ROWS,
     DimensionMismatchError,
@@ -141,7 +141,7 @@ class TestIntegrateLinearOde:
     def test_bad_grid(self):
         # the grid is checked by dynamics, on the first next and not before
         h, init = SystemHamiltonian(np.eye(1)), InitialState(psi=np.array([1.0]), psi0=0.0)
-        chunks = evolve_chunks(h, BathModel(), init, 5e-324, 3)
+        chunks = evolve_group([(h, BathModel(), init)], 5e-324, 3)
         with pytest.raises(LinAlgError, match="strictly increasing and start at 0"):
             next(chunks)
 
@@ -233,14 +233,14 @@ class TestPropagateBlocks:
     def test_million_steps_match_one_dense_expm(self):
         # 245 chunks: a row is up to 12 doubling and 244 chunk products from z0
         h, bath, init = dilatable_generator(np.random.default_rng(9), 2, 2, 0.3)
-        for piece in evolve_chunks(h, bath, init, 20.0, 10**6 + 1):
+        for piece in evolve_group([(h, bath, init)], 20.0, 10**6 + 1):
             assert len(piece.times) <= CHUNK_ROWS
         assert piece.times[-1] == 20.0
         exact = expm(-20.0j * build_effective_hamiltonian(h, bath)) @ evolve(
             h, bath, init, 20.0, 1
         ).vectors[0]
         assert np.abs(exact).max() > 0.05
-        assert np.abs(piece.vectors[-1] - exact).max() <= 1e-12
+        assert np.abs(piece.vectors[0, -1] - exact).max() <= 1e-12
 
     def test_cli_import_leaves_scipy_integrate_out(self):
         src = str(pathlib.Path(pseudobath.__file__).resolve().parents[1])
