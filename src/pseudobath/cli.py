@@ -6,16 +6,19 @@ LF line endings, no timestamps.  Identical configs therefore produce
 byte-identical artifacts on one numpy build at one CPU dispatch level, with
 one BLAS and ``OPENBLAS_NUM_THREADS`` fixed; the last bits of the computed
 numbers differ across dispatch levels (see ``dynamics``).  CSV rows are
-formatted a block at a time by ``csvformat.format_rows``, whose text is
-per-entry %.17g byte for byte.
+formatted _BLOCK_ROWS = 512 at a time by ``csvformat.format_rows``, whose
+text is per-entry %.17g byte for byte; below rho's diagonal it copies the
+text of each column that repeats its mirror's bits (re) or their negation
+(im) on the block instead of formatting it again.
 
 ``simulate`` and ``sweep`` run one pipeline over groups of points
 (``_simulate_group``), ``simulate`` being a group of one.  Within each
 process of a sweep, consecutive points with equal N, K, t_max and points,
 each no longer than one rho block, form a group that fits one propagation
-chunk: one stacked propagation, then one loop over batches of whole points,
-each batch's rho checks and CSV text taken in one call.  Every point still
-writes, and fails with, exactly what it does alone.
+chunk: one stacked propagation, then one loop over batches of whole points
+of at most _BLOCK_ROWS rows, each batch's rho checks and CSV text taken in
+one call.  Every point still writes, and fails with, exactly what it does
+alone.
 
 Importing this module loads numpy and the modules ``check`` runs (config,
 model, linalg, pseudomode); a command imports ``dynamics``, ``volterra`` and
@@ -54,14 +57,12 @@ class ArgumentError(ConfigError):
     invalid."""
 
 
-#: Rows of the density-matrix stack validated and formatted at a time; a
-#: sweep point of at most this many rows can share a group with others.
-_BLOCK_ROWS = 256
-#: Rows of whole points of a group whose density matrices are taken,
-#: validated and formatted in one call: it bounds what those calls hold, as
-#: _BLOCK_ROWS does for a point alone.  On the sweep-small benchmark (points
-#: of 201 rows, 2-core x86) 1024 was 5 % faster than 512 and held 0.7 MB more.
-_GROUP_BLOCK_ROWS = 512
+#: Rows of the density-matrix stack validated and formatted in one call: a
+#: block of a point alone, or a batch of whole points of a group.  A sweep
+#: point of at most this many rows can share a group with others.  On the
+#: simulate-dense benchmark (4001 rows, 2-core x86) 512 was 3-7 % faster
+#: than 256; 1024 was mixed, 2048 6-13 % slower and 4096 20 % slower.
+_BLOCK_ROWS = 512
 
 
 #: Exception classes a command may raise, with their exit code and message prefix.
@@ -131,6 +132,21 @@ def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return trace_dev, min_eig
 
 
+@functools.cache
+def _hermitian_repeats(dim: int) -> tuple:
+    """The (j, k) pairs of ``csvformat.format_rows`` for a CSV row of t, a
+    Hermitian dim x dim rho as (re, im) pairs and the excited population:
+    below the diagonal, re rho_ij repeats re rho_ji and im rho_ij negates
+    im rho_ji."""
+    col = [[1 + 2 * (dim * i + j) for j in range(dim)] for i in range(dim)]
+    return tuple(
+        pair
+        for i in range(dim)
+        for j in range(i)
+        for pair in ((col[i][j], col[j][i]), (col[i][j] + 1, ~(col[j][i] + 1)))
+    )
+
+
 def _rows(piece, points: list, psi0: np.ndarray):
     """Yield, for each block of rows and then for each point i of ``points``
     in turn, the CSV text of those rows of point i with their largest trace
@@ -153,7 +169,7 @@ def _rows(piece, points: list, psi0: np.ndarray):
         table = np.column_stack(
             (t_block, rho_block.reshape(len(t_block), -1).view(float), excited[:, block].ravel())
         )
-        text = format_rows(table)
+        text = format_rows(table, _hermitian_repeats(rho.shape[-1]))
         bounds = [0, len(text)]
         if count > 1:  # cut after every rows-th newline: each row ends in one
             newlines = np.flatnonzero(np.frombuffer(text.encode(), dtype=np.uint8) == 10)
@@ -214,7 +230,7 @@ def _simulate_group(group: list) -> list:
     grid and propagation, certification (no directory is left), directory
     and CSV file, system norm, rho checks block by block (an empty directory
     is left), the rest of the writes.  Several points are one piece, one rho
-    block each (``_joins``): batches of up to _GROUP_BLOCK_ROWS rows of them
+    block each (``_joins``): batches of up to _BLOCK_ROWS rows of them
     share a ``_rows`` call, and if it fails each point runs alone.  A group
     of one streams its pieces; only its time axis is held whole."""
     from . import dynamics
@@ -237,7 +253,7 @@ def _simulate_group(group: list) -> list:
             errors.append(exc)
     own_pieces = itertools.chain([first], pieces) if len(group) == 1 else [first]
     psi0 = np.array([[cfg.initial.psi0] for cfg, _ in group])
-    step = max(1, _GROUP_BLOCK_ROWS // len(first.times))
+    step = max(1, _BLOCK_ROWS // len(first.times))
     for lo in range(0, len(group), step):
         batch = [i for i in range(len(group))[lo : lo + step] if errors[i] is None]
         shared = None
@@ -450,7 +466,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         )
 
     os.makedirs(args.out, exist_ok=True)
-    results = _run_sweep(jobs, min(args.jobs, len(jobs)))
+    # never more processes than points, nor more workers than usable CPUs
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    results = _run_sweep(jobs, min(args.jobs, len(jobs), cpus + 1))
     exit_code = EXIT_OK
     for entry, (code, error) in zip(manifest, results):
         if error is None:

@@ -24,6 +24,12 @@ scaled value within 1e-7 of a half (where the rounding of a tie could
 matter), an exponent that does not settle after one correction, and
 non-finite values or magnitudes outside [1e-269, 1e269), where the power of
 ten or its tail would leave the normal range.
+
+A column whose bits repeat those of another, or repeat them with the sign
+flipped, need not be formatted at all: ``format_rows(table, repeats)``
+takes such pairs as a hint, checks each on the bits of the table, and copies
+the four words of the source column, toggling the sign byte for a negation.
+A hint that does not hold only costs its check.
 """
 
 import numpy as np
@@ -82,9 +88,8 @@ def _load_tables() -> tuple:
       point follows digit u (j = u, the point itself, is written after);
     - prefix[sign + 2 * zeros + 10 * digit + 100 * point]: "-" or NUL, then
       "", "0.", "0.0", "0.00" or "0.000", the first digit, "." or NUL;
-    - suffix[2 * (E + _MAX_EXP + 1) + newline] in exponent notation and
-      suffix[newline] in fixed notation: "e+07" and the like, then the
-      separator.
+    - suffix[E + _MAX_EXP + 1] in exponent notation and suffix[0] in fixed
+      notation: "e+07" and the like, then a comma.
     """
     global _tables
     if _tables is None:
@@ -106,7 +111,7 @@ def _load_tables() -> tuple:
             for sign in ("\0", "-")
         )
         exponents = [""] + [f"e{e:+03d}" for e in range(-_MAX_EXP, _MAX_EXP + 1)]
-        suffix = _words(exp.ljust(5, "\0") + sep for exp in exponents for sep in ",\n")
+        suffix = _words(exp.ljust(5, "\0") + "," for exp in exponents)
         _tables = (_powers_of_ten(), cells, significant, keep.reshape(4, 17), shift, prefix, suffix)
     return _tables
 
@@ -179,9 +184,10 @@ def _decimal(x: np.ndarray, powers: np.ndarray):
     return lead.astype(np.int8), groups, e.astype(np.int16), unset & (x != 0.0)
 
 
-def _layout(x: np.ndarray, cols: int) -> np.ndarray:
-    """The text of each entry of x in four 8-byte words, NUL where unused,
-    ending in the separator that follows it in a table of ``cols`` columns."""
+def _layout(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each entry of x in four 8-byte words, NUL where unused and
+    ended by a comma (byte 29), and a mask of the entries whose text is left
+    to ``%``."""
     powers, cells, significant, keep, shift, prefix, suffix = _load_tables()
     lead, groups, e, slow = _decimal(x, powers)
     # index of the last nonzero digit (0 for zero) and of the units digit
@@ -201,9 +207,7 @@ def _layout(x: np.ndarray, cols: int) -> np.ndarray:
     digits = words.view(np.uint32)
     for k in range(4):
         digits[:, 2 + k] = cells.take(groups[k]) & keep[k].take(kept)
-    exponent = np.where(fixed, 0, 2 * (e + _MAX_EXP + 1))
-    exponent[cols - 1 :: cols] += 1
-    words[:, 3] = suffix.take(exponent)
+    words[:, 3] = suffix.take(np.where(fixed, 0, e + _MAX_EXP + 1))
     out = words.view(np.uint8)
     # the decimal point after units digits 1..15: fixed notation, so byte 24,
     # where the last digit moves, is NUL
@@ -211,21 +215,70 @@ def _layout(x: np.ndarray, cols: int) -> np.ndarray:
     u = units[inner]
     out[inner, 8:25] = np.take_along_axis(out[inner], shift[u], axis=1)
     out[inner, 8 + u] = ord(".")
+    return words, slow
+
+
+def _sources(columns: np.ndarray, repeats) -> tuple[np.ndarray, np.ndarray]:
+    """The column whose text each column of a table takes, and whether that
+    text is negated.  ``columns`` holds the table's uint64 bits, one row per
+    column.  A column takes its own text unless it is the target j of a pair
+    (j, k) of ``repeats`` that holds (column j equals column k, or, for a
+    negative k, column ~k with the sign bit flipped), where neither column
+    already takes another's text and j gives its own to no earlier pair."""
+    cols = len(columns)
+    source, negated = list(range(cols)), [False] * cols
+    if len(repeats):
+        target, k = np.array(repeats, dtype=np.int64).reshape(-1, 2).T
+        flip = k < 0
+        k = np.where(flip, ~k, k)
+        sign = flip.astype(np.uint64) << np.uint64(63)
+        holds = ((columns[target] ^ columns[k]) == sign[:, None]).all(axis=1)
+        given = set()
+        for j, s, f in zip(target[holds].tolist(), k[holds].tolist(), flip[holds].tolist()):
+            if j != s and source[j] == j and source[s] == s and j not in given:
+                source[j], negated[j] = s, f
+                given.add(s)
+    return np.array(source), np.array(negated)
+
+
+def _entries(table: np.ndarray, repeats) -> np.ndarray:
+    """The text of each entry of a 2-D table as 32 bytes, NUL where unused
+    and ending in its separator, one row of bytes per entry."""
+    rows, cols = table.shape
+    source, negated = _sources(table.view(np.uint64).T, repeats)
+    own = source == np.arange(cols)
+    words, slow = _layout(table[:, own].ravel())
+    out = words.view(np.uint8).reshape(rows, -1, 32)
+    if not own.all():
+        pick = (np.cumsum(own) - 1)[source]
+        out = out.take(pick, axis=1)
+        slow = slow.reshape(rows, -1).take(pick, axis=1)
+        # the sign byte of an entry off the % path is NUL or "-"
+        out[:, negated, 0] ^= ord("-")
+    out[:, -1, 29] = ord("\n")
+    x, out = table.ravel(), out.reshape(-1, 32)
     for i in np.flatnonzero(slow).tolist():
         entry = ("%.17g" % x[i]).encode()
         out[i, :29] = 0  # all but the separator
         out[i, : len(entry)] = np.frombuffer(entry, dtype=np.uint8)
-    return words
+    return out
 
 
-def format_rows(table) -> str:
+def format_rows(table, repeats=()) -> str:
     """The rows of a 2-D float table as CSV text: each entry ``%.17g``,
-    entries joined by commas, each row ended by a newline."""
+    entries joined by commas, each row ended by a newline.
+
+    ``repeats`` may name pairs (j, k) of column indices: column j may repeat
+    column k bit for bit, or, written (j, ~k), repeat column k negated.  A
+    pair that holds on every row spares formatting column j; the text is the
+    same whatever the pairs say."""
     table = np.asarray(table, dtype=np.float64)
-    rows, cols = table.shape
+    rows, _ = table.shape
     if table.size == 0:
         return "\n" * rows
-    return _layout(table.ravel(), cols).tobytes().translate(None, b"\0").decode("ascii")
+    # the entries are freed before the NULs are deleted: holding them through
+    # that step was measurably slower
+    return _entries(table, repeats).tobytes().translate(None, b"\0").decode("ascii")
 
 
 __all__ = ["format_rows"]

@@ -51,6 +51,16 @@ OHMIC = _config(
 #: The Ohmic config on a grid that prints t >= 10, where the decimal point
 #: falls among the digits, and that crosses ``linalg.CHUNK_ROWS`` = 4096 rows.
 LONG = dict(OHMIC, time={"t_max": 20.0, "points": 5001})
+#: Three levels coupled in pairs by complex entries, on a grid of three rho
+#: blocks, so that rho has entries below its diagonal with i, j >= 1.
+THREE_LEVELS = dict(
+    OHMIC,
+    system={"n": 3, "matrix": [[[1.0, 0.0], [0.1, 0.05], [0.1, 0.1]],
+                               [[0.1, -0.05], [1.3, 0.0], [0.1, 0.05]],
+                               [[0.1, -0.1], [0.1, -0.05], [1.6, 0.0]]]},
+    initial={"psi": [[0.3, 0.1], [0.3, 0.2], [0.3, 0.3]], "psi0": [0.7681145747868608, 0.0]},
+    time={"t_max": 12.0, "points": 1201},
+)
 #: One level, one Lorentz peak, no Ohmic term.
 LORENTZ = _config([[[0.5, 0.0]]], [(0.5, 0.4, 0.1)], 0.0, [[0.6, 0.0]], [0.8, 0.0])
 #: The Lorentz config over four peak couplings and widths.
@@ -105,6 +115,7 @@ RUNS = [
     ("simulate-ohmic", OHMIC, ["simulate"]),
     ("simulate-long", LONG, ["simulate"]),
     ("simulate-lorentz", LORENTZ, ["simulate"]),
+    ("simulate-three-levels", THREE_LEVELS, ["simulate"]),
     ("check-ohmic", OHMIC, ["check"]),
     ("compare-ohmic", OHMIC, ["compare"]),
     ("compare-lorentz", LORENTZ, ["compare", "--threshold", "1e-15"]),

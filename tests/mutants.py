@@ -98,6 +98,11 @@ MUTANTS = [
      "the report's final ground population is 1 + excited", "tests/test_cli.py"),
     ("src/pseudobath/dynamics.py", "traj.times[bad[0] % len(traj.times)]", "traj.times[bad[0]]",
      "a stacked norm error reads the time at its flat row index", "tests/test_dynamics.py"),
+    ("src/pseudobath/csvformat.py", "holds = ((columns[target] ^ columns[k]) == sign[:, None]).all(axis=1)",
+     "holds = np.ones(len(target), dtype=bool)",
+     "a hinted column is reused without the bit check", "tests/test_csvformat.py"),
+    ("src/pseudobath/csvformat.py", '        out[:, negated, 0] ^= ord("-")\n', "",
+     "a negated column keeps its source's sign", "tests/test_csvformat.py"),
 ]
 
 

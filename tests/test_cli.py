@@ -807,22 +807,23 @@ class TestTempFiles:
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "trajectory.csv"]
 
     def test_validation_failure_in_a_later_block(self, tmp_path, monkeypatch, capsys):
-        # row 300 of 301, in the second 256-row block, is damaged after the
+        # row 600 of 601, in the second 512-row block, is damaged after the
         # first block has been written
+        assert cli._BLOCK_ROWS <= 600
         observables = dynamics.observables
 
         def damaged(traj, init):
             excited, rho = observables(traj, init)
-            rho[..., 300, 0, 1] += 1e-6
+            rho[..., 600, 0, 1] += 1e-6
             return excited, rho
 
         monkeypatch.setattr(dynamics, "observables", damaged)
-        doc = base_doc(time={"t_max": 3.0, "points": 301})
+        doc = base_doc(time={"t_max": 6.0, "points": 601})
         out = tmp_path / "out"
         argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
-            "numerical failure: rho at t=3.0 not Hermitian (defect 1.000e-06)\n"
+            "numerical failure: rho at t=6.0 not Hermitian (defect 1.000e-06)\n"
         )
         assert list(out.iterdir()) == []
 
@@ -869,6 +870,31 @@ class TestSimulate:
         assert ground == 1.0 - summary["final_excited_population"]
         assert "%.17g" % ground == last["rho_0_0_re"]
         assert 0.0 < ground < 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_are_the_text_of_observables(self, tmp_path, n):
+        # 1201 points are three rho blocks; every pair of levels is coupled,
+        # so rho's off-diagonal entries have real and imaginary parts
+        matrix = [[[1.0 + 0.3 * i, 0.0] if i == j else [0.1, 0.05 * (j - i)] for j in range(n)]
+                  for i in range(n)]
+        psi = [[0.3, 0.1 * (k + 1)] for k in range(n)]
+        ground = math.sqrt(1.0 - sum(re * re + im * im for re, im in psi))
+        doc = base_doc(
+            system={"n": n, "matrix": matrix},
+            bath={"peaks": [{"g": 0.4, "gamma": 0.8, "epsilon": 0.1},
+                            {"g": 0.3, "gamma": 0.6, "epsilon": -0.2}], "eta": 0.5},
+            initial={"psi": psi, "psi0": [ground, 0.0]},
+            time={"t_max": 12.0, "points": 1201},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+        cfg = parse_config(json.dumps(doc))
+        traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, cfg.t_max, cfg.output_points)
+        excited, rho = dynamics.observables(traj, cfg.initial.psi0)
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1201 > 2 * cli._BLOCK_ROWS
+        for t, r, e, row in zip(traj.times, rho, excited, rows):
+            assert row == ",".join("%.17g" % x for x in (t, *r.ravel().view(float), e))
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())
@@ -1297,6 +1323,49 @@ class TestSweep:
         ]
         manifest = json.loads((out / "manifest.json").read_text())
         assert [entry["status"] for entry in manifest] == ["ok"] * 3
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_workers_bounded_by_usable_cpus(self, tmp_path, monkeypatch, affinity):
+        # two usable CPUs, from the affinity set where there is one, else
+        # from the CPU count; the stand-in runs each share in this process,
+        # so a bound that fails starts no process
+        started = []
+
+        class InlineProcess:
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+
+            def start(self):
+                started.append(self.args[0])
+                self.target(*self.args)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        for method in multiprocessing.get_all_start_methods():
+            monkeypatch.setattr(multiprocessing.get_context(method), "Process", InlineProcess)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        doc = base_doc()
+        doc["time"] = {"t_max": 1.0, "points": 6}
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.2, 0.3, 0.4, 0.5, 0.6]}
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv + ["--jobs", "64"]) == EXIT_OK
+        # the parent runs points 0 and 3; two workers run the rest
+        assert [[os.path.basename(d) for _, d in share] for share in started] == [
+            ["point_0001", "point_0004"],
+            ["point_0002"],
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["status"] for entry in manifest] == ["ok"] * 5
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_must_be_positive(self, tmp_path, capsys, jobs):

@@ -1,5 +1,6 @@
 """Differential test of ``csvformat.format_rows`` against per-entry ``%.17g``,
-byte for byte, on a fixed corpus of hard cases and on Hypothesis floats."""
+byte for byte, on a fixed corpus of hard cases and on Hypothesis floats, with
+and without a hint of repeated columns."""
 
 import numpy as np
 import pytest
@@ -83,3 +84,31 @@ def test_accepts_a_list_of_rows():
 @given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 5))
 def test_hypothesis_floats_match_percent_format(values, cols):
     assert_formats_like_percent(values, cols)
+
+
+def hinted_tables() -> dict:
+    """Tables with a hint of repeated columns, by what the hint says."""
+    rng = np.random.default_rng(20261020)
+    base = rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)
+    # signed zeros, entries left to %, and a near tie
+    base[:8] = [0.0, -0.0, np.nan, np.inf, -np.inf, -1e-300, 5e-324,
+                float.fromhex("0x1.4e81fd810348ap-28")]
+    other = rng.standard_normal(40)
+    off = base.copy()
+    off[17] = np.nextafter(off[17], np.inf)
+    return {
+        "holds": (np.column_stack((base, other, base)), [(2, 0)]),
+        "negates": (np.column_stack((base, other, -base)), [(2, ~0)]),
+        "off in one entry": (np.column_stack((base, other, off)), [(2, 0)]),
+        # 0.0 and -0.0 swapped: equal as floats, not as bits
+        "signed zeros": (np.column_stack((base, other, np.where(base == 0.0, -base, base))),
+                         [(2, 0)]),
+        # the target's separator is the newline, its source's a comma
+        "last column": (np.column_stack((base, -base, other, base)), [(3, 0), (1, ~0)]),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(hinted_tables()))
+def test_hinted_pairs_change_no_text(kind):
+    table, repeats = hinted_tables()[kind]
+    assert format_rows(table, repeats) == format_rows(table) == percent_rows(table)
