@@ -13,12 +13,12 @@ text of each column that repeats its mirror's bits (re) or their negation
 
 ``simulate`` and ``sweep`` run one pipeline over groups of points
 (``_simulate_group``), ``simulate`` being a group of one.  Within each
-process of a sweep, consecutive points with equal N, K, t_max and points,
-each no longer than one rho block, form a group that fits one propagation
-chunk: one stacked propagation, then one loop over batches of whole points
+process of a sweep, consecutive points with equal N, K, t_max and points
+form groups of as many as fit one propagation chunk (``linalg.CHUNK_ROWS``
+rows): one stacked propagation, then one loop over batches of whole points
 of at most _BLOCK_ROWS rows, each batch's rho checks and CSV text taken in
-one call.  Every point still writes, and fails with, exactly what it does
-alone.
+one call; a point of more rows is checked and formatted block by block.
+Every point still writes, and fails with, exactly what it does alone.
 
 Importing this module loads numpy and the modules ``check`` runs (config,
 model, linalg, pseudomode); a command imports ``dynamics``, ``volterra`` and
@@ -58,8 +58,7 @@ class ArgumentError(ConfigError):
 
 
 #: Rows of the density-matrix stack validated and formatted in one call: a
-#: block of a point alone, or a batch of whole points of a group.  A sweep
-#: point of at most this many rows can share a group with others.  On the
+#: block of a point, or a batch of whole points of a group.  On the
 #: simulate-dense benchmark (4001 rows, 2-core x86) 512 was 3-7 % faster
 #: than 256; 1024 was mixed, 2048 6-13 % slower and 4096 20 % slower.
 _BLOCK_ROWS = 512
@@ -229,10 +228,12 @@ def _simulate_group(group: list) -> list:
     alone, with its own files and its own first error, found in the order:
     grid and propagation, certification (no directory is left), directory
     and CSV file, system norm, rho checks block by block (an empty directory
-    is left), the rest of the writes.  Several points are one piece, one rho
-    block each (``_joins``): batches of up to _BLOCK_ROWS rows of them
-    share a ``_rows`` call, and if it fails each point runs alone.  A group
-    of one streams its pieces; only its time axis is held whole."""
+    is left), the rest of the writes.  A group of several points fits one
+    piece (``_run_share``).  Its live points, those that passed
+    certification, are taken in batches of whole points of up to
+    _BLOCK_ROWS rows that share a ``_rows`` call, and if it fails each point
+    runs alone; a point of more rows is a batch of its own.  A group of one
+    streams its pieces; only its time axis is held whole."""
     from . import dynamics
 
     cfg = group[0][0]
@@ -253,9 +254,10 @@ def _simulate_group(group: list) -> list:
             errors.append(exc)
     own_pieces = itertools.chain([first], pieces) if len(group) == 1 else [first]
     psi0 = np.array([[cfg.initial.psi0] for cfg, _ in group])
+    live = [i for i in range(len(group)) if errors[i] is None]
     step = max(1, _BLOCK_ROWS // len(first.times))
-    for lo in range(0, len(group), step):
-        batch = [i for i in range(len(group))[lo : lo + step] if errors[i] is None]
+    for lo in range(0, len(live), step):
+        batch = live[lo : lo + step]
         shared = None
         if len(batch) > 1:
             with contextlib.suppress(*_KNOWN_ERRORS):
@@ -352,40 +354,30 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _joins(group: list, cfg: RunConfig) -> bool:
-    """Whether the point ``cfg`` joins the group of points before it: it has
-    their N, K, t_max and points, its rows fit one rho block, and the group's
-    stacked rows stay within one propagation chunk, so that a group of several
-    points is one piece, one rho block each, as ``_simulate_group`` needs."""
-    head = group[0][1]
-    return (
-        (cfg.system.n, cfg.bath.k, cfg.t_max, cfg.output_points)
-        == (head.system.n, head.bath.k, head.t_max, head.output_points)
-        and cfg.output_points <= _BLOCK_ROWS
-        and (len(group) + 1) * cfg.output_points <= CHUNK_ROWS
-    )
-
-
 def _run_share(share: list) -> list:
     """Exit code and error message (None on success) of each sweep point of
-    ``share``, in order.  Runs of consecutive points that ``_joins`` admits
-    are simulated as one group; any other point runs alone."""
+    ``share``, in order.  The points that parse are cut into runs of
+    consecutive points with equal N, K, t_max and points, and each run into
+    groups whose stacked rows fit one propagation chunk, each simulated as
+    one group; a point of more rows than a chunk runs alone."""
     results = [None] * len(share)
-    groups = []
+    parsed = []
     for j, (text, out_dir) in enumerate(share):
         try:
-            cfg = parse_config(text)
+            parsed.append((j, parse_config(text), out_dir))
         except _KNOWN_ERRORS as exc:
             results[j] = _describe_error(exc)
-            continue
-        if groups and _joins(groups[-1], cfg):
-            groups[-1].append((j, cfg, out_dir))
-        else:
-            groups.append([(j, cfg, out_dir)])
-    for group in groups:
-        errors = _simulate_group([(cfg, out_dir) for _, cfg, out_dir in group])
-        for (j, _, _), exc in zip(group, errors):
-            results[j] = (EXIT_OK, None) if exc is None else _describe_error(exc)
+    runs = itertools.groupby(
+        parsed, lambda p: (p[1].system.n, p[1].bath.k, p[1].t_max, p[1].output_points)
+    )
+    for (*_, points), run in runs:
+        run = list(run)
+        size = max(1, CHUNK_ROWS // points)
+        for lo in range(0, len(run), size):
+            group = run[lo : lo + size]
+            errors = _simulate_group([(cfg, out_dir) for _, cfg, out_dir in group])
+            for (j, _, _), exc in zip(group, errors):
+                results[j] = (EXIT_OK, None) if exc is None else _describe_error(exc)
     return results
 
 

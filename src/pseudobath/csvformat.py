@@ -42,9 +42,6 @@ _MAX_EXP = 272
 _HALF_MARGIN = 1e-7
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
 
-_tables = None
-
-
 def _words(rows, size=8) -> np.ndarray:
     """One ``size``-byte word per string of at most ``size`` one-byte
     characters, padded with NUL."""
@@ -75,72 +72,71 @@ def _powers_of_ten() -> np.ndarray:
     return np.array([head, tail, head_hi, head - head_hi])
 
 
-def _load_tables() -> tuple:
-    """The lookup tables, built on first use so that importing this module
-    builds nothing:
+def _tables() -> tuple:
+    """The lookup tables of ``_layout``:
 
-    - powers: see _powers_of_ten;
-    - cells[g]: the four digits of g = 0..9999 as a 4-byte cell;
-    - significant[g]: how many of them run up to the last nonzero one;
-    - keep[k, m]: the mask of the digits of group k (digits 4k+1..4k+4) that
+    - _CELLS[g]: the four digits of g = 0..9999 as a 4-byte cell;
+    - _SIGNIFICANT[g]: how many of them run up to the last nonzero one;
+    - _KEEP[k, m]: the mask of the digits of group k (digits 4k+1..4k+4) that
       come no later than digit m;
-    - shift[u, j]: the byte of an entry that byte 8 + j takes when a decimal
+    - _SHIFT[u, j]: the byte of an entry that byte 8 + j takes when a decimal
       point follows digit u (j = u, the point itself, is written after);
-    - prefix[sign + 2 * zeros + 10 * digit + 100 * point]: "-" or NUL, then
+    - _PREFIX[sign + 2 * zeros + 10 * digit + 100 * point]: "-" or NUL, then
       "", "0.", "0.0", "0.00" or "0.000", the first digit, "." or NUL;
-    - suffix[E + _MAX_EXP + 1] in exponent notation and suffix[0] in fixed
+    - _SUFFIX[E + _MAX_EXP + 1] in exponent notation and _SUFFIX[0] in fixed
       notation: "e+07" and the like, then a comma.
     """
-    global _tables
-    if _tables is None:
-        grid = np.zeros((10, 10, 10, 10, 4), dtype=np.uint8)
-        significant = np.zeros(10000, dtype=np.int8)
-        for k in range(4):
-            # digit k of g varies along axis k of g's (10, 10, 10, 10) grid
-            grid[..., k] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - k))
-            significant[grid[..., k].ravel() > ord("0")] = k + 1
-        cells = grid.reshape(10000, 4).view(np.uint32).ravel()
-        keep = _words(("\xff" * min(max(m - 4 * k, 0), 4) for k in range(4) for m in range(17)), 4)
-        j = np.arange(17)
-        shift = 8 + j - (j > np.arange(16)[:, None])
-        prefix = _words(
-            sign + zeros.ljust(5, "\0") + str(digit) + point
-            for point in ("\0", ".")
-            for digit in range(10)
-            for zeros in ("", "0.", "0.0", "0.00", "0.000")
-            for sign in ("\0", "-")
-        )
-        exponents = [""] + [f"e{e:+03d}" for e in range(-_MAX_EXP, _MAX_EXP + 1)]
-        suffix = _words(exp.ljust(5, "\0") + "," for exp in exponents)
-        _tables = (_powers_of_ten(), cells, significant, keep.reshape(4, 17), shift, prefix, suffix)
-    return _tables
+    grid = np.zeros((10, 10, 10, 10, 4), dtype=np.uint8)
+    significant = np.zeros(10000, dtype=np.int8)
+    for k in range(4):
+        # digit k of g varies along axis k of g's (10, 10, 10, 10) grid
+        grid[..., k] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - k))
+        significant[grid[..., k].ravel() > ord("0")] = k + 1
+    cells = grid.reshape(10000, 4).view(np.uint32).ravel()
+    keep = _words(("\xff" * min(max(m - 4 * k, 0), 4) for k in range(4) for m in range(17)), 4)
+    j = np.arange(17)
+    shift = 8 + j - (j > np.arange(16)[:, None])
+    prefix = _words(
+        sign + zeros.ljust(5, "\0") + str(digit) + point
+        for point in ("\0", ".")
+        for digit in range(10)
+        for zeros in ("", "0.", "0.0", "0.00", "0.000")
+        for sign in ("\0", "-")
+    )
+    exponents = [""] + [f"e{e:+03d}" for e in range(-_MAX_EXP, _MAX_EXP + 1)]
+    suffix = _words(exp.ljust(5, "\0") + "," for exp in exponents)
+    return cells, significant, keep.reshape(4, 17), shift, prefix, suffix
 
 
-def _scaled(ax: np.ndarray, e: np.ndarray, powers: np.ndarray):
+#: Built once, when the module is imported.
+_HEAD, _TAIL, _HEAD_HI, _HEAD_LO = _powers_of_ten()
+_CELLS, _SIGNIFICANT, _KEEP, _SHIFT, _PREFIX, _SUFFIX = _tables()
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray):
     """Floor and nearest integer of ax * 10^(16 - e), as int64, and whether
     its fraction is within _HALF_MARGIN of 1/2."""
     index = e + _MAX_EXP
-    head, tail, head_hi, head_lo = powers
-    term = head.take(index)
+    term = _HEAD.take(index)
     p = ax * term
     # Dekker: the rounding error of p, exactly, from ax = ax_hi + ax_lo
     ax_hi = ax * _SPLIT
     ax_lo = ax_hi - ax
     ax_hi -= ax_lo
     np.subtract(ax, ax_hi, out=ax_lo)
-    head_hi.take(index, out=term)
+    _HEAD_HI.take(index, out=term)
     q = ax_hi * term
     q -= p
-    head_lo.take(index, out=term)
+    _HEAD_LO.take(index, out=term)
     ax_hi *= term
     q += ax_hi
     term *= ax_lo
-    head_hi.take(index, out=ax_hi)
+    _HEAD_HI.take(index, out=ax_hi)
     ax_lo *= ax_hi
     q += ax_lo
     q += term
     # then the tail of the power of ten
-    tail.take(index, out=term)
+    _TAIL.take(index, out=term)
     term *= ax
     q += term
     whole = p.astype(np.int64)
@@ -152,7 +148,7 @@ def _scaled(ax: np.ndarray, e: np.ndarray, powers: np.ndarray):
     return floor, whole, np.abs(q, out=q) > 0.5 - _HALF_MARGIN
 
 
-def _decimal(x: np.ndarray, powers: np.ndarray):
+def _decimal(x: np.ndarray):
     """|x| = D 10^(E-16) with D the correctly rounded 17-digit integer: its
     first digit, its other 16 as four groups of four, and E; and a mask of
     the entries left to ``%``.  D = E = 0 for those and for zero."""
@@ -160,11 +156,11 @@ def _decimal(x: np.ndarray, powers: np.ndarray):
     fast = (ax >= _MIN_ABS) & (ax < _MAX_ABS)
     ax[~fast] = 1.0
     e = np.floor(np.log10(ax)).astype(np.int64)
-    floor, d, tie = _scaled(ax, e, powers)
+    floor, d, tie = _scaled(ax, e)
     off = np.flatnonzero((floor < 10**16) | (floor >= 10**17))
     if off.size:
         e[off] += np.where(floor[off] < 10**16, -1, 1)
-        floor, d[off], tie[off] = _scaled(ax[off], e[off], powers)
+        floor, d[off], tie[off] = _scaled(ax[off], e[off])
         tie[off[(floor < 10**16) | (floor >= 10**17)]] = True
     carry = d == 10**17
     d[carry] = 10**16
@@ -188,11 +184,10 @@ def _layout(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The text of each entry of x in four 8-byte words, NUL where unused and
     ended by a comma (byte 29), and a mask of the entries whose text is left
     to ``%``."""
-    powers, cells, significant, keep, shift, prefix, suffix = _load_tables()
-    lead, groups, e, slow = _decimal(x, powers)
+    lead, groups, e, slow = _decimal(x)
     # index of the last nonzero digit (0 for zero) and of the units digit
     last = np.zeros(x.size, dtype=np.int8)
-    in_group = significant.take(groups)
+    in_group = _SIGNIFICANT.take(groups)
     for k in range(4):
         np.copyto(last, in_group[k] + 4 * k, where=in_group[k] > 0)
     fixed = (e >= -4) & (e < 17)
@@ -201,19 +196,19 @@ def _layout(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words = np.empty((x.size, 4), dtype=np.uint64)
     below_one = np.where(fixed & (e < 0), -e, 0)
     point = (units == 0) & (last > 0)
-    words[:, 0] = prefix.take(np.signbit(x) + 2 * below_one + 10 * lead + 100 * point)
+    words[:, 0] = _PREFIX.take(np.signbit(x) + 2 * below_one + 10 * lead + 100 * point)
     # the digits up to the last nonzero one and the units digit
     kept = np.maximum(last, units)
     digits = words.view(np.uint32)
     for k in range(4):
-        digits[:, 2 + k] = cells.take(groups[k]) & keep[k].take(kept)
-    words[:, 3] = suffix.take(np.where(fixed, 0, e + _MAX_EXP + 1))
+        digits[:, 2 + k] = _CELLS.take(groups[k]) & _KEEP[k].take(kept)
+    words[:, 3] = _SUFFIX.take(np.where(fixed, 0, e + _MAX_EXP + 1))
     out = words.view(np.uint8)
     # the decimal point after units digits 1..15: fixed notation, so byte 24,
     # where the last digit moves, is NUL
     inner = np.flatnonzero((units > 0) & (last > units))
     u = units[inner]
-    out[inner, 8:25] = np.take_along_axis(out[inner], shift[u], axis=1)
+    out[inner, 8:25] = np.take_along_axis(out[inner], _SHIFT[u], axis=1)
     out[inner, 8 + u] = ord(".")
     return words, slow
 

@@ -66,6 +66,9 @@ LORENTZ = _config([[[0.5, 0.0]]], [(0.5, 0.4, 0.1)], 0.0, [[0.6, 0.0]], [0.8, 0.
 #: The Lorentz config over four peak couplings and widths.
 SWEEP = dict(LORENTZ, time={"t_max": 2.0, "points": 21},
              sweep={"bath.peaks[0].g": [0.3, 0.6], "bath.peaks[0].gamma": [0.2, 0.9]})
+#: The sweep on a grid of 601 points, more than one rho block each, that fit
+#: one propagation chunk together.
+SWEEP_601 = dict(SWEEP, time={"t_max": 6.0, "points": 601})
 
 #: The Lorentz config with H = -0.5 over seven baths: two that pass, one with
 #: a negative width, one whose dilation threshold overflows, one that fails the
@@ -122,6 +125,7 @@ RUNS = [
     ("cutoff-study", OHMIC, ["cutoff-study", "--omegas", "5", "10", "20"]),
     ("cutoff-study-inf", OHMIC, ["cutoff-study", "--omegas", "20", "inf"]),
     ("sweep", SWEEP, ["sweep", "--jobs", "2"]),
+    ("sweep-601-rows", SWEEP_601, ["sweep", "--jobs", "1"]),
     ("sweep-failing", FAILING_SWEEP, ["sweep", "--jobs", "3"]),
     ("check-wide-ints", WIDE, ["check"]),
     ("check-two-defects", TWO_DEFECTS, ["check"]),

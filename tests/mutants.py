@@ -86,12 +86,13 @@ MUTANTS = [
      "every main call builds its own parser", "tests/test_cli.py"),
     ("src/pseudobath/cli.py", "(newlines[rows - 1 :: rows] + 1)", "(newlines[rows - 2 :: rows] + 1)",
      "a grouped point's rows are cut one row early", "tests/test_cli.py"),
-    ("src/pseudobath/cli.py", "[lo : lo + step] if errors[i] is None]", "[lo : lo + step]]",
-     "a point that fails certification stays in its batch", "tests/test_cli.py"),
+    ("src/pseudobath/cli.py", "live = [i for i in range(len(group)) if errors[i] is None]",
+     "live = list(range(len(group)))",
+     "batches drawn from every point", "tests/test_cli.py"),
     ("src/pseudobath/cli.py", "chain([first], pieces) if len(group) == 1 else [first]",
      "chain([first], pieces)",
      "grouped points share the lone point's piece iterator", "tests/test_cli.py"),
-    ("src/pseudobath/cli.py", "\n        and (len(group) + 1) * cfg.output_points <= CHUNK_ROWS", "",
+    ("src/pseudobath/cli.py", "size = max(1, CHUNK_ROWS // points)", "size = len(run)",
      "a group's stacked rows may exceed one propagation chunk", "tests/test_cli.py"),
     ("src/pseudobath/cli.py", '"final_ground_population": 1.0 - excited[-1]',
      '"final_ground_population": 1.0 + excited[-1]',

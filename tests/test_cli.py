@@ -1,5 +1,6 @@
 import csv
 import errno
+import inspect
 import itertools
 import json
 import math
@@ -92,6 +93,31 @@ def write_config(tmp_path, doc, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def inline_processes(patch, on_start):
+    """Give every start method of ``multiprocessing`` a stand-in ``Process``
+    that, when started, calls ``on_start`` with its share of the sweep and
+    then runs its target in this process, so that a sweep's workers start no
+    process; ``patch`` sets the attribute (``monkeypatch.setattr``, or
+    ``setattr`` in a process of its own)."""
+
+    class InlineProcess:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            on_start(self.args[0])
+            self.target(*self.args)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    for method in multiprocessing.get_all_start_methods():
+        patch(multiprocessing.get_context(method), "Process", InlineProcess)
 
 
 class TestParseConfig:
@@ -1290,26 +1316,13 @@ class TestSweep:
         )
 
     def test_workers_bounded_by_points(self, tmp_path, monkeypatch):
-        # the stand-in runs each share in this process, so a bound that
-        # fails starts no process
+        # 64 usable CPUs, so that only the points bound the workers; the
+        # stand-in runs each share in this process, so a bound that fails
+        # starts no process
         started = []
-
-        class InlineProcess:
-            def __init__(self, target, args):
-                self.target, self.args = target, args
-
-            def start(self):
-                started.append(self.args[0])
-                self.target(*self.args)
-
-            def terminate(self):
-                pass
-
-            def join(self):
-                pass
-
-        for method in multiprocessing.get_all_start_methods():
-            monkeypatch.setattr(multiprocessing.get_context(method), "Process", InlineProcess)
+        inline_processes(monkeypatch.setattr, started.append)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         doc = base_doc()
         doc["time"] = {"t_max": 1.0, "points": 6}
         doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6, 0.9]}
@@ -1330,23 +1343,7 @@ class TestSweep:
         # from the CPU count; the stand-in runs each share in this process,
         # so a bound that fails starts no process
         started = []
-
-        class InlineProcess:
-            def __init__(self, target, args):
-                self.target, self.args = target, args
-
-            def start(self):
-                started.append(self.args[0])
-                self.target(*self.args)
-
-            def terminate(self):
-                pass
-
-            def join(self):
-                pass
-
-        for method in multiprocessing.get_all_start_methods():
-            monkeypatch.setattr(multiprocessing.get_context(method), "Process", InlineProcess)
+        inline_processes(monkeypatch.setattr, started.append)
         if affinity:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -1553,6 +1550,45 @@ class TestSweep:
         assert sum(swept) == 25
         assert max(swept) == CHUNK_ROWS // 201
 
+    def test_points_of_two_rho_blocks_share_a_chunk(self, tmp_path, monkeypatch, capsys):
+        # six 601-row points, two rho blocks each, fit one 4096-row chunk
+        propagate_chunks = dynamics.propagate_chunks
+        stacks = []
+
+        def counted(blocks, *args):
+            stacks.append(len(blocks))  # N = 1: one block per point
+            return propagate_chunks(blocks, *args)
+
+        monkeypatch.setattr(dynamics, "propagate_chunks", counted)
+        doc = base_doc(time={"t_max": 6.0, "points": 601})
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]}
+        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        assert {entry["status"] for entry in manifest} == {"ok"}
+        assert cli._BLOCK_ROWS < 601 <= CHUNK_ROWS // 6
+        assert stacks[: -len(manifest)] == [6]  # then one propagation per point alone
+
+    def test_batches_are_drawn_from_the_live_points(self, tmp_path, monkeypatch, capsys):
+        # five 201-row points, two per batch; the second fails certification,
+        # so the four others are formatted in two batches of two
+        from pseudobath import csvformat
+
+        format_rows = csvformat.format_rows
+        tables = []
+
+        def counted(table, *args):
+            tables.append(len(table))
+            return format_rows(table, *args)
+
+        monkeypatch.setattr(csvformat, "format_rows", counted)
+        doc = base_doc(system={"n": 1, "matrix": [[[-0.5, 0.0]]]})
+        doc["time"] = {"t_max": 2.0, "points": 201}
+        doc["sweep"] = {"bath": [self.GROUP_BATHS[i][0] for i in (0, 3, 1, 6, 0)]}
+        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        assert [entry["status"] for entry in manifest] == ["ok", "error", "ok", "ok", "ok"]
+        assert "dilation threshold" in manifest[1]["error"]
+        assert cli._BLOCK_ROWS // 201 == 2
+        assert tables[:-4] == [402, 402]  # then one call per point alone
+
     def test_start_method(self, monkeypatch):
         # fork where offered, so workers inherit the imported modules
         started = []
@@ -1734,23 +1770,9 @@ class TestImports:
 import multiprocessing, sys
 from pseudobath import cli
 
-class InlineProcess:
-    def __init__(self, target, args):
-        self.target, self.args = target, args
-
-    def start(self):
-        print(all(m in sys.modules for m in
-                  ("scipy.linalg", "pseudobath.dynamics", "pseudobath.csvformat")))
-        self.target(*self.args)
-
-    def terminate(self):
-        pass
-
-    def join(self):
-        pass
-
-for method in multiprocessing.get_all_start_methods():
-    multiprocessing.get_context(method).Process = InlineProcess
+{inspect.getsource(inline_processes)}
+inline_processes(setattr, lambda share: print(all(m in sys.modules for m in
+                 ("scipy.linalg", "pseudobath.dynamics", "pseudobath.csvformat"))))
 sys.exit(cli.main({argv!r}))
 """
         assert run_python(code) == "True\n"
