@@ -7,9 +7,9 @@ byte-identical artifacts on one numpy build at one CPU dispatch level, with
 one BLAS and ``OPENBLAS_NUM_THREADS`` fixed; the last bits of the computed
 numbers differ across dispatch levels (see ``dynamics``).  CSV rows are
 formatted _BLOCK_ROWS = 512 at a time by ``csvformat.format_rows``, whose
-text is per-entry %.17g byte for byte; below rho's diagonal it copies the
-text of each column that repeats its mirror's bits (re) or their negation
-(im) on the block instead of formatting it again.
+text is per-entry %.17g byte for byte; it finds, on each block, columns
+whose bits equal those of an earlier column, or their negation, as rho's
+below its diagonal do, and copies their text instead of formatting it again.
 
 ``simulate`` and ``sweep`` run one pipeline over groups of points
 (``_simulate_group``), ``simulate`` being a group of one.  Within each
@@ -131,21 +131,6 @@ def _validate_rho(t: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return trace_dev, min_eig
 
 
-@functools.cache
-def _hermitian_repeats(dim: int) -> tuple:
-    """The (j, k) pairs of ``csvformat.format_rows`` for a CSV row of t, a
-    Hermitian dim x dim rho as (re, im) pairs and the excited population:
-    below the diagonal, re rho_ij repeats re rho_ji and im rho_ij negates
-    im rho_ji."""
-    col = [[1 + 2 * (dim * i + j) for j in range(dim)] for i in range(dim)]
-    return tuple(
-        pair
-        for i in range(dim)
-        for j in range(i)
-        for pair in ((col[i][j], col[j][i]), (col[i][j] + 1, ~(col[j][i] + 1)))
-    )
-
-
 def _rows(piece, points: list, psi0: np.ndarray):
     """Yield, for each block of rows and then for each point i of ``points``
     in turn, the CSV text of those rows of point i with their largest trace
@@ -168,7 +153,7 @@ def _rows(piece, points: list, psi0: np.ndarray):
         table = np.column_stack(
             (t_block, rho_block.reshape(len(t_block), -1).view(float), excited[:, block].ravel())
         )
-        text = format_rows(table, _hermitian_repeats(rho.shape[-1]))
+        text = format_rows(table)
         bounds = [0, len(text)]
         if count > 1:  # cut after every rows-th newline: each row ends in one
             newlines = np.flatnonzero(np.frombuffer(text.encode(), dtype=np.uint8) == 10)

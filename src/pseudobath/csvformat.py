@@ -25,11 +25,12 @@ matter), an exponent that does not settle after one correction, and
 non-finite values or magnitudes outside [1e-269, 1e269), where the power of
 ten or its tail would leave the normal range.
 
-A column whose bits repeat those of another, or repeat them with the sign
-flipped, need not be formatted at all: ``format_rows(table, repeats)``
-takes such pairs as a hint, checks each on the bits of the table, and copies
-the four words of the source column, toggling the sign byte for a negation.
-A hint that does not hold only costs its check.
+A column whose bits equal those of another, or equal them with every sign
+flipped, as below the diagonal of a Hermitian matrix, need not be formatted
+at all: columns are keyed by the magnitude bits of their last entry, each is
+compared with the first column of its key on every row, and one that equals
+it, or its negation, copies its four words, toggling the sign byte for a
+negation.  A copy that this misses only costs the time of formatting it.
 """
 
 import numpy as np
@@ -213,34 +214,28 @@ def _layout(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, slow
 
 
-def _sources(columns: np.ndarray, repeats) -> tuple[np.ndarray, np.ndarray]:
+def _sources(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The column whose text each column of a table takes, and whether that
     text is negated.  ``columns`` holds the table's uint64 bits, one row per
-    column.  A column takes its own text unless it is the target j of a pair
-    (j, k) of ``repeats`` that holds (column j equals column k, or, for a
-    negative k, column ~k with the sign bit flipped), where neither column
-    already takes another's text and j gives its own to no earlier pair."""
-    cols = len(columns)
-    source, negated = list(range(cols)), [False] * cols
-    if len(repeats):
-        target, k = np.array(repeats, dtype=np.int64).reshape(-1, 2).T
-        flip = k < 0
-        k = np.where(flip, ~k, k)
-        sign = flip.astype(np.uint64) << np.uint64(63)
-        holds = ((columns[target] ^ columns[k]) == sign[:, None]).all(axis=1)
-        given = set()
-        for j, s, f in zip(target[holds].tolist(), k[holds].tolist(), flip[holds].tolist()):
-            if j != s and source[j] == j and source[s] == s and j not in given:
-                source[j], negated[j] = s, f
-                given.add(s)
-    return np.array(source), np.array(negated)
+    column.  Columns are keyed by the magnitude bits of their last entry; a
+    column takes the text of the first column of its key if its bits equal
+    that column's on every row, or equal them with every sign bit flipped,
+    and its own text otherwise.  The first column of a key takes its own."""
+    sign = np.uint64(1 << 63)
+    _, first, key = np.unique(columns[:, -1] & ~sign, return_index=True, return_inverse=True)
+    source = first[key.ravel()]  # numpy 2.0 may shape the inverse like its input
+    flipped = columns ^ columns[source]
+    negated = (flipped == sign).all(axis=1)
+    unequal = np.flatnonzero(~negated & flipped.any(axis=1))
+    source[unequal] = unequal
+    return source, negated
 
 
-def _entries(table: np.ndarray, repeats) -> np.ndarray:
+def _entries(table: np.ndarray) -> np.ndarray:
     """The text of each entry of a 2-D table as 32 bytes, NUL where unused
     and ending in its separator, one row of bytes per entry."""
     rows, cols = table.shape
-    source, negated = _sources(table.view(np.uint64).T, repeats)
+    source, negated = _sources(table.view(np.uint64).T)
     own = source == np.arange(cols)
     words, slow = _layout(table[:, own].ravel())
     out = words.view(np.uint8).reshape(rows, -1, 32)
@@ -259,21 +254,16 @@ def _entries(table: np.ndarray, repeats) -> np.ndarray:
     return out
 
 
-def format_rows(table, repeats=()) -> str:
+def format_rows(table) -> str:
     """The rows of a 2-D float table as CSV text: each entry ``%.17g``,
-    entries joined by commas, each row ended by a newline.
-
-    ``repeats`` may name pairs (j, k) of column indices: column j may repeat
-    column k bit for bit, or, written (j, ~k), repeat column k negated.  A
-    pair that holds on every row spares formatting column j; the text is the
-    same whatever the pairs say."""
+    entries joined by commas, each row ended by a newline."""
     table = np.asarray(table, dtype=np.float64)
     rows, _ = table.shape
     if table.size == 0:
         return "\n" * rows
     # the entries are freed before the NULs are deleted: holding them through
     # that step was measurably slower
-    return _entries(table, repeats).tobytes().translate(None, b"\0").decode("ascii")
+    return _entries(table).tobytes().translate(None, b"\0").decode("ascii")
 
 
 __all__ = ["format_rows"]

@@ -36,6 +36,7 @@ from pseudobath.config import (
     config_to_dict,
     parse_config,
 )
+from pseudobath.csvformat import _sources
 from pseudobath.linalg import CHUNK_ROWS, LinAlgError
 from pseudobath.model import InitialState, ModelError, SystemHamiltonian
 from pseudobath.pseudomode import build_effective_hamiltonian, dilation_threshold, optical_potential
@@ -897,30 +898,51 @@ class TestSimulate:
         assert "%.17g" % ground == last["rho_0_0_re"]
         assert 0.0 < ground < 1.0
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_rows_are_the_text_of_observables(self, tmp_path, n):
-        # 1201 points are three rho blocks; every pair of levels is coupled,
-        # so rho's off-diagonal entries have real and imaginary parts
+    @staticmethod
+    def coupled_doc(n):
+        """n levels over 1201 points, three rho blocks; every pair of levels
+        is coupled, so rho's off-diagonal entries have real and imaginary
+        parts."""
         matrix = [[[1.0 + 0.3 * i, 0.0] if i == j else [0.1, 0.05 * (j - i)] for j in range(n)]
                   for i in range(n)]
         psi = [[0.3, 0.1 * (k + 1)] for k in range(n)]
         ground = math.sqrt(1.0 - sum(re * re + im * im for re, im in psi))
-        doc = base_doc(
+        return base_doc(
             system={"n": n, "matrix": matrix},
             bath={"peaks": [{"g": 0.4, "gamma": 0.8, "epsilon": 0.1},
                             {"g": 0.3, "gamma": 0.6, "epsilon": -0.2}], "eta": 0.5},
             initial={"psi": psi, "psi0": [ground, 0.0]},
             time={"t_max": 12.0, "points": 1201},
         )
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+
+    @staticmethod
+    def coupled_observables(doc):
         cfg = parse_config(json.dumps(doc))
         traj = dynamics.evolve(cfg.system, cfg.bath, cfg.initial, cfg.t_max, cfg.output_points)
-        excited, rho = dynamics.observables(traj, cfg.initial.psi0)
+        return (traj, *dynamics.observables(traj, cfg.initial.psi0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_are_the_text_of_observables(self, tmp_path, n):
+        doc = self.coupled_doc(n)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+        traj, excited, rho = self.coupled_observables(doc)
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert len(rows) == 1201 > 2 * cli._BLOCK_ROWS
         for t, r, e, row in zip(traj.times, rho, excited, rows):
             assert row == ",".join("%.17g" % x for x in (t, *r.ravel().view(float), e))
+
+    def test_rho_block_text_is_copied_below_the_diagonal(self):
+        # a CSV block of three coupled levels: each re column below rho's
+        # diagonal takes the text of its mirror's, which equals it bit for bit
+        traj, excited, rho = self.coupled_observables(self.coupled_doc(3))
+        block = slice(0, cli._BLOCK_ROWS)
+        table = np.column_stack((traj.times[block], rho[block].reshape(cli._BLOCK_ROWS, -1).view(float),
+                                 excited[block]))
+        source, _ = _sources(table.view(np.uint64).T)
+        dim = rho.shape[-1]
+        for i, j in itertools.combinations(range(dim), 2):
+            assert source[1 + 2 * (dim * j + i)] == 1 + 2 * (dim * i + j)
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())

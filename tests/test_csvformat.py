@@ -1,13 +1,14 @@
 """Differential test of ``csvformat.format_rows`` against per-entry ``%.17g``,
-byte for byte, on a fixed corpus of hard cases and on Hypothesis floats, with
-and without a hint of repeated columns."""
+byte for byte, on a fixed corpus of hard cases and on Hypothesis floats, and
+on tables whose columns copy, negate or nearly copy others, where it also
+checks which columns take another's text."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudobath.csvformat import format_rows
+from pseudobath.csvformat import _sources, format_rows
 
 
 def percent_rows(table) -> str:
@@ -87,7 +88,8 @@ def test_hypothesis_floats_match_percent_format(values, cols):
 
 
 def hinted_tables() -> dict:
-    """Tables with a hint of repeated columns, by what the hint says."""
+    """Tables whose columns copy, negate or nearly copy others, each with the
+    source column and the negation that each column's text should take."""
     rng = np.random.default_rng(20261020)
     base = rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)
     # signed zeros, entries left to %, and a near tie
@@ -96,19 +98,44 @@ def hinted_tables() -> dict:
     other = rng.standard_normal(40)
     off = base.copy()
     off[17] = np.nextafter(off[17], np.inf)
+    # equal magnitudes on the last row, a sign apart on row 20 alone
+    flipped, unflipped = base.copy(), -base
+    flipped[20], unflipped[20] = -base[20], base[20]
     return {
-        "holds": (np.column_stack((base, other, base)), [(2, 0)]),
-        "negates": (np.column_stack((base, other, -base)), [(2, ~0)]),
-        "off in one entry": (np.column_stack((base, other, off)), [(2, 0)]),
+        "holds": (np.column_stack((base, other, base)), [0, 1, 0], []),
+        "negates": (np.column_stack((base, other, -base)), [0, 1, 0], [2]),
+        "off in one entry": (np.column_stack((base, other, off)), [0, 1, 2], []),
         # 0.0 and -0.0 swapped: equal as floats, not as bits
         "signed zeros": (np.column_stack((base, other, np.where(base == 0.0, -base, base))),
-                         [(2, 0)]),
-        # the target's separator is the newline, its source's a comma
-        "last column": (np.column_stack((base, -base, other, base)), [(3, 0), (1, ~0)]),
+                         [0, 1, 2], []),
+        # the copy's separator is the newline, its source's a comma
+        "last column": (np.column_stack((base, -base, other, base)), [0, 0, 2, 0], [1]),
+        "signs differ on an earlier row": (np.column_stack((base, flipped, unflipped)),
+                                           [0, 1, 2], []),
+        # -0.0 negated is 0.0
+        "one row": (np.array([[1.5, -1.5, 1.5, 2.0, -0.0, 0.0]]), [0, 0, 0, 3, 4, 4], [1, 5]),
     }
 
 
 @pytest.mark.parametrize("kind", sorted(hinted_tables()))
 def test_hinted_pairs_change_no_text(kind):
-    table, repeats = hinted_tables()[kind]
-    assert format_rows(table, repeats) == format_rows(table) == percent_rows(table)
+    table, source, negated = hinted_tables()[kind]
+    found_source, found_negated = _sources(table.view(np.uint64).T)
+    assert found_source.tolist() == source
+    assert np.flatnonzero(found_negated).tolist() == negated
+    assert format_rows(table) == percent_rows(table)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(1, 4))
+def test_copied_and_negated_columns_match_percent_format(data, rows, cols):
+    floats = st.one_of(st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]), st.floats())
+    columns = [np.array(data.draw(st.lists(floats, min_size=rows, max_size=rows)))
+               for _ in range(cols)]
+    # each extra column copies a drawn one or flips its every sign bit
+    for k, negate in data.draw(st.lists(st.tuples(st.integers(0, cols - 1), st.booleans()),
+                                        max_size=6)):
+        columns.append(-columns[k] if negate else columns[k])
+    order = data.draw(st.permutations(range(len(columns))))
+    table = np.column_stack([columns[k] for k in order])
+    assert format_rows(table) == percent_rows(table)
