@@ -11,14 +11,15 @@ text is per-entry %.17g byte for byte; it finds, on each block, columns
 whose bits equal those of an earlier column, or their negation, as rho's
 below its diagonal do, and copies their text instead of formatting it again.
 
-``simulate`` and ``sweep`` run one pipeline over groups of points
-(``_simulate_group``), ``simulate`` being a group of one.  Within each
-process of a sweep, consecutive points with equal N, K, t_max and points
-form groups of as many as fit one propagation chunk (``linalg.CHUNK_ROWS``
-rows): one stacked propagation, then one loop over batches of whole points
-of at most _BLOCK_ROWS rows, each batch's rho checks and CSV text taken in
-one call; a point of more rows is checked and formatted block by block.
-Every point still writes, and fails with, exactly what it does alone.
+Every command certifies before it propagates: an input fails at the first of
+certification, grid and propagation, files, norm and rho.  ``simulate`` and
+each sweep process run certified points in groups (``_simulate_group``),
+``simulate`` a group of one.  A sweep share is parsed and certified a group
+at a time: consecutive points with equal N, K, t_max and points, as many as
+fit one propagation chunk (``linalg.CHUNK_ROWS`` rows), propagated as one
+stack, then checked and formatted in batches of whole points of at most
+_BLOCK_ROWS rows, a point of more rows block by block.  Each point writes,
+and fails with, exactly what it does alone.
 
 Importing this module loads numpy and the modules ``check`` runs (config,
 model, linalg, pseudomode); a command imports ``dynamics``, ``volterra`` and
@@ -205,63 +206,54 @@ def _write_point(cfg: RunConfig, out_dir: str, dilation: dict, blocks):
 
 
 def _simulate_group(group: list) -> list:
-    """Run ``simulate`` for each (cfg, out_dir) of a group of points with
-    equal N, K, t_max and points; return each point's error, None where it
-    succeeded.  Errors outside _KNOWN_ERRORS propagate.
+    """Run ``simulate`` for each (cfg, out_dir, dilation) of a group of
+    certified points with equal N, K, t_max and points; return each point's
+    error, None where it succeeded.  Errors outside _KNOWN_ERRORS propagate.
 
     The group is propagated as one stack, yet each point ends as it ends
     alone, with its own files and its own first error, found in the order:
-    grid and propagation, certification (no directory is left), directory
-    and CSV file, system norm, rho checks block by block (an empty directory
-    is left), the rest of the writes.  A group of several points fits one
-    piece (``_run_share``).  Its live points, those that passed
-    certification, are taken in batches of whole points of up to
-    _BLOCK_ROWS rows that share a ``_rows`` call, and if it fails each point
-    runs alone; a point of more rows is a batch of its own.  A group of one
-    streams its pieces; only its time axis is held whole."""
+    grid and propagation (no directory is left), directory and CSV file,
+    system norm, rho checks block by block (an empty directory is left), the
+    rest of the writes.  A group of several points fits one piece
+    (``_run_share``); its points go in batches of whole points of up to
+    _BLOCK_ROWS rows that share a ``_rows`` call.  A point of more rows, or
+    of a batch whose call fails, runs alone, streaming the group's pieces;
+    only its time axis is held whole."""
     from . import dynamics
 
     cfg = group[0][0]
     pieces = dynamics.evolve_group(
-        [(c.system, c.bath, c.initial) for c, _ in group], cfg.t_max, cfg.output_points
+        [(c.system, c.bath, c.initial) for c, _, _ in group], cfg.t_max, cfg.output_points
     )
     try:
-        first = next(pieces)  # grid and propagation errors come before the dilation check
+        first = next(pieces)
     except _KNOWN_ERRORS as exc:
         return [exc] * len(group)
-    errors, dilations = [], []
-    for cfg, _ in group:
-        try:
-            dilations.append(pseudomode.check_dilation_closed_form(cfg.system, cfg.bath))
-            errors.append(None)
-        except _KNOWN_ERRORS as exc:
-            dilations.append(None)
-            errors.append(exc)
-    own_pieces = itertools.chain([first], pieces) if len(group) == 1 else [first]
-    psi0 = np.array([[cfg.initial.psi0] for cfg, _ in group])
-    live = [i for i in range(len(group)) if errors[i] is None]
+    errors = [None] * len(group)
+    psi0 = np.array([[cfg.initial.psi0] for cfg, _, _ in group])
     step = max(1, _BLOCK_ROWS // len(first.times))
-    for lo in range(0, len(live), step):
-        batch = live[lo : lo + step]
+    for lo in range(0, len(group), step):
+        batch = range(lo, min(lo + step, len(group)))
         shared = None
         if len(batch) > 1:
             with contextlib.suppress(*_KNOWN_ERRORS):
                 shared = list(_rows(first, batch, psi0))
         for q, i in enumerate(batch):
             if shared is None:
-                blocks = (block for piece in own_pieces for block in _rows(piece, [i], psi0))
+                own_rows = itertools.chain([first], pieces)
+                blocks = (block for piece in own_rows for block in _rows(piece, [i], psi0))
             else:
                 blocks = shared[q :: len(batch)]
-            cfg, out_dir = group[i]
             try:
-                _write_point(cfg, out_dir, dilations[i], blocks)
+                _write_point(*group[i], blocks)
             except _KNOWN_ERRORS as exc:
                 errors[i] = exc
     return errors
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    (error,) = _simulate_group([(cfg, args.out)])
+    dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
+    (error,) = _simulate_group([(cfg, args.out, dilation)])
     if error is not None:
         raise error
     return EXIT_OK
@@ -341,27 +333,34 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
 
 def _run_share(share: list) -> list:
     """Exit code and error message (None on success) of each sweep point of
-    ``share``, in order.  The points that parse are cut into runs of
-    consecutive points with equal N, K, t_max and points, and each run into
-    groups whose stacked rows fit one propagation chunk, each simulated as
-    one group; a point of more rows than a chunk runs alone."""
+    ``share``, in order.  The share is parsed a group at a time: runs of
+    consecutive points with equal N, K, t_max and points are cut into groups
+    whose stacked rows fit one propagation chunk (a point of more rows is
+    alone), each certified, then its certified points simulated as one."""
     results = [None] * len(share)
-    parsed = []
-    for j, (text, out_dir) in enumerate(share):
-        try:
-            parsed.append((j, parse_config(text), out_dir))
-        except _KNOWN_ERRORS as exc:
-            results[j] = _describe_error(exc)
+
+    def parsed():
+        for j, (text, out_dir) in enumerate(share):
+            try:
+                yield j, parse_config(text), out_dir
+            except _KNOWN_ERRORS as exc:
+                results[j] = _describe_error(exc)
+
     runs = itertools.groupby(
-        parsed, lambda p: (p[1].system.n, p[1].bath.k, p[1].t_max, p[1].output_points)
+        parsed(), lambda p: (p[1].system.n, p[1].bath.k, p[1].t_max, p[1].output_points)
     )
     for (*_, points), run in runs:
-        run = list(run)
         size = max(1, CHUNK_ROWS // points)
-        for lo in range(0, len(run), size):
-            group = run[lo : lo + size]
-            errors = _simulate_group([(cfg, out_dir) for _, cfg, out_dir in group])
-            for (j, _, _), exc in zip(group, errors):
+        while group := list(itertools.islice(run, size)):
+            certified = {}  # index in the share: (cfg, out_dir, dilation)
+            for j, cfg, out_dir in group:
+                try:
+                    dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
+                    certified[j] = cfg, out_dir, dilation
+                except _KNOWN_ERRORS as exc:
+                    results[j] = _describe_error(exc)
+            errors = _simulate_group(list(certified.values())) if certified else []
+            for j, exc in zip(certified, errors):
                 results[j] = (EXIT_OK, None) if exc is None else _describe_error(exc)
     return results
 
@@ -425,10 +424,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     paths = sorted(cfg.sweep.keys())
     value_lists = [cfg.sweep[p] for p in paths]
 
+    base_text = json.dumps(base_doc)
     jobs = []
     manifest = []
     for index, combo in enumerate(itertools.product(*value_lists)):
-        doc = json.loads(json.dumps(base_doc))
+        doc = json.loads(base_text)
         for path, value in zip(paths, combo):
             apply_override(doc, path, value)
         doc.pop("sweep", None)

@@ -71,44 +71,42 @@ def evolve_group(models, t_max, points):
     ``vectors`` (P, rows, (K+1)N), the points in order.  The first ``next``
     raises LinAlgError if the grid is empty or not strictly increasing.
 
-    The N blocks of every point go through one ``linalg.propagate_chunks``
-    call, as one (P*N, K+1, K+1) stack, and each point's rows are rotated
-    back by its own eigenvectors; the stack saves calls, not work per block
-    (see ``linalg``).  Each block and each row goes through the same
-    operations as in a group of one, so each point's rows are bit for bit
-    those of its own run.
+    The points' Hamiltonians are diagonalized as one (P, N, N) stack, their
+    N blocks go through one ``linalg.propagate_chunks`` call as one
+    (P*N, K+1, K+1) stack, and the rows are rotated back by each point's
+    eigenvectors in one ``einsum``; the stacks save calls, not work per
+    block (see ``linalg``).  Each point goes through the same operations as
+    alone, so its rows are bit for bit those of its own run.
     """
     n, k = models[0][0].n, models[0][1].k
     times = np.linspace(0.0, t_max, points)
     if times.size == 0 or not np.all(times[1:] > times[:-1]):  # NaN fails too
         raise LinAlgError("time grid must be strictly increasing and start at 0")
     step = t_max / (points - 1) if points > 1 else 0.0
-    blocks, starts, rotations = [], [], []
-    for h, bath, init in models:
+    count = len(models)
+    matrices, psi = np.empty((count, n, n), dtype=complex), np.empty((count, n), dtype=complex)
+    for p, (h, bath, init) in enumerate(models):
         if init.n != h.n:
             raise ValueError(f"initial state dim {init.n} != system dim {h.n}")
         if (h.n, bath.k) != (n, k):
             raise ValueError(f"point with N={h.n}, K={bath.k} in a group with N={n}, K={k}")
-        psi = renormalization(bath.eta) * init.psi
-        e, w = np.linalg.eigh(h.matrix)
-        z0 = np.zeros((n, k + 1), dtype=complex)
-        z0[:, 0] = w.conj().T @ psi
-        blocks.append(block_stack(e, bath))
-        starts.append(z0)
-        rotations.append((w, psi))
+        matrices[p], psi[p] = h.matrix, renormalization(bath.eta) * init.psi
+    e, w = np.linalg.eigh(matrices)
+    blocks = np.concatenate([block_stack(e[p], bath) for p, (_, bath, _) in enumerate(models)])
+    z0 = np.zeros((count, n, k + 1), dtype=complex)
+    z0[..., 0] = (w.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]
     lo = 0
-    for z in propagate_chunks(np.concatenate(blocks), np.concatenate(starts), step, points):
+    for z in propagate_chunks(blocks, z0.reshape(count * n, k + 1), step, points):
         rows = z.shape[1]
-        ys = np.empty((len(models), rows, k + 1, n), dtype=complex)
-        for p, (w, psi) in enumerate(rotations):
-            # [t, j, b] = sum_a W[b, a] z[a, t, j] is column j*N + b of row t.
-            # einsum, not a BLAS gemm: the skinny (T(K+1), N) x (N, N) gemm ran
-            # ~25x slower with OpenBLAS threads on than pinned to one (2-core
-            # x86, OpenBLAS 0.3.31).
-            np.einsum("atj,ba->tjb", z[p * n : (p + 1) * n], w, out=ys[p])
-            if lo == 0:
-                ys[p, 0, 0] = psi
-        vectors = ys.reshape(len(models), rows, (k + 1) * n)
+        ys = np.empty((count, rows, k + 1, n), dtype=complex)
+        # [p, t, j, b] = sum_a W_p[b, a] z_p[a, t, j] is column j*N + b of
+        # point p's row t.  einsum, not a BLAS gemm: the skinny (T(K+1), N) x
+        # (N, N) gemm ran ~25x slower with OpenBLAS threads on than pinned to
+        # one (2-core x86, OpenBLAS 0.3.31).
+        np.einsum("patj,pba->ptjb", z.reshape(count, n, rows, k + 1), w, out=ys)
+        if lo == 0:
+            ys[:, 0, 0] = psi
+        vectors = ys.reshape(count, rows, (k + 1) * n)
         yield Trajectory(times=times[lo : lo + rows], n=n, k=k, vectors=vectors)
         lo += rows
 

@@ -86,13 +86,17 @@ MUTANTS = [
      "every main call builds its own parser", "tests/test_cli.py"),
     ("src/pseudobath/cli.py", "(newlines[rows - 1 :: rows] + 1)", "(newlines[rows - 2 :: rows] + 1)",
      "a grouped point's rows are cut one row early", "tests/test_cli.py"),
-    ("src/pseudobath/cli.py", "live = [i for i in range(len(group)) if errors[i] is None]",
-     "live = list(range(len(group)))",
-     "batches drawn from every point", "tests/test_cli.py"),
-    ("src/pseudobath/cli.py", "chain([first], pieces) if len(group) == 1 else [first]",
-     "chain([first], pieces)",
-     "grouped points share the lone point's piece iterator", "tests/test_cli.py"),
-    ("src/pseudobath/cli.py", "size = max(1, CHUNK_ROWS // points)", "size = len(run)",
+    ("src/pseudobath/cli.py",
+     "    dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)\n    (error,)",
+     "    dilation = None\n    (error,)",
+     "simulate skips certification", "tests/test_cli.py"),
+    ("src/pseudobath/cli.py",
+     "                    dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)\n",
+     "                    dilation = None\n",
+     "a sweep point skips certification", "tests/test_cli.py"),
+    ("src/pseudobath/cli.py", "own_rows = itertools.chain([first], pieces)", "own_rows = pieces",
+     "a point run alone skips the group's first piece", "tests/test_cli.py"),
+    ("src/pseudobath/cli.py", "size = max(1, CHUNK_ROWS // points)", "size = max(2, CHUNK_ROWS // points)",
      "a group's stacked rows may exceed one propagation chunk", "tests/test_cli.py"),
     ("src/pseudobath/cli.py", '"final_ground_population": 1.0 - excited[-1]',
      '"final_ground_population": 1.0 + excited[-1]',

@@ -424,6 +424,25 @@ class TestInputErrors:
             "invalid input: dilation threshold (eta/4) * sum g_j^2/gamma_j overflows (inf)\n",
         )
 
+    @pytest.mark.parametrize("command", ["check", "compare", "simulate", "sweep"])
+    def test_every_command_certifies_before_it_propagates(self, tmp_path, capsys, command):
+        # the threshold overflows and the 3-point grid up to 5e-324 is not
+        # strictly increasing; certification comes first in every command, so
+        # none reports the grid (exit 3)
+        doc = base_doc(bath={"peaks": [{"g": 1e150, "gamma": 1.0}], "eta": 1e10})
+        doc["time"] = {"t_max": 5e-324, "points": 3}
+        prefix, files = "", None
+        if command == "sweep":
+            doc["sweep"] = {"bath.eta": [1e10]}
+            prefix, files = "point_0000: ", ["manifest.json"]
+        out = tmp_path / "out"
+        code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_CONFIG,
+            prefix + "invalid input: dilation threshold (eta/4) * sum g_j^2/gamma_j overflows (inf)\n",
+        )
+        assert (sorted(os.listdir(out)) if out.exists() else None) == files
+
     @pytest.mark.parametrize(
         "argv, eta", [(["compare"], 0.0), (["cutoff-study", "--omegas", "2"], 0.5)]
     )
@@ -1572,6 +1591,23 @@ class TestSweep:
         assert sum(swept) == 25
         assert max(swept) == CHUNK_ROWS // 201
 
+    def test_points_of_more_rows_than_a_chunk_run_alone(self, tmp_path, monkeypatch, capsys):
+        # two equal points of two pieces each; in one group, the second point
+        # would find the group's second piece already read by the first
+        propagate_chunks = dynamics.propagate_chunks
+        stacks = []
+
+        def counted(blocks, *args):
+            stacks.append(len(blocks))  # N = 1: one block per point
+            return propagate_chunks(blocks, *args)
+
+        monkeypatch.setattr(dynamics, "propagate_chunks", counted)
+        doc = base_doc(time={"t_max": 8.0, "points": CHUNK_ROWS + 1})
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6]}
+        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        assert {entry["status"] for entry in manifest} == {"ok"}
+        assert stacks == [1, 1, 1, 1]  # swept, then each point through simulate
+
     def test_points_of_two_rho_blocks_share_a_chunk(self, tmp_path, monkeypatch, capsys):
         # six 601-row points, two rho blocks each, fit one 4096-row chunk
         propagate_chunks = dynamics.propagate_chunks
@@ -1610,6 +1646,34 @@ class TestSweep:
         assert "dilation threshold" in manifest[1]["error"]
         assert cli._BLOCK_ROWS // 201 == 2
         assert tables[:-4] == [402, 402]  # then one call per point alone
+
+    def test_a_share_is_parsed_one_group_at_a_time(self, tmp_path, monkeypatch):
+        # six 11-row points in groups of two: when group g runs, its points
+        # and those before, and at most one more, have been parsed, so a share
+        # holds one group's configs, not all of them
+        parse_config, simulate_group = cli.parse_config, cli._simulate_group
+        parsed, seen = [], []
+
+        def counted(text):
+            parsed.append(text)
+            return parse_config(text)
+
+        def watched(group):
+            seen.append((len(group), len(parsed)))
+            return simulate_group(group)
+
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 2 * 11)
+        monkeypatch.setattr(cli, "parse_config", counted)
+        monkeypatch.setattr(cli, "_simulate_group", watched)
+        doc = base_doc(time={"t_max": 1.0, "points": 11})
+        share = []
+        for j, gamma in enumerate([0.3, 0.4, 0.5, 0.6, 0.7, 0.8]):
+            doc["bath"]["peaks"][0]["gamma"] = gamma
+            share.append((json.dumps(doc), str(tmp_path / f"point_{j}")))
+        assert cli._run_share(share) == [(EXIT_OK, None)] * 6
+        assert [size for size, _ in seen] == [2, 2, 2]
+        for g, (_, count) in enumerate(seen):
+            assert count <= 2 * (g + 1) + 1
 
     def test_start_method(self, monkeypatch):
         # fork where offered, so workers inherit the imported modules

@@ -8,8 +8,15 @@ from pseudobath.dynamics import (
     evolve_group,
     observables,
 )
-from pseudobath.model import BathModel, InitialState, LorentzPeak, SystemHamiltonian
-from pseudobath.pseudomode import build_effective_hamiltonian
+from pseudobath.linalg import propagate_chunks
+from pseudobath.model import (
+    BathModel,
+    InitialState,
+    LorentzPeak,
+    SystemHamiltonian,
+    renormalization,
+)
+from pseudobath.pseudomode import block_stack, build_effective_hamiltonian
 
 
 def scalar_setup(g, gamma, epsilon=0.0, e0=0.0):
@@ -88,12 +95,40 @@ def random_point(rng, n, k, eta):
     return SystemHamiltonian(0.5 * (x + x.conj().T)), BathModel(peaks=peaks, eta=eta), init
 
 
+def evolve_point_by_point(models, t_max, points):
+    """Every row of ``evolve_group``, as one (P, T, (K+1)N) array, computed
+    point by point: one ``eigh``, one start product and one ``einsum`` per
+    point and per piece, around the same stacked ``propagate_chunks`` call."""
+    n, k = models[0][0].n, models[0][1].k
+    blocks, starts, rotations = [], [], []
+    for h, bath, init in models:
+        psi = renormalization(bath.eta) * init.psi
+        e, w = np.linalg.eigh(h.matrix)
+        z0 = np.zeros((n, k + 1), dtype=complex)
+        z0[:, 0] = w.conj().T @ psi
+        blocks.append(block_stack(e, bath))
+        starts.append(z0)
+        rotations.append((w, psi))
+    step = t_max / (points - 1)
+    pieces = []
+    for z in propagate_chunks(np.concatenate(blocks), np.concatenate(starts), step, points):
+        ys = np.empty((len(models), z.shape[1], k + 1, n), dtype=complex)
+        for p, (w, _) in enumerate(rotations):
+            np.einsum("atj,ba->tjb", z[p * n : (p + 1) * n], w, out=ys[p])
+        pieces.append(ys.reshape(len(models), z.shape[1], (k + 1) * n))
+    vectors = np.concatenate(pieces, axis=1)
+    for p, (_, psi) in enumerate(rotations):
+        vectors[p, 0, :n] = psi
+    return vectors
+
+
 class TestGroup:
     """A group of points propagated as one stack gives each point the bits
     it has alone."""
 
     @pytest.mark.parametrize(
-        "n, k, t_max, points", [(1, 2, 5.0, 201), (3, 1, 2.0, 37), (2, 0, 1.0, 2), (2, 3, 20.0, 5001)]
+        "n, k, t_max, points",
+        [(1, 2, 5.0, 201), (3, 1, 2.0, 37), (2, 0, 1.0, 2), (2, 3, 20.0, 5001), (6, 2, 3.0, 101)],
     )
     def test_group_matches_each_point_alone_bitwise(self, n, k, t_max, points):
         rng = np.random.default_rng(n * 100 + k)
@@ -105,6 +140,19 @@ class TestGroup:
             for piece, own in zip(group, alone):
                 assert piece.times.tobytes() == own.times.tobytes()
                 assert piece.vectors[p].tobytes() == own.vectors[0].tobytes()
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("n", [1, 3, 6, 24])
+    @pytest.mark.parametrize("points", [201, 4500], ids=["one-piece", "two-pieces"])
+    def test_stack_matches_the_point_by_point_formulation_bitwise(self, points, n, k, count, eta):
+        # the stacked eigh, start product and einsum against their per-point
+        # forms, which a group of one would share with the stack
+        rng = np.random.default_rng(1000 * n + 10 * k + count)
+        models = [random_point(rng, n, k, eta) for _ in range(count)]
+        vectors = np.concatenate([piece.vectors for piece in evolve_group(models, 2.0, points)], 1)
+        assert vectors.tobytes() == evolve_point_by_point(models, 2.0, points).tobytes()
 
     def test_stacked_rows_match_each_point_bitwise(self):
         rng = np.random.default_rng(5)
