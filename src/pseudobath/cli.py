@@ -14,12 +14,12 @@ below its diagonal do, and copies their text instead of formatting it again.
 Every command certifies before it propagates: an input fails at the first of
 certification, grid and propagation, files, norm and rho.  ``simulate`` and
 each sweep process run certified points in groups (``_simulate_group``),
-``simulate`` a group of one.  A sweep share is parsed and certified a group
-at a time: consecutive points with equal N, K, t_max and points, as many as
-fit one propagation chunk (``linalg.CHUNK_ROWS`` rows), propagated as one
-stack, then checked and formatted in batches of whole points of at most
-_BLOCK_ROWS rows, a point of more rows block by block.  Each point writes,
-and fails with, exactly what it does alone.
+``simulate`` a group of one.  A sweep share is read as one stream of
+certified points; runs of them with equal N, K, t_max and points are cut into
+groups that fit one propagation chunk (``linalg.CHUNK_ROWS`` rows), each
+propagated as one stack, then checked and formatted in batches of whole
+points of at most _BLOCK_ROWS rows, a point of more rows block by block.
+Each point writes, and fails with, exactly what it does alone.
 
 Importing this module loads numpy and the modules ``check`` runs (config,
 model, linalg, pseudomode); a command imports ``dynamics``, ``volterra`` and
@@ -52,11 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
-
-class ArgumentError(ConfigError):
-    """A command-line option, or the config section a command needs, is
-    invalid."""
-
 
 #: Rows of the density-matrix stack validated and formatted in one call: a
 #: block of a point, or a batch of whole points of a group.  On the
@@ -97,9 +92,12 @@ def _atomic_open(path: str):
         raise
 
 
-def _atomic_write(path: str, data: str):
-    with _atomic_open(path) as fh:
-        fh.write(data)
+def _write_file(directory: str, name: str, text: str):
+    """Make ``directory``, then write ``text`` as its file ``name`` through
+    ``_atomic_open``."""
+    os.makedirs(directory, exist_ok=True)
+    with _atomic_open(os.path.join(directory, name)) as fh:
+        fh.write(text)
 
 
 def _dump_json(obj) -> str:
@@ -202,7 +200,7 @@ def _write_point(cfg: RunConfig, out_dir: str, dilation: dict, blocks):
             "rho_psd": _RHO_PSD_TOL,
         },
     }
-    _atomic_write(os.path.join(out_dir, "report.json"), _dump_json(report))
+    _write_file(out_dir, "report.json", _dump_json(report))
 
 
 def _simulate_group(group: list) -> list:
@@ -214,8 +212,9 @@ def _simulate_group(group: list) -> list:
     alone, with its own files and its own first error, found in the order:
     grid and propagation (no directory is left), directory and CSV file,
     system norm, rho checks block by block (an empty directory is left), the
-    rest of the writes.  A group of several points fits one piece
-    (``_run_share``); its points go in batches of whole points of up to
+    rest of the writes.  ``_run_share`` cuts groups from a stream of
+    certified points, so a group is never empty, and one of several points
+    fits one piece.  Its points go in batches of whole points of up to
     _BLOCK_ROWS rows that share a ``_rows`` call.  A point of more rows, or
     of a batch whose call fails, runs alone, streaming the group's pieces;
     only its time axis is held whole."""
@@ -261,15 +260,14 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_check(cfg: RunConfig, args) -> int:
     text = _dump_json(pseudomode.check_dilation_closed_form(cfg.system, cfg.bath))
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "dilation.json"), text)
+    _write_file(args.out, "dilation.json", text)
     sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
     if not 0.0 <= args.threshold < math.inf:
-        raise ArgumentError(f"--threshold must be finite and >= 0, got {args.threshold}")
+        raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     # certified as by check and simulate, before either route runs
     pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
     from . import dynamics, volterra
@@ -293,17 +291,16 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             "oracle_error_estimate": oracle.error_estimate,
         },
     }
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "compare.json"), _dump_json(report))
+    _write_file(args.out, "compare.json", _dump_json(report))
     sys.stdout.write(_dump_json(report["comparison"]))
     return EXIT_OK if sup <= args.threshold else EXIT_THRESHOLD
 
 
 def cmd_cutoff_study(cfg: RunConfig, args) -> int:
     if cfg.bath.eta <= 0.0:
-        raise ArgumentError("cutoff-study requires an Ohmic bath (eta > 0)")
+        raise ConfigError("cutoff-study requires an Ohmic bath (eta > 0)")
     if not (math.isfinite(args.t_min) and args.t_min <= cfg.t_max):
-        raise ArgumentError(f"--t-min must be finite and <= t_max {cfg.t_max}, got {args.t_min}")
+        raise ConfigError(f"--t-min must be finite and <= t_max {cfg.t_max}, got {args.t_min}")
     from . import volterra
 
     steps = cfg.oracle_steps
@@ -325,42 +322,37 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
             raise LinAlgError(f"deviation at cutoff {omega} is not finite ({sup})")
         rows.append((omega, sup))
     text = "Omega,sup_deviation\n" + format_rows(rows)
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "cutoff_study.csv"), text)
+    _write_file(args.out, "cutoff_study.csv", text)
     sys.stdout.write(text)
     return EXIT_OK
 
 
 def _run_share(share: list) -> list:
     """Exit code and error message (None on success) of each sweep point of
-    ``share``, in order.  The share is parsed a group at a time: runs of
-    consecutive points with equal N, K, t_max and points are cut into groups
-    whose stacked rows fit one propagation chunk (a point of more rows is
-    alone), each certified, then its certified points simulated as one."""
+    ``share``, in order.  The share is read as one stream of certified
+    points, each parsed and certified as it is reached (a failure records its
+    result there); runs of them with equal N, K, t_max and points are cut
+    into groups that fit one propagation chunk, each simulated as one."""
     results = [None] * len(share)
 
-    def parsed():
+    def certified():
         for j, (text, out_dir) in enumerate(share):
             try:
-                yield j, parse_config(text), out_dir
+                cfg = parse_config(text)
+                dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
             except _KNOWN_ERRORS as exc:
                 results[j] = _describe_error(exc)
+                continue
+            yield j, (cfg, out_dir, dilation)
 
-    runs = itertools.groupby(
-        parsed(), lambda p: (p[1].system.n, p[1].bath.k, p[1].t_max, p[1].output_points)
-    )
-    for (*_, points), run in runs:
+    def shape(point):
+        _, (cfg, _, _) = point
+        return cfg.system.n, cfg.bath.k, cfg.t_max, cfg.output_points
+
+    for (*_, points), run in itertools.groupby(certified(), shape):
         size = max(1, CHUNK_ROWS // points)
-        while group := list(itertools.islice(run, size)):
-            certified = {}  # index in the share: (cfg, out_dir, dilation)
-            for j, cfg, out_dir in group:
-                try:
-                    dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)
-                    certified[j] = cfg, out_dir, dilation
-                except _KNOWN_ERRORS as exc:
-                    results[j] = _describe_error(exc)
-            errors = _simulate_group(list(certified.values())) if certified else []
-            for j, exc in zip(certified, errors):
+        while group := dict(itertools.islice(run, size)):  # index in the share: point
+            for j, exc in zip(group, _simulate_group(list(group.values()))):
                 results[j] = (EXIT_OK, None) if exc is None else _describe_error(exc)
     return results
 
@@ -417,9 +409,9 @@ def _run_sweep(jobs: list, workers: int) -> list:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if not cfg.sweep:
-        raise ArgumentError('sweep requires a non-empty "sweep" section in the config')
+        raise ConfigError('sweep requires a non-empty "sweep" section in the config')
     if args.jobs < 1:
-        raise ArgumentError(f"--jobs must be >= 1, got {args.jobs}")
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     base_doc = config_to_dict(cfg)
     paths = sorted(cfg.sweep.keys())
     value_lists = [cfg.sweep[p] for p in paths]
@@ -457,7 +449,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         entry.update(status="error", error=error)
         sys.stderr.write(f"{entry['dir']}: {error}\n")
         exit_code = exit_code or code
-    _atomic_write(os.path.join(args.out, "manifest.json"), _dump_json(manifest))
+    _write_file(args.out, "manifest.json", _dump_json(manifest))
     return exit_code
 
 

@@ -91,8 +91,8 @@ MUTANTS = [
      "    dilation = None\n    (error,)",
      "simulate skips certification", "tests/test_cli.py"),
     ("src/pseudobath/cli.py",
-     "                    dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)\n",
-     "                    dilation = None\n",
+     "                dilation = pseudomode.check_dilation_closed_form(cfg.system, cfg.bath)\n",
+     "                dilation = None\n",
      "a sweep point skips certification", "tests/test_cli.py"),
     ("src/pseudobath/cli.py", "own_rows = itertools.chain([first], pieces)", "own_rows = pieces",
      "a point run alone skips the group's first piece", "tests/test_cli.py"),

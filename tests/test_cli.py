@@ -1231,6 +1231,75 @@ class TestCsvFiles:
         assert values[:, 0].tolist() == [2.0, 4.0]
 
 
+def key_paths(obj, prefix=""):
+    """The dotted paths of the leaves of a JSON value; ``[]`` stands for
+    every element of a list."""
+    if isinstance(obj, dict):
+        return set().union(*(key_paths(v, f"{prefix}.{k}" if prefix else k) for k, v in obj.items()))
+    if isinstance(obj, list):
+        return set().union(*(key_paths(v, prefix + "[]") for v in obj)) if obj else {prefix + "[]"}
+    return {prefix}
+
+
+class TestArtifactSchema:
+    """Every key a command writes, and every CSV header, is pinned here: a
+    key added, renamed or dropped fails."""
+
+    CONFIG = {
+        "config.bath.eta", "config.bath.peaks[].epsilon", "config.bath.peaks[].g",
+        "config.bath.peaks[].gamma", "config.initial.psi0[]", "config.initial.psi[][]",
+        "config.solver.oracle_steps", "config.system.matrix[][][]", "config.system.n",
+        "config.time.points", "config.time.t_max",
+    }
+    DILATION = {
+        "closed_form_pass", "min_eigenvalue_H", "min_eigenvalue_V", "per_block[].E_alpha",
+        "per_block[].alpha", "per_block[].min_eigenvalue", "per_block[].passed",
+        "psd_tolerance", "spectral_pass", "threshold",
+    }
+
+    def test_key_paths_and_headers(self, tmp_path, capsys):
+        doc = base_doc(bath={"peaks": [{"g": 0.5, "gamma": 0.4, "epsilon": 0.1}], "eta": 0.05})
+        doc["time"] = {"t_max": 1.0, "points": 11}
+        doc["solver"] = {"oracle_steps": 400}
+        path = write_config(tmp_path, doc)
+        for argv in (["simulate"], ["check"], ["compare", "--threshold", "1"],
+                     ["cutoff-study", "--omegas", "2", "--t-min", "0.5"]):
+            assert main(argv + ["--config", path, "--out", str(tmp_path / argv[0])]) == EXIT_OK
+        doc["sweep"] = {"bath.eta": [0.05]}
+        argv = ["sweep", "--config", write_config(tmp_path, doc, "sweep.json")]
+        assert main(argv + ["--out", str(tmp_path / "sweep")]) == EXIT_OK
+        capsys.readouterr()
+
+        def read(name):
+            return json.loads((tmp_path / name).read_text())
+
+        assert key_paths(read("check/dilation.json")) == self.DILATION
+        assert key_paths(read("simulate/report.json")) == self.CONFIG | {
+            "dilation." + key for key in self.DILATION
+        } | {
+            "tolerances.rho_hermiticity", "tolerances.rho_psd", "tolerances.rho_trace",
+            "trajectory.final_excited_population", "trajectory.final_ground_population",
+            "trajectory.max_trace_deviation", "trajectory.min_rho_eigenvalue",
+            "trajectory.points",
+        }
+        assert key_paths(read("compare/compare.json")) == self.CONFIG | {
+            "comparison.l2_deviation", "comparison.oracle_error_estimate",
+            "comparison.oracle_extrapolated", "comparison.oracle_steps",
+            "comparison.sup_deviation", "comparison.threshold",
+        }
+        (entry,) = read("sweep/manifest.json")
+        assert key_paths(entry) == {"dir", "index", "params.bath.eta", "status"}
+
+        def header(name):
+            return (tmp_path / name).read_text().split("\n", 1)[0]
+
+        assert header("simulate/trajectory.csv") == (
+            "t,rho_0_0_re,rho_0_0_im,rho_0_1_re,rho_0_1_im,"
+            "rho_1_0_re,rho_1_0_im,rho_1_1_re,rho_1_1_im,excited_population"
+        )
+        assert header("cutoff-study/cutoff_study.csv") == "Omega,sup_deviation"
+
+
 class TestCutoffStudy:
     def test_requires_ohmic_bath(self, tmp_path, capsys):
         code = main(
@@ -1674,6 +1743,29 @@ class TestSweep:
         assert [size for size, _ in seen] == [2, 2, 2]
         for g, (_, count) in enumerate(seen):
             assert count <= 2 * (g + 1) + 1
+
+    def test_groups_hold_only_certified_points(self, tmp_path, monkeypatch, capsys):
+        # three 11-row points in groups of two; the middle one fails
+        # certification, so the two others fill one group
+        simulate_group = cli._simulate_group
+        seen = []
+
+        def watched(group):
+            seen.append(len(group))
+            return simulate_group(group)
+
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 2 * 11)
+        monkeypatch.setattr(cli, "_simulate_group", watched)
+        overflowing = {"peaks": [{"g": 1e150, "gamma": 1.0}], "eta": 1e10}
+        doc = base_doc(time={"t_max": 1.0, "points": 11})
+        doc["sweep"] = {"bath": [doc["bath"], overflowing, doc["bath"]]}
+        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        assert seen == [2, 1, 1]  # then the two good points alone through simulate
+        assert manifest[1] == {
+            "index": 1, "dir": "point_0001", "params": {"bath": overflowing}, "status": "error",
+            "error": "invalid input: dilation threshold (eta/4) * sum g_j^2/gamma_j overflows (inf)",
+        }
+        assert [entry["status"] for entry in manifest] == ["ok", "error", "ok"]
 
     def test_start_method(self, monkeypatch):
         # fork where offered, so workers inherit the imported modules
