@@ -1,15 +1,16 @@
 """Command-line front end: simulation, dilation certification, cross-solver
 comparison, cutoff-convergence studies and parameter sweeps.
 
-Output files are deterministic: %.17g float formatting, sorted JSON keys,
-LF line endings, no timestamps.  Identical configs therefore produce
-byte-identical artifacts on one numpy build at one CPU dispatch level, with
-one BLAS and ``OPENBLAS_NUM_THREADS`` fixed; the last bits of the computed
-numbers differ across dispatch levels (see ``dynamics``).  CSV rows are
-formatted _BLOCK_ROWS = 512 at a time by ``csvformat.format_rows``, whose
-text is per-entry %.17g byte for byte; it finds, on each block, columns
-whose bits equal those of an earlier column, or their negation, as rho's
-below its diagonal do, and copies their text instead of formatting it again.
+Every file, a streamed CSV too, is written by ``_write_file`` as a ``.tmp``
+file renamed into place.  Output files are deterministic: %.17g float
+formatting, sorted JSON keys, LF line endings, no timestamps.  Identical
+configs therefore produce byte-identical artifacts on one numpy build at one
+CPU dispatch level, with one BLAS and ``OPENBLAS_NUM_THREADS`` fixed; the last
+bits of the computed numbers differ across dispatch levels (see ``dynamics``).
+CSV rows are formatted _BLOCK_ROWS = 512 at a time by ``csvformat.format_rows``,
+whose text is per-entry %.17g byte for byte; it finds, on each block, columns
+whose bits equal those of an earlier column, or their negation, as rho's below
+its diagonal do, and copies their text instead of formatting it again.
 
 Every command certifies before it propagates: an input fails at the first of
 certification, grid and propagation, files, norm and rho.  ``simulate`` and
@@ -77,27 +78,20 @@ def _describe_error(exc: Exception) -> tuple[int, str]:
     return code, f"{prefix}: {exc}"
 
 
-@contextlib.contextmanager
-def _atomic_open(path: str):
-    """A text file written as ``path + ".tmp"`` and renamed to ``path`` when
-    the block ends; if anything raises, the ``.tmp`` file is removed."""
-    tmp = path + ".tmp"
+def _write_file(directory: str, name: str, chunks):
+    """Make ``directory``, write the text ``chunks`` to ``name + ".tmp"`` in it
+    and rename that to ``name``.  Every file goes through here; if anything
+    raises, an interrupt included, the ``.tmp`` file is removed."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
     try:
-        with open(tmp, "w", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
+        with open(path + ".tmp", "w", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(path + ".tmp", path)
     except BaseException:
         with contextlib.suppress(OSError):
-            os.unlink(tmp)
+            os.unlink(path + ".tmp")
         raise
-
-
-def _write_file(directory: str, name: str, text: str):
-    """Make ``directory``, then write ``text`` as its file ``name`` through
-    ``_atomic_open``."""
-    os.makedirs(directory, exist_ok=True)
-    with _atomic_open(os.path.join(directory, name)) as fh:
-        fh.write(text)
 
 
 def _dump_json(obj) -> str:
@@ -168,20 +162,22 @@ def _rows(piece, points: list, psi0: np.ndarray):
 
 
 def _write_point(cfg: RunConfig, out_dir: str, dilation: dict, blocks):
-    """Write one point's ``trajectory.csv`` a block of rows at a time, then
-    its ``report.json``.  ``blocks`` yields (text, largest trace deviation,
-    smallest rho eigenvalue, last excited population) per block; an error it
-    raises removes the unfinished CSV and leaves ``out_dir`` empty."""
+    """Write one point's ``trajectory.csv``, its header and then one block of
+    rows at a time, and then its ``report.json``.  ``blocks`` yields (text,
+    largest trace deviation, smallest rho eigenvalue, last excited population)
+    per block as the CSV is written: an error it raises comes after any
+    directory or file error, and leaves ``out_dir`` empty."""
     levels = range(cfg.system.n + 1)
     rho_cols = [f"rho_{i}_{j}_{part}" for i in levels for j in levels for part in ("re", "im")]
-    header = ["t", *rho_cols, "excited_population"]
-    os.makedirs(out_dir, exist_ok=True)
-    with _atomic_open(os.path.join(out_dir, "trajectory.csv")) as fh:
-        fh.write(",".join(header) + "\n")
-        summaries = []
+    summaries = []
+
+    def csv():
+        yield ",".join(["t", *rho_cols, "excited_population"]) + "\n"
         for text, *summary in blocks:
-            fh.write(text)
             summaries.append(summary)
+            yield text
+
+    _write_file(out_dir, "trajectory.csv", csv())
     trace_devs, min_eigs, excited = zip(*summaries)
 
     report = {
@@ -200,7 +196,7 @@ def _write_point(cfg: RunConfig, out_dir: str, dilation: dict, blocks):
             "rho_psd": _RHO_PSD_TOL,
         },
     }
-    _write_file(out_dir, "report.json", _dump_json(report))
+    _write_file(out_dir, "report.json", [_dump_json(report)])
 
 
 def _simulate_group(group: list) -> list:
@@ -260,7 +256,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_check(cfg: RunConfig, args) -> int:
     text = _dump_json(pseudomode.check_dilation_closed_form(cfg.system, cfg.bath))
-    _write_file(args.out, "dilation.json", text)
+    _write_file(args.out, "dilation.json", [text])
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -291,7 +287,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             "oracle_error_estimate": oracle.error_estimate,
         },
     }
-    _write_file(args.out, "compare.json", _dump_json(report))
+    _write_file(args.out, "compare.json", [_dump_json(report)])
     sys.stdout.write(_dump_json(report["comparison"]))
     return EXIT_OK if sup <= args.threshold else EXIT_THRESHOLD
 
@@ -322,7 +318,7 @@ def cmd_cutoff_study(cfg: RunConfig, args) -> int:
             raise LinAlgError(f"deviation at cutoff {omega} is not finite ({sup})")
         rows.append((omega, sup))
     text = "Omega,sup_deviation\n" + format_rows(rows)
-    _write_file(args.out, "cutoff_study.csv", text)
+    _write_file(args.out, "cutoff_study.csv", [text])
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -449,7 +445,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         entry.update(status="error", error=error)
         sys.stderr.write(f"{entry['dir']}: {error}\n")
         exit_code = exit_code or code
-    _write_file(args.out, "manifest.json", _dump_json(manifest))
+    _write_file(args.out, "manifest.json", [_dump_json(manifest)])
     return exit_code
 
 

@@ -168,6 +168,15 @@ def _check_sweep_value(value, path: str):
         raise ValidationError(path, f"must be finite, got {value}")
 
 
+def _record(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a record of ``model``; a ``ModelError`` it
+    raises is raised as a ``ValidationError`` at the JSON ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ModelError as exc:
+        raise ValidationError(path, str(exc)) from exc
+
+
 def parse_config(text) -> RunConfig:
     """Parse and validate a JSON configuration document."""
     # ValueError: not UTF-8, not JSON, or an integer of over 4300 digits
@@ -195,11 +204,7 @@ def parse_config(text) -> RunConfig:
     )
     if bad_row < n:
         raise ValidationError(f"$.system.matrix[{bad_row}]", f"expected {n} entries")
-    matrix = matrix.reshape(n, n)
-    try:
-        system = SystemHamiltonian(matrix)
-    except ModelError as exc:
-        raise ValidationError("$.system.matrix", str(exc)) from exc
+    system = _record("$.system.matrix", SystemHamiltonian, matrix.reshape(n, n))
 
     bath_obj = _get(doc, "bath", "$", dict)
     peaks = []
@@ -210,15 +215,9 @@ def parse_config(text) -> RunConfig:
         g = _finite(p, "g", ppath)
         gamma = _finite(p, "gamma", ppath)
         epsilon = _finite(p, "epsilon", ppath, required=False, default=0.0)
-        try:
-            peaks.append(LorentzPeak(g=g, gamma=gamma, epsilon=epsilon))
-        except ModelError as exc:
-            raise ValidationError(ppath, str(exc)) from exc
+        peaks.append(_record(ppath, LorentzPeak, g=g, gamma=gamma, epsilon=epsilon))
     eta = _finite(bath_obj, "eta", "$.bath", required=False, default=0.0)
-    try:
-        bath = BathModel(peaks=tuple(peaks), eta=eta)
-    except ModelError as exc:
-        raise ValidationError("$.bath", str(exc)) from exc
+    bath = _record("$.bath", BathModel, peaks=tuple(peaks), eta=eta)
 
     init_obj = _get(doc, "initial", "$", dict)
     psi_raw = _get(init_obj, "psi", "$.initial", list)
@@ -226,10 +225,7 @@ def parse_config(text) -> RunConfig:
         raise ValidationError("$.initial.psi", f"expected {n} entries, got {len(psi_raw)}")
     psi = _complex_array(psi_raw, lambda i: f"$.initial.psi[{i}]")
     psi0 = _complex(_get(init_obj, "psi0", "$.initial"), "$.initial.psi0")
-    try:
-        initial = InitialState(psi=psi, psi0=psi0)
-    except ModelError as exc:
-        raise ValidationError("$.initial", str(exc)) from exc
+    initial = _record("$.initial", InitialState, psi=psi, psi0=psi0)
 
     time_obj = _get(doc, "time", "$", dict)
     t_max = _number(time_obj, "t_max", "$.time")

@@ -101,6 +101,9 @@ MUTANTS = [
     ("src/pseudobath/cli.py", '"final_ground_population": 1.0 - excited[-1]',
      '"final_ground_population": 1.0 + excited[-1]',
      "the report's final ground population is 1 + excited", "tests/test_cli.py"),
+    ("src/pseudobath/cli.py", "    except BaseException:\n        with contextlib.suppress(OSError):",
+     "    except Exception:\n        with contextlib.suppress(OSError):",
+     "the writer keeps its .tmp after an interrupt", "tests/test_cli.py"),
     ("src/pseudobath/dynamics.py", "traj.times[bad[0] % len(traj.times)]", "traj.times[bad[0]]",
      "a stacked norm error reads the time at its flat row index", "tests/test_dynamics.py"),
     ("src/pseudobath/csvformat.py", "    source[unequal] = unequal\n", "",

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import errno
 import inspect
+import io
 import itertools
 import json
 import math
@@ -11,16 +13,18 @@ import random
 import resource
 import subprocess
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fuzz import SPECIAL
 
 import pseudobath
-from pseudobath import cli, dynamics, pseudomode, volterra
+from pseudobath import cli, dynamics, linalg, pseudomode, volterra
 from pseudobath.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -873,6 +877,37 @@ class TestTempFiles:
         )
         assert list(out.iterdir()) == []
 
+    def test_every_file_goes_through_the_writer(self, tmp_path, monkeypatch):
+        write_file, written = cli._write_file, []
+
+        def recorded(directory, name, chunks):
+            written.append(pathlib.Path(directory, name))
+            return write_file(directory, name, chunks)
+
+        monkeypatch.setattr(cli, "_write_file", recorded)
+        doc = base_doc(time={"t_max": 1.0, "points": 6})
+        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "simulate")]
+        assert main(argv) == EXIT_OK
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6]}
+        argv = ["sweep", "--jobs", "1", "--config", write_config(tmp_path, doc, "sweep.json"),
+                "--out", str(tmp_path / "sweep")]
+        assert main(argv) == EXIT_OK
+        files = [p for p in tmp_path.rglob("*") if p.is_file() and p.parent != tmp_path]
+        assert len(files) == 7  # two CSVs and two reports per run, and the manifest
+        assert sorted(written) == sorted(files)
+
+    def test_an_interrupt_removes_the_unfinished_csv(self, tmp_path):
+        cfg = parse_config(json.dumps(base_doc()))
+
+        def blocks():
+            yield "0,1,0,0,0,0,0,0,0,0\n", 0.0, 0.0, 0.36
+            raise KeyboardInterrupt
+
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            cli._write_point(cfg, str(out), {}, blocks())
+        assert list(out.iterdir()) == []
+
 
 class TestSimulate:
     def test_outputs_and_initial_row(self, tmp_path):
@@ -1358,6 +1393,131 @@ class TestCutoffStudy:
         assert all(d < 1.0 for d in devs)
 
 
+#: Peak lists a random sweep draws, K = 0-2: the last one has a negative width,
+#: a config error.
+SWEEP_PEAKS = [
+    [],
+    [{"g": 0.5, "gamma": 0.4, "epsilon": 0.1}],
+    [{"g": 0.3, "gamma": 0.9, "epsilon": -0.2}, {"g": 0.4, "gamma": 0.6, "epsilon": 0.0}],
+    [{"g": 0.5, "gamma": -1.0, "epsilon": 0.1}],
+]
+#: g = 1e150: with eta = 1e10 the dilation threshold overflows; with a smaller
+#: eta the propagation fails with a non-finite state.
+OVERFLOWING_PEAKS = [{"g": 1e150, "gamma": 1.0, "epsilon": 0.0}]
+#: Matrices of each N; the second lies below the dilation threshold of every
+#: eta > 0, so that its runs end in a norm or rho failure.
+SWEEP_MATRICES = {
+    1: [[[[0.5, 0.0]]], [[[-0.5, 0.0]]]],
+    2: [[[[0.5, 0.0], [0.1, 0.2]], [[0.1, -0.2], [1.0, 0.0]]],
+        [[[-0.5, 0.0], [0.0, 0.1]], [[0.0, -0.1], [0.3, 0.0]]]],
+}
+SWEEP_PSI = {1: [[0.6, 0.0]], 2: [[0.48, 0.0], [0.0, 0.36]]}
+#: Strategies of sweep values that do not depend on the draw.
+SWEEP_VALUES = {
+    "bath.peaks": st.sampled_from([*SWEEP_PEAKS, OVERFLOWING_PEAKS]),
+    "bath.eta": st.sampled_from([0.0, 0.5, 2.0, 1e10]),
+}
+
+
+@st.composite
+def sweep_cases(draw):
+    """A random sweep as (config, CHUNK_ROWS, _BLOCK_ROWS, --jobs).  The base
+    config has N 1-2, K 0-2 and 2-30 points; its sweep has 1-3 paths, the
+    first of 2 values and the others of 1-2, drawn from ``bath.eta``, whole
+    ``bath.peaks`` lists, whole ``system.matrix`` values and ``time.points``
+    (``THRESHOLD_OVERFLOW`` draws the overflow on purpose).  Chunks of 2-64
+    rows and blocks of 1-40 rows cross every boundary of group, batch, block
+    and chunk on these tiny grids."""
+    chunk_rows, block_rows = draw(st.integers(2, 64)), draw(st.integers(1, 40))
+    # besides any grid, one short enough that a block and a chunk hold two
+    # whole points, and one longer than a chunk, where 30 points are
+    grids = (st.integers(2, max(2, min(block_rows, chunk_rows) // 2)) | st.integers(2, 30)
+             | st.integers(min(chunk_rows + 1, 30), 30))
+    n = draw(st.integers(1, 2))
+    matrices = st.sampled_from(SWEEP_MATRICES[n])
+    doc = {
+        "system": {"n": n, "matrix": draw(matrices)},
+        "bath": {"peaks": draw(st.sampled_from(SWEEP_PEAKS[:3])),
+                 "eta": draw(st.sampled_from([0.0, 0.5, 2.0]))},
+        "initial": {"psi": SWEEP_PSI[n], "psi0": [0.8, 0.0]},
+        "time": {"t_max": draw(st.sampled_from([0.5, 2.0, 6.0])), "points": draw(grids)},
+    }
+    values = {**SWEEP_VALUES, "system.matrix": matrices, "time.points": grids}
+    paths = draw(st.lists(st.sampled_from(list(values)), min_size=1, max_size=3, unique=True))
+    doc["sweep"] = {path: draw(st.lists(values[path], min_size=1 + (path == paths[0]), max_size=2))
+                    for path in paths}
+    # mostly --jobs 1, where groups are largest; shares interleave at 2 and 3
+    jobs = draw(st.sampled_from([1, 1, 1, 2, 3]))
+    return doc, chunk_rows, block_rows, jobs
+
+
+#: A sweep case whose last point overflows the dilation threshold; the second
+#: fails with a non-finite state, the other two pass.
+THRESHOLD_OVERFLOW = (
+    {**base_doc(), "sweep": {"bath.peaks": [SWEEP_PEAKS[1], OVERFLOWING_PEAKS], "bath.eta": [0.5, 1e10]}},
+    4, 3, 1,
+)
+
+
+def check_sweep_is_its_points(
+    root, doc, chunk_rows=CHUNK_ROWS, block_rows=cli._BLOCK_ROWS, jobs=1
+) -> list:
+    """Run ``doc``'s sweep into ``root / "sweep"`` at ``--jobs jobs`` in this
+    process, its workers through ``inline_processes``, with ``CHUNK_ROWS`` =
+    ``chunk_rows`` and ``_BLOCK_ROWS`` = ``block_rows``; then run each point
+    alone through ``simulate`` into ``root / "alone"`` under the same patches.
+    Asserts that each point's directory holds what simulate's holds, byte for
+    byte, directories included, or that both are absent; that its manifest
+    entry holds its params and simulate's outcome and stderr line; and that
+    the sweep's stderr is those lines, prefixed and in order, and its exit
+    code that of the first failing point.  Returns the manifest."""
+    with contextlib.ExitStack() as patches:
+
+        def patch(obj, name, value):
+            patches.enter_context(mock.patch.object(obj, name, value))
+
+        for obj, name, value in [(cli, "CHUNK_ROWS", chunk_rows), (linalg, "CHUNK_ROWS", chunk_rows),
+                                 (cli, "_BLOCK_ROWS", block_rows)]:
+            patch(obj, name, value)
+        inline_processes(patch, lambda share: None)
+
+        def run(argv, doc, out):
+            (root / "run.json").write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", str(root / "run.json"), "--out", str(root / out)])
+            return code, err.getvalue()
+
+        code, err = run(["sweep", "--jobs", str(jobs)], doc, "sweep")
+        paths = sorted(doc["sweep"])
+        expected_code, expected_err, expected_manifest = EXIT_OK, "", []
+        for index, combo in enumerate(itertools.product(*(doc["sweep"][p] for p in paths))):
+            point = json.loads(json.dumps(doc))
+            del point["sweep"]
+            for path, value in zip(paths, combo):
+                apply_override(point, path, value)
+            name = f"point_{index:04d}"
+            alone, message = run(["simulate"], point, f"alone/{name}")
+            entry = {"index": index, "dir": name, "params": dict(zip(paths, combo)), "status": "ok"}
+            if alone != EXIT_OK:
+                entry.update(status="error", error=message.rstrip("\n"))
+                expected_err += f"{name}: {message}"
+                expected_code = expected_code or alone
+            else:
+                assert message == ""
+            expected_manifest.append(entry)
+
+        def tree(root):
+            return {p.relative_to(root): p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+        assert (code, err) == (expected_code, expected_err)
+        swept = tree(root / "sweep")
+        manifest = json.loads(swept.pop(pathlib.Path("manifest.json")))
+        assert manifest == expected_manifest
+        assert swept == tree(root / "alone")
+    return manifest
+
+
 class TestSweep:
     def test_cartesian_sweep(self, tmp_path):
         doc = base_doc()
@@ -1581,39 +1741,6 @@ class TestSweep:
         ]
         assert len(dirs) == 21 - 6
 
-    @staticmethod
-    def assert_sweep_runs_each_point_alone(tmp_path, capsys, doc):
-        """Run ``doc``'s sweep at --jobs 1, then each of its points alone
-        through ``simulate``: the exit code, stderr and tree, directories
-        included, must match.  Returns the manifest."""
-        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "sweep")]
-        code = main(argv + ["--jobs", "1"])
-        err = capsys.readouterr().err
-        manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
-        expected_code, expected_err = EXIT_OK, ""
-        for entry in manifest:
-            point = json.loads(json.dumps(doc))
-            del point["sweep"]
-            for path, value in entry["params"].items():
-                apply_override(point, path, value)
-            name = entry["dir"]
-            alone = main(["simulate", "--config", write_config(tmp_path, point, f"{name}.json"),
-                          "--out", str(tmp_path / "alone" / name)])
-            message = capsys.readouterr().err
-            assert entry.get("error", "") == message.rstrip("\n")
-            if message:
-                expected_err += f"{name}: {message}"
-            expected_code = expected_code or alone
-
-        def tree(root):
-            return {p.relative_to(root): p.is_file() and p.read_bytes() for p in root.rglob("*")}
-
-        assert (code, err) == (expected_code, expected_err)
-        swept = tree(tmp_path / "sweep")
-        del swept[pathlib.Path("manifest.json")]
-        assert swept == tree(tmp_path / "alone")
-        return manifest
-
     def test_failure_in_a_later_chunk(self, tmp_path, monkeypatch, capsys):
         # the second 4096-row piece of a 5001-point run runs out of memory
         # after the first piece's rows have been written
@@ -1637,12 +1764,12 @@ class TestSweep:
         # middle two in one group, write what they write alone
         doc = base_doc(time={"t_max": 50.0, "points": 201})
         doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6], "time.points": [201, 5001, 201]}
-        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        manifest = check_sweep_is_its_points(tmp_path, doc)
         assert [entry["status"] for entry in manifest] == ["ok", "error", "ok"] * 2
         assert manifest[1]["error"] == "out of memory: second chunk"
         assert list((tmp_path / "sweep" / "point_0004").iterdir()) == []
 
-    def test_groups_stay_within_one_chunk(self, tmp_path, monkeypatch, capsys):
+    def test_groups_stay_within_one_chunk(self, tmp_path, monkeypatch):
         # 25 equal 201-row points: a group stacks at most 4096 // 201 = 20
         propagate_chunks = dynamics.propagate_chunks
         stacks = []
@@ -1654,13 +1781,13 @@ class TestSweep:
         monkeypatch.setattr(dynamics, "propagate_chunks", counted)
         doc = base_doc(time={"t_max": 2.0, "points": 201})
         doc["sweep"] = {"bath.peaks[0].gamma": [round(0.2 + 0.05 * j, 2) for j in range(25)]}
-        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        manifest = check_sweep_is_its_points(tmp_path, doc)
         assert {entry["status"] for entry in manifest} == {"ok"}
         swept = stacks[: -len(manifest)]  # then one propagation per point alone
         assert sum(swept) == 25
         assert max(swept) == CHUNK_ROWS // 201
 
-    def test_points_of_more_rows_than_a_chunk_run_alone(self, tmp_path, monkeypatch, capsys):
+    def test_points_of_more_rows_than_a_chunk_run_alone(self, tmp_path, monkeypatch):
         # two equal points of two pieces each; in one group, the second point
         # would find the group's second piece already read by the first
         propagate_chunks = dynamics.propagate_chunks
@@ -1673,11 +1800,11 @@ class TestSweep:
         monkeypatch.setattr(dynamics, "propagate_chunks", counted)
         doc = base_doc(time={"t_max": 8.0, "points": CHUNK_ROWS + 1})
         doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.6]}
-        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        manifest = check_sweep_is_its_points(tmp_path, doc)
         assert {entry["status"] for entry in manifest} == {"ok"}
         assert stacks == [1, 1, 1, 1]  # swept, then each point through simulate
 
-    def test_points_of_two_rho_blocks_share_a_chunk(self, tmp_path, monkeypatch, capsys):
+    def test_points_of_two_rho_blocks_share_a_chunk(self, tmp_path, monkeypatch):
         # six 601-row points, two rho blocks each, fit one 4096-row chunk
         propagate_chunks = dynamics.propagate_chunks
         stacks = []
@@ -1689,12 +1816,12 @@ class TestSweep:
         monkeypatch.setattr(dynamics, "propagate_chunks", counted)
         doc = base_doc(time={"t_max": 6.0, "points": 601})
         doc["sweep"] = {"bath.peaks[0].gamma": [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]}
-        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        manifest = check_sweep_is_its_points(tmp_path, doc)
         assert {entry["status"] for entry in manifest} == {"ok"}
         assert cli._BLOCK_ROWS < 601 <= CHUNK_ROWS // 6
         assert stacks[: -len(manifest)] == [6]  # then one propagation per point alone
 
-    def test_batches_are_drawn_from_the_live_points(self, tmp_path, monkeypatch, capsys):
+    def test_batches_are_drawn_from_the_live_points(self, tmp_path, monkeypatch):
         # five 201-row points, two per batch; the second fails certification,
         # so the four others are formatted in two batches of two
         from pseudobath import csvformat
@@ -1710,7 +1837,7 @@ class TestSweep:
         doc = base_doc(system={"n": 1, "matrix": [[[-0.5, 0.0]]]})
         doc["time"] = {"t_max": 2.0, "points": 201}
         doc["sweep"] = {"bath": [self.GROUP_BATHS[i][0] for i in (0, 3, 1, 6, 0)]}
-        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        manifest = check_sweep_is_its_points(tmp_path, doc)
         assert [entry["status"] for entry in manifest] == ["ok", "error", "ok", "ok", "ok"]
         assert "dilation threshold" in manifest[1]["error"]
         assert cli._BLOCK_ROWS // 201 == 2
@@ -1744,7 +1871,7 @@ class TestSweep:
         for g, (_, count) in enumerate(seen):
             assert count <= 2 * (g + 1) + 1
 
-    def test_groups_hold_only_certified_points(self, tmp_path, monkeypatch, capsys):
+    def test_groups_hold_only_certified_points(self, tmp_path, monkeypatch):
         # three 11-row points in groups of two; the middle one fails
         # certification, so the two others fill one group
         simulate_group = cli._simulate_group
@@ -1754,18 +1881,26 @@ class TestSweep:
             seen.append(len(group))
             return simulate_group(group)
 
-        monkeypatch.setattr(cli, "CHUNK_ROWS", 2 * 11)
         monkeypatch.setattr(cli, "_simulate_group", watched)
         overflowing = {"peaks": [{"g": 1e150, "gamma": 1.0}], "eta": 1e10}
         doc = base_doc(time={"t_max": 1.0, "points": 11})
         doc["sweep"] = {"bath": [doc["bath"], overflowing, doc["bath"]]}
-        manifest = self.assert_sweep_runs_each_point_alone(tmp_path, capsys, doc)
+        manifest = check_sweep_is_its_points(tmp_path, doc, chunk_rows=2 * 11)
         assert seen == [2, 1, 1]  # then the two good points alone through simulate
         assert manifest[1] == {
             "index": 1, "dir": "point_0001", "params": {"bath": overflowing}, "status": "error",
             "error": "invalid input: dilation threshold (eta/4) * sum g_j^2/gamma_j overflows (inf)",
         }
         assert [entry["status"] for entry in manifest] == ["ok", "error", "ok"]
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=sweep_cases())
+    @example(case=THRESHOLD_OVERFLOW)
+    def test_a_sweep_is_its_points(self, case):
+        # each point writes, and fails with, exactly what it does alone, on
+        # random sweeps; tests/sweep_property.py draws far more of them
+        with tempfile.TemporaryDirectory() as tmp:
+            check_sweep_is_its_points(pathlib.Path(tmp), *case)
 
     def test_start_method(self, monkeypatch):
         # fork where offered, so workers inherit the imported modules
