@@ -14,20 +14,17 @@ Every exported name is imported from its submodule on first access
 
 #: Each submodule with the names the package exports from it.
 _EXPORTS = {
-    "dynamics": "NormExceededError Trajectory evolve evolve_group observables",
-    "linalg": "DimensionMismatchError LinAlgError NotHermitianError hermitian_eigenvalues",
+    "dynamics": "Trajectory evolve evolve_group observables",
+    "linalg": "LinAlgError hermitian_eigenvalues",
     "model": (
-        "BathModel InitialState LorentzPeak ModelError OhmicWithoutCutoffError "
-        "SystemHamiltonian correlation counterterm_shift"
+        "BathModel InitialState LorentzPeak ModelError SystemHamiltonian correlation "
+        "counterterm_shift"
     ),
     "pseudomode": (
         "block_stack build_effective_hamiltonian check_dilation_closed_form "
         "dilation_threshold optical_potential"
     ),
-    "volterra": (
-        "GridMismatchError OracleTrajectory StepTooCoarseError deviation_norms "
-        "solve_cutoff_family solve_integro_differential"
-    ),
+    "volterra": "OracleTrajectory deviation_norms solve_cutoff_family solve_integro_differential",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

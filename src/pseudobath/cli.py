@@ -38,7 +38,7 @@ import sys
 
 import numpy as np
 
-from . import pseudomode
+from . import linalg, pseudomode
 from .config import (
     ConfigError,
     RunConfig,
@@ -46,7 +46,7 @@ from .config import (
     config_to_dict,
     parse_config,
 )
-from .linalg import CHUNK_ROWS, LinAlgError
+from .linalg import LinAlgError
 from .model import ModelError
 
 EXIT_OK = 0
@@ -346,7 +346,7 @@ def _run_share(share: list) -> list:
         return cfg.system.n, cfg.bath.k, cfg.t_max, cfg.output_points
 
     for (*_, points), run in itertools.groupby(certified(), shape):
-        size = max(1, CHUNK_ROWS // points)
+        size = max(1, linalg.CHUNK_ROWS // points)
         while group := dict(itertools.islice(run, size)):  # index in the share: point
             for j, exc in zip(group, _simulate_group(list(group.values()))):
                 results[j] = (EXIT_OK, None) if exc is None else _describe_error(exc)

@@ -28,11 +28,7 @@ _ORACLE_STEPS = 4000
 
 
 class ConfigError(Exception):
-    """Base class for configuration failures."""
-
-
-class ParseError(ConfigError):
-    """Malformed JSON."""
+    """A configuration failure: malformed JSON, or ``ValidationError``."""
 
 
 class ValidationError(ConfigError):
@@ -183,7 +179,7 @@ def parse_config(text) -> RunConfig:
     try:
         doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+        raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("$", "top level must be an object")
 
@@ -315,7 +311,6 @@ def apply_override(doc: dict, dotted_path: str, value):
 
 __all__ = [
     "ConfigError",
-    "ParseError",
     "RunConfig",
     "ValidationError",
     "apply_override",

@@ -32,11 +32,6 @@ from .model import BathModel, InitialState, SystemHamiltonian, _make_validated, 
 from .pseudomode import block_stack
 
 
-class NormExceededError(LinAlgError):
-    """System norm grew beyond 1, or the state is not finite: propagation
-    failure or non-dilatable model."""
-
-
 #: Largest accepted squared system norm; the slack absorbs rounding in the
 #: propagator and in the norm.
 _MAX_NORM2 = (1.0 + 1e-9) ** 2
@@ -140,8 +135,9 @@ def observables(traj: Trajectory, psi0) -> tuple[np.ndarray, np.ndarray]:
     With psi the system amplitudes at one time: rho[0, 0] = 1 - ||psi||^2,
     rho[0, i] = psi0 * conj(psi_i), rho[i, j] = psi_i * conj(psi_j).  Every
     row is computed on its own, so each point of a stack has the bits it has
-    alone.  Raises NormExceededError naming the first row, point by point,
-    whose system norm exceeds 1 or is not finite.
+    alone.  Raises LinAlgError naming the first row, point by point, whose
+    system norm exceeds 1 or is not finite: propagation failure or a model
+    that is not dilatable.
     """
     psi = traj.states
     excited = np.vecdot(psi, psi).real
@@ -149,8 +145,8 @@ def observables(traj: Trajectory, psi0) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         t, norm2 = float(traj.times[bad[0] % len(traj.times)]), excited.flat[bad[0]]
         if not np.isfinite(norm2):
-            raise NormExceededError(f"system state at t={t} is not finite: propagation failed")
-        raise NormExceededError(
+            raise LinAlgError(f"system state at t={t} is not finite: propagation failed")
+        raise LinAlgError(
             f"system norm {np.sqrt(norm2):.12f} at t={t} exceeds 1: "
             "propagation failed or the model is not dilatable"
         )
@@ -164,7 +160,6 @@ def observables(traj: Trajectory, psi0) -> tuple[np.ndarray, np.ndarray]:
 
 
 __all__ = [
-    "NormExceededError",
     "Trajectory",
     "evolve",
     "evolve_group",

@@ -16,15 +16,9 @@ import numpy as np
 
 
 class LinAlgError(Exception):
-    """Base class for numerics failures."""
-
-
-class NotHermitianError(LinAlgError):
-    """Input matrix fails the Hermiticity check."""
-
-
-class DimensionMismatchError(LinAlgError):
-    """Operands have incompatible shapes."""
+    """A numerics failure: a matrix that is not square, finite or Hermitian,
+    operands of incompatible shapes, a state whose norm grows, an oracle step
+    too coarse."""
 
 
 #: Relative Hermiticity tolerance, deliberately stricter than the 1e-10
@@ -38,7 +32,7 @@ def as_square_matrix(a, stack: bool = False) -> np.ndarray:
     (..., n, n) stack of them."""
     a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
+        raise LinAlgError(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise LinAlgError("matrix contains non-finite entries")
     return a
@@ -55,12 +49,12 @@ def hermiticity_defect(a: np.ndarray):
 def hermitian_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues (``numpy.linalg.eigvalsh`` of 0.5 (A + A^dagger))
     of a Hermitian matrix or of each matrix of a (..., n, n) stack.  Raises
-    DimensionMismatchError, LinAlgError or NotHermitianError unless every
-    matrix is square, finite and Hermitian to HERMITICITY_RTOL."""
+    LinAlgError unless every matrix is square, finite and Hermitian to
+    HERMITICITY_RTOL."""
     a = as_square_matrix(a, stack=True)
     defect = np.max(hermiticity_defect(a), initial=0.0)
     if defect > HERMITICITY_RTOL:
-        raise NotHermitianError(f"matrix is not Hermitian (relative defect {defect:.3e})")
+        raise LinAlgError(f"matrix is not Hermitian (relative defect {defect:.3e})")
     return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))
 
 
@@ -93,7 +87,7 @@ def propagate_chunks(blocks, z0, step, count):
     blocks = np.asarray(blocks, dtype=complex)
     z0 = np.asarray(z0, dtype=complex)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or z0.shape != blocks.shape[:2]:
-        raise DimensionMismatchError(
+        raise LinAlgError(
             f"blocks of shape {blocks.shape} do not match a start of shape {z0.shape}"
         )
     n, d = z0.shape
@@ -117,9 +111,7 @@ def propagate_chunks(blocks, z0, step, count):
 
 __all__ = [
     "CHUNK_ROWS",
-    "DimensionMismatchError",
     "LinAlgError",
-    "NotHermitianError",
     "hermitian_eigenvalues",
     "propagate_chunks",
 ]

@@ -22,15 +22,6 @@ class ModelError(Exception):
     """Invalid physical model parameters."""
 
 
-class OhmicWithoutCutoffError(ModelError):
-    """Pointwise correlation function requested for a pure Ohmic bath.
-
-    An Ohmic spectral density without cutoff has no pointwise correlation
-    function; callers run ``volterra.solve_integro_differential`` on the
-    bath without a cutoff instead, which marches the cutoff-removed equation.
-    """
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -169,11 +160,12 @@ def ohmic_cutoff_correlation(eta: float, cutoff: float, t):
 def correlation(bath: BathModel, t):
     """Pointwise reservoir correlation function G(t).
 
-    Raises OhmicWithoutCutoffError when eta > 0 without a cutoff: that bath
-    only has well-defined dynamics through the renormalized equations.
+    Raises ModelError when eta > 0 without a cutoff: that bath has no
+    pointwise correlation function, and ``volterra.solve_integro_differential``
+    marches its cutoff-removed equation instead.
     """
     if bath.eta > 0.0 and bath.cutoff is None:
-        raise OhmicWithoutCutoffError(
+        raise ModelError(
             "pure Ohmic bath has no pointwise correlation function; "
             "use solve_integro_differential on the bath without a cutoff"
         )
@@ -194,7 +186,6 @@ __all__ = [
     "InitialState",
     "LorentzPeak",
     "ModelError",
-    "OhmicWithoutCutoffError",
     "SystemHamiltonian",
     "correlation",
     "counterterm_shift",

@@ -48,14 +48,6 @@ from .model import (
 _BLOCK_ORDER = 256
 
 
-class GridMismatchError(Exception):
-    """Trajectories are not sampled on the same grid."""
-
-
-class StepTooCoarseError(LinAlgError):
-    """Step size too large to resolve the cutoff kernel."""
-
-
 class OracleTrajectory(
     namedtuple("OracleTrajectory", "times states error_estimate", defaults=(None,))
 ):
@@ -223,15 +215,15 @@ def solve_cutoff_family(
     large-cutoff limit is the run of ``bath`` itself (without a cutoff).
 
     ``BathModel`` rejects an Omega outside (0, inf) with ModelError, and the
-    step must resolve the kernel's 1/Omega timescale: h <= 0.1/Omega.
-    Every cutoff is checked before the first march.
+    step must resolve the kernel's 1/Omega timescale, h <= 0.1/Omega, or
+    LinAlgError is raised.  Every cutoff is checked before the first march.
     """
     h = t_max / steps
     baths = []
     for omega in omegas:
         baths.append(bath._replace(cutoff=omega))
         if bath.eta > 0.0 and h > 0.1 / omega * (1.0 + 1e-12):
-            raise StepTooCoarseError(
+            raise LinAlgError(
                 f"step {h:.3e} too coarse for cutoff {omega}: need h <= {0.1 / omega:.3e}"
             )
     return [solve_integro_differential(h_r, b, psi0, t_max, steps) for b in baths]
@@ -243,24 +235,22 @@ def deviation_norms(a, b) -> tuple[float, float]:
     pointwise 2-norm, and the trapezoidal time integral of the squared
     2-norm, square-rooted.
 
-    The grids must be equal: same length, every point within
-    1e-12*(1 + t_last).  Both routes return linspace(0, t_max, points), so
-    the slack serves grids that library callers pass, such as
+    The grids must be equal, or ValueError is raised: same length, every
+    point within 1e-12*(1 + t_last).  Both routes return linspace(0, t_max,
+    points), so the slack serves grids that library callers pass, such as
     arange(steps+1)*h, which differs from that linspace by a few ulps.
     """
     ta, tb = a.times, b.times
     if a.states.shape[1] != b.states.shape[1]:
-        raise GridMismatchError("system dimensions differ")
+        raise ValueError("system dimensions differ")
     if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-12 * (1.0 + ta[-1]):
-        raise GridMismatchError(f"grids differ ({ta.size} and {tb.size} points)")
+        raise ValueError(f"grids differ ({ta.size} and {tb.size} points)")
     diff = np.linalg.norm(a.states - b.states, axis=1)
     return float(diff.max()), float(np.sqrt(np.trapezoid(diff**2, ta)))
 
 
 __all__ = [
-    "GridMismatchError",
     "OracleTrajectory",
-    "StepTooCoarseError",
     "deviation_norms",
     "solve_cutoff_family",
     "solve_integro_differential",

@@ -10,7 +10,7 @@ Not collected by pytest.
 
 import numpy as np
 
-from pseudobath.model import BathModel, ModelError, OhmicWithoutCutoffError
+from pseudobath.model import BathModel, ModelError
 
 
 def spectral_density(bath: BathModel, omega):
@@ -42,7 +42,7 @@ def correlation_by_quadrature(bath: BathModel, t: float, omega_max: float, steps
     (1/2pi) * integral of exp(-i*omega*t) J(omega) over [-omega_max, omega_max].
     """
     if bath.eta > 0.0 and bath.cutoff is None:
-        raise OhmicWithoutCutoffError("quadrature needs an integrable spectral density")
+        raise ModelError("quadrature needs an integrable spectral density")
     if steps < 2:
         raise ModelError("quadrature needs at least 2 steps")
     h = 2.0 * omega_max / steps

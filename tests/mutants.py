@@ -96,7 +96,8 @@ MUTANTS = [
      "a sweep point skips certification", "tests/test_cli.py"),
     ("src/pseudobath/cli.py", "own_rows = itertools.chain([first], pieces)", "own_rows = pieces",
      "a point run alone skips the group's first piece", "tests/test_cli.py"),
-    ("src/pseudobath/cli.py", "size = max(1, CHUNK_ROWS // points)", "size = max(2, CHUNK_ROWS // points)",
+    ("src/pseudobath/cli.py", "size = max(1, linalg.CHUNK_ROWS // points)",
+     "size = max(2, linalg.CHUNK_ROWS // points)",
      "a group's stacked rows may exceed one propagation chunk", "tests/test_cli.py"),
     ("src/pseudobath/cli.py", '"final_ground_population": 1.0 - excited[-1]',
      '"final_ground_population": 1.0 + excited[-1]',
@@ -106,6 +107,9 @@ MUTANTS = [
      "the writer keeps its .tmp after an interrupt", "tests/test_cli.py"),
     ("src/pseudobath/dynamics.py", "traj.times[bad[0] % len(traj.times)]", "traj.times[bad[0]]",
      "a stacked norm error reads the time at its flat row index", "tests/test_dynamics.py"),
+    ("src/pseudobath/dynamics.py", 'raise LinAlgError(\n            f"system norm',
+     'raise ValueError(\n            f"system norm',
+     "the norm error is a ValueError, which no command maps to an exit code", "tests/test_cli.py"),
     ("src/pseudobath/csvformat.py", "    source[unequal] = unequal\n", "",
      "a column takes the text of its key's first column without the bit check",
      "tests/test_csvformat.py"),

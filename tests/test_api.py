@@ -19,23 +19,21 @@ def test_module_all_names_exist(name):
 
 #: The package's exports, each with the submodule that defines it.
 EXPORTS = {
-    "dynamics": ["NormExceededError", "Trajectory", "evolve", "evolve_group", "observables"],
-    "linalg": ["DimensionMismatchError", "LinAlgError", "NotHermitianError",
-               "hermitian_eigenvalues"],
-    "model": ["BathModel", "InitialState", "LorentzPeak", "ModelError",
-              "OhmicWithoutCutoffError", "SystemHamiltonian", "correlation",
-              "counterterm_shift"],
+    "dynamics": ["Trajectory", "evolve", "evolve_group", "observables"],
+    "linalg": ["LinAlgError", "hermitian_eigenvalues"],
+    "model": ["BathModel", "InitialState", "LorentzPeak", "ModelError", "SystemHamiltonian",
+              "correlation", "counterterm_shift"],
     "pseudomode": ["block_stack", "build_effective_hamiltonian",
                    "check_dilation_closed_form", "dilation_threshold",
                    "optical_potential"],
-    "volterra": ["GridMismatchError", "OracleTrajectory", "StepTooCoarseError",
-                 "deviation_norms", "solve_cutoff_family", "solve_integro_differential"],
+    "volterra": ["OracleTrajectory", "deviation_norms", "solve_cutoff_family",
+                 "solve_integro_differential"],
 }
 
 
 def test_package_exports_resolve_on_first_access():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 28
+    assert len(names) == 22
     assert sorted(pseudobath.__all__) == names
     for module_name, exported in EXPORTS.items():
         module = importlib.import_module(f"pseudobath.{module_name}")

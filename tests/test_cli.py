@@ -34,7 +34,7 @@ from pseudobath.cli import (
     main,
 )
 from pseudobath.config import (
-    ParseError,
+    ConfigError,
     ValidationError,
     apply_override,
     config_to_dict,
@@ -133,7 +133,7 @@ class TestParseConfig:
         np.testing.assert_array_equal(again.system.matrix, cfg.system.matrix)
 
     def test_malformed_json(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError, match="^malformed JSON: "):
             parse_config("{not json")
 
     def test_missing_field_names_path(self):
@@ -619,7 +619,7 @@ class TestInputErrors:
         ids=["norm-exceeded", "not-finite", "step-too-coarse"],
     )
     def test_numerical_failure(self, tmp_path, capsys, argv, doc, message):
-        # NormExceededError and StepTooCoarseError are LinAlgErrors
+        # the norm and step checks raise LinAlgError
         argv = argv + ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
@@ -1463,21 +1463,21 @@ def check_sweep_is_its_points(
     root, doc, chunk_rows=CHUNK_ROWS, block_rows=cli._BLOCK_ROWS, jobs=1
 ) -> list:
     """Run ``doc``'s sweep into ``root / "sweep"`` at ``--jobs jobs`` in this
-    process, its workers through ``inline_processes``, with ``CHUNK_ROWS`` =
-    ``chunk_rows`` and ``_BLOCK_ROWS`` = ``block_rows``; then run each point
-    alone through ``simulate`` into ``root / "alone"`` under the same patches.
-    Asserts that each point's directory holds what simulate's holds, byte for
-    byte, directories included, or that both are absent; that its manifest
-    entry holds its params and simulate's outcome and stderr line; and that
-    the sweep's stderr is those lines, prefixed and in order, and its exit
-    code that of the first failing point.  Returns the manifest."""
+    process, its workers through ``inline_processes``, with
+    ``linalg.CHUNK_ROWS`` = ``chunk_rows`` and ``cli._BLOCK_ROWS`` =
+    ``block_rows``; then run each point alone through ``simulate`` into
+    ``root / "alone"`` under the same patches.  Asserts that each point's
+    directory holds what simulate's holds, byte for byte, directories
+    included, or that both are absent; that its manifest entry holds its
+    params and simulate's outcome and stderr line; and that the sweep's
+    stderr is those lines, prefixed and in order, and its exit code that of
+    the first failing point.  Returns the manifest."""
     with contextlib.ExitStack() as patches:
 
         def patch(obj, name, value):
             patches.enter_context(mock.patch.object(obj, name, value))
 
-        for obj, name, value in [(cli, "CHUNK_ROWS", chunk_rows), (linalg, "CHUNK_ROWS", chunk_rows),
-                                 (cli, "_BLOCK_ROWS", block_rows)]:
+        for obj, name, value in [(linalg, "CHUNK_ROWS", chunk_rows), (cli, "_BLOCK_ROWS", block_rows)]:
             patch(obj, name, value)
         inline_processes(patch, lambda share: None)
 
@@ -1787,6 +1787,17 @@ class TestSweep:
         assert sum(swept) == 25
         assert max(swept) == CHUNK_ROWS // 201
 
+    def test_groups_are_cut_by_the_propagation_chunk(self, tmp_path):
+        # with linalg.CHUNK_ROWS = 22 alone patched, three 30-row points each
+        # span two pieces, so each runs alone and writes all of its 30 rows
+        doc = base_doc(time={"t_max": 2.0, "points": 30})
+        doc["sweep"] = {"bath.peaks[0].gamma": [0.3, 0.4, 0.5]}
+        manifest = check_sweep_is_its_points(tmp_path, doc, chunk_rows=22)
+        assert {entry["status"] for entry in manifest} == {"ok"}
+        for entry in manifest:
+            csv_text = (tmp_path / "sweep" / entry["dir"] / "trajectory.csv").read_text()
+            assert csv_text.count("\n") == 1 + 30
+
     def test_points_of_more_rows_than_a_chunk_run_alone(self, tmp_path, monkeypatch):
         # two equal points of two pieces each; in one group, the second point
         # would find the group's second piece already read by the first
@@ -1858,7 +1869,7 @@ class TestSweep:
             seen.append((len(group), len(parsed)))
             return simulate_group(group)
 
-        monkeypatch.setattr(cli, "CHUNK_ROWS", 2 * 11)
+        monkeypatch.setattr(linalg, "CHUNK_ROWS", 2 * 11)
         monkeypatch.setattr(cli, "parse_config", counted)
         monkeypatch.setattr(cli, "_simulate_group", watched)
         doc = base_doc(time={"t_max": 1.0, "points": 11})

@@ -13,9 +13,7 @@ from pseudobath import linalg
 from pseudobath.dynamics import evolve, evolve_group
 from pseudobath.linalg import (
     CHUNK_ROWS,
-    DimensionMismatchError,
     LinAlgError,
-    NotHermitianError,
     hermitian_eigenvalues,
     propagate_chunks,
 )
@@ -45,11 +43,11 @@ class TestHermitianEigen:
             np.testing.assert_allclose(got, np.linalg.eigvalsh(a), atol=1e-10)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(LinAlgError, match="^matrix is not Hermitian "):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(LinAlgError, match=r"^expected square matrices, got shape \(2, 3\)$"):
             hermitian_eigenvalues(np.zeros((2, 3)))
 
 
@@ -73,17 +71,17 @@ class TestHermitianEigenvalues:
         for a, row in zip(stack, got):
             np.testing.assert_array_equal(row, hermitian_eigenvalues(a))
         stack[3, 0, 1] += 1e-6
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(LinAlgError, match="^matrix is not Hermitian "):
             hermitian_eigenvalues(stack)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(LinAlgError, match=r"^expected square matrices, got shape \(3,\)$"):
             hermitian_eigenvalues(np.zeros(3))
 
     def test_same_input_checks(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(LinAlgError, match="^matrix is not Hermitian "):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(LinAlgError, match=r"^expected square matrices, got shape \(2, 3\)$"):
             hermitian_eigenvalues(np.zeros((2, 3)))
-        with pytest.raises(LinAlgError):
+        with pytest.raises(LinAlgError, match="^matrix contains non-finite entries$"):
             hermitian_eigenvalues(np.array([[np.nan]]))
 
 
@@ -135,7 +133,7 @@ class TestIntegrateLinearOde:
         assert max(abs(n - 1.0) for n in norms) < 1e-8
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(LinAlgError, match=r"^blocks of shape \(1, 2, 2\) do not match"):
             integrate(np.eye(2), np.array([1.0]), 1.0, 2)
 
     def test_bad_grid(self):

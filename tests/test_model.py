@@ -11,7 +11,6 @@ from pseudobath.model import (
     InitialState,
     LorentzPeak,
     ModelError,
-    OhmicWithoutCutoffError,
     SystemHamiltonian,
     correlation,
     counterterm_shift,
@@ -107,7 +106,7 @@ class TestCorrelation:
         assert correlation(bath, 0.1) == pytest.approx(expected)
 
     def test_pure_ohmic_refused(self):
-        with pytest.raises(OhmicWithoutCutoffError):
+        with pytest.raises(ModelError, match="^pure Ohmic bath has no pointwise correlation"):
             correlation(BathModel(eta=1.0), 1.0)
 
     @given(peaks=st.lists(peak_strategy, min_size=1, max_size=3), t=st.floats(-10, 10))
